@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimate import FitResult, NonConvergenceError, fit_mle
+from .estimate import NonConvergenceError, fit_mle
 from .model import (
     AssumptionViolationError,
     LinkKind,
@@ -62,15 +62,12 @@ class BootstrapConfig:
     B: int = 199
     master_seed: int = 0
     stats: tuple[StatKind, ...] = DEFAULT_STUDY_KINDS
-    refit: bool = True
 
     def __post_init__(self) -> None:
         if self.B < 19:
             raise ValueError("B must be >= 19")
         if not self.stats:
             raise ValueError("statistic list must be nonempty")
-        if not self.refit:
-            raise ValueError("the bootstrap algorithm always refits; refit=False unsupported")
 
 
 @dataclass(frozen=True)
@@ -148,8 +145,51 @@ def _stats_at(
     return evaluate_statistics(kinds, u.u, e)
 
 
-def bootstrap_test(spec: ModelSpec, series: Series, config: BootstrapConfig) -> TestReport:
+def _replicate(
+    sim_spec: ModelSpec,
+    sim_theta: Theta,
+    x: np.ndarray,
+    fit_spec: ModelSpec,
+    kinds,
+    master_seed: int,
+    sim_key: tuple,
+    noise_key: tuple,
+) -> tuple[Theta, dict[str, float]] | None:
+    """One replicate: simulate from ``(sim_spec, sim_theta)`` on the regressor
+    path ``x``, refit ``fit_spec``, and compute the statistics under the
+    randomized PIT with continuation noise keyed by ``noise_key``.
+
+    Returns ``(theta_hat, stats)``, or ``None`` when the model cannot be fitted
+    or evaluated on the simulated series.  Any other exception propagates.
+    """
+    try:
+        star = simulate_null(sim_spec, sim_theta, x, substream(master_seed, *sim_key))
+        fit = fit_mle(fit_spec, star)
+        if not fit.converged:
+            return None
+        noise = NoiseStream.from_seed(star.T, master_seed, *noise_key)
+        return fit.theta_hat, _stats_at(fit_spec, fit.theta_hat, star, noise, kinds)
+    except (NonConvergenceError, AssumptionViolationError):
+        return None
+
+
+def _map(fn, tasks: list[tuple], threads: int) -> list:
+    """``[fn(*task) for task in tasks]``, spread over ``threads`` worker
+    processes when ``threads > 1``; results keep the order of ``tasks``."""
+    if threads <= 1:
+        return [fn(*task) for task in tasks]
+    chunksize = max(1, len(tasks) // (8 * threads))
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, *zip(*tasks), chunksize=chunksize))
+
+
+def bootstrap_test(
+    spec: ModelSpec, series: Series, config: BootstrapConfig, threads: int = 1
+) -> TestReport:
     """Fit the model, compute the requested statistics, and bootstrap p-values.
+
+    Replicates are independent tasks with their own RNG substreams, so the
+    report is identical for any ``threads``.
 
     Raises
     ------
@@ -166,24 +206,12 @@ def bootstrap_test(spec: ModelSpec, series: Series, config: BootstrapConfig) -> 
     noise0 = NoiseStream.from_seed(series.T, master, "data")
     observed = _stats_at(spec, fit.theta_hat, series, noise0, kinds)
 
-    draws: dict[str, list[float]] = {name: [] for name in observed}
-    failed = 0
-    for b in range(1, config.B + 1):
-        rng_sim = substream(master, "boot-sim", b)
-        try:
-            star = simulate_null(spec, fit.theta_hat, series.x, rng_sim)
-            fit_b = fit_mle(spec, star)
-            if not fit_b.converged:
-                failed += 1
-                continue
-            noise_b = NoiseStream.from_seed(series.T, master, "boot", b)
-            stats_b = _stats_at(spec, fit_b.theta_hat, star, noise_b, kinds)
-        except (NonConvergenceError, AssumptionViolationError):
-            failed += 1
-            continue
-        for name, value in stats_b.items():
-            draws[name].append(value)
-
+    tasks = [
+        (spec, fit.theta_hat, series.x, spec, kinds, master, ("boot-sim", b), ("boot", b))
+        for b in range(1, config.B + 1)
+    ]
+    kept = [rep[1] for rep in _map(_replicate, tasks, threads) if rep is not None]
+    failed = config.B - len(kept)
     if failed > MAX_FAILURE_SHARE * config.B:
         raise UnreliableBootstrapError(
             f"{failed} of {config.B} bootstrap fits failed; report would be unreliable"
@@ -192,8 +220,8 @@ def bootstrap_test(spec: ModelSpec, series: Series, config: BootstrapConfig) -> 
         StatResult(
             name=name,
             value=observed[name],
-            p_value=pvalue(observed[name], np.asarray(draws[name])),
-            n_replicates=len(draws[name]),
+            p_value=pvalue(observed[name], np.array([stats[name] for stats in kept])),
+            n_replicates=len(kept),
         )
         for name in observed
     )
@@ -307,33 +335,27 @@ class RejectionTable:
         }
 
 
-def _warp_replication(args) -> tuple[int, dict | None, list[dict] | None]:
-    scenario, T, stat_names, b_per_rep, master_seed, r = args
-    kinds = tuple(StatKind.from_name(n) for n in stat_names)
-    try:
-        x = simulate_x_ar1(scenario.x_ar1, T, substream(master_seed, "mc-x", r))
-        data = simulate(
-            scenario.dgp_spec, scenario.dgp_theta, T,
-            x=x.reshape(-1, 1), rng=substream(master_seed, "mc-dgp", r),
-        )
-        fit = fit_mle(scenario.null_spec, data)
-        if not fit.converged:
-            return r, None, None
-        noise = NoiseStream.from_seed(T, master_seed, "mc-data", r)
-        observed = _stats_at(scenario.null_spec, fit.theta_hat, data, noise, kinds)
-        star_draws = []
-        for b in range(b_per_rep):
-            star = simulate_null(
-                scenario.null_spec, fit.theta_hat, data.x, substream(master_seed, "mc-boot", r, b)
-            )
-            fit_b = fit_mle(scenario.null_spec, star)
-            if not fit_b.converged:
-                return r, None, None
-            noise_b = NoiseStream.from_seed(T, master_seed, "mc-boot-noise", r, b)
-            star_draws.append(_stats_at(scenario.null_spec, fit_b.theta_hat, star, noise_b, kinds))
-        return r, observed, star_draws
-    except (NonConvergenceError, AssumptionViolationError, ValueError):
-        return r, None, None
+def _warp_replication(
+    scenario: Scenario, T: int, kinds, b_per_rep: int, master_seed: int, r: int
+) -> tuple[dict[str, float], list[dict[str, float]]] | None:
+    """Replication ``r``: statistics on data from the scenario DGP and on
+    ``b_per_rep`` bootstrap draws from the fitted null; ``None`` if any
+    replicate fails."""
+    x = simulate_x_ar1(scenario.x_ar1, T, substream(master_seed, "mc-x", r))
+    null = scenario.null_spec
+    data = _replicate(scenario.dgp_spec, scenario.dgp_theta, x, null, kinds, master_seed,
+                      ("mc-dgp", r), ("mc-data", r))
+    if data is None:
+        return None
+    theta_hat, observed = data
+    star_draws = []
+    for b in range(b_per_rep):
+        star = _replicate(null, theta_hat, x, null, kinds, master_seed,
+                          ("mc-boot", r, b), ("mc-boot-noise", r, b))
+        if star is None:
+            return None
+        star_draws.append(star[1])
+    return observed, star_draws
 
 
 def run_scenario(
@@ -361,14 +383,8 @@ def run_scenario(
         if not 0.0 < level < 1.0:
             raise ValueError(f"level {level} outside (0, 1)")
     stat_names = tuple(k.name for k in stats)
-    args = [(scenario, T, stat_names, b_per_rep, master_seed, r) for r in range(R)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_warp_replication, args, chunksize=max(1, R // (8 * threads))))
-    else:
-        results = [_warp_replication(a) for a in args]
-
-    kept = [(obs, star) for _, obs, star in results if obs is not None]
+    tasks = [(scenario, T, stats, b_per_rep, master_seed, r) for r in range(R)]
+    kept = [rep for rep in _map(_warp_replication, tasks, threads) if rep is not None]
     failed = R - len(kept)
     if failed > MAX_FAILURE_SHARE * R:
         raise UnreliableBootstrapError(f"{failed} of {R} replications failed")

@@ -11,6 +11,7 @@ import csv
 import json
 import os
 import sys
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +28,7 @@ from .boot import (
 )
 from .estimate import NonConvergenceError, fit_mle
 from .model import AssumptionViolationError, LinkKind, ModelSpec, Series
-from .stats import StatKind
+from .stats import StatKind, study_kinds
 
 __all__ = ["RunConfig", "load_series", "cmd_fit", "cmd_test", "cmd_mc", "main"]
 
@@ -87,11 +88,7 @@ class RunConfig:
     def stat_kinds(self) -> tuple[StatKind, ...]:
         if self.stats:
             return tuple(StatKind.from_name(n) for n in self.stats)
-        names = ["CvM0", "CvM1", "CvM2", "KS0", "KS1", "KS2"]
-        names += [f"BPN_{m}" for m in self.m]
-        names += ["JB"]
-        names += [f"BPD_{m}" for m in self.m]
-        return tuple(StatKind.from_name(n) for n in names)
+        return study_kinds(self.m)
 
     def echo(self) -> dict:
         """Configuration echo for reports; worker count omitted on purpose
@@ -204,7 +201,7 @@ def cmd_test(config: RunConfig) -> int:
     series = load_series(config.input, config.support_size)
     spec = config.model_spec(series.n_regressors)
     boot_config = BootstrapConfig(B=config.B, master_seed=config.seed, stats=config.stat_kinds())
-    report = bootstrap_test(spec, series, boot_config)
+    report = bootstrap_test(spec, series, boot_config, threads=config.threads)
     payload = {"config": config.echo(), "model": spec.to_json_dict(), "report": report.to_json_dict()}
     _write(os.path.join(config.out, "report.json"), json.dumps(payload, indent=2, sort_keys=True) + "\n")
     text = _report_text(report)
@@ -223,17 +220,20 @@ def cmd_mc(config: RunConfig) -> int:
     tables: list[RejectionTable] = []
     for T in config.T:
         for sid in config.scenarios:
-            tables.append(
-                run_scenario(
-                    registry[sid],
-                    T=T,
-                    R=config.R,
-                    master_seed=config.seed,
-                    stats=config.stat_kinds(),
-                    levels=config.levels,
-                    threads=config.threads,
-                )
+            start = time.perf_counter()
+            tab = run_scenario(
+                registry[sid],
+                T=T,
+                R=config.R,
+                master_seed=config.seed,
+                stats=config.stat_kinds(),
+                levels=config.levels,
+                threads=config.threads,
             )
+            tables.append(tab)
+            # progress only: wall time stays out of the output files
+            print(f"scenario {sid} T={T}: {tab.R_effective} of {tab.R} replications "
+                  f"[{time.perf_counter() - start:.1f}s]", file=sys.stderr, flush=True)
     csv_text = rejection_tables_to_csv(tables)
     _write(os.path.join(config.out, "rejections.csv"), csv_text)
     payload = {"config": config.echo(), "tables": [t.to_json_dict() for t in tables]}

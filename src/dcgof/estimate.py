@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special
@@ -26,6 +26,7 @@ from .model import (
     Theta,
     link_pdf,
     link_tail,
+    _index_ar_stationary,
     _presample_pi,
     _thresholds,
 )
@@ -367,13 +368,25 @@ def fit_mle(
         )
     _check_category_counts(spec, series)
 
+    if init is None and spec.p_ar:
+        # From the all-zero start the index path is flat, so the score in
+        # alpha vanishes and the first Newton steps can head for a spurious
+        # mode near alpha = -1.  Start from the fit without index
+        # autoregression instead.
+        base = fit_mle(replace(spec, p_ar=0), series, options=opts).theta_hat
+        init = replace(base, alpha=(0.0,) * spec.p_ar)
     wmap = _WorkingMap(spec)
     theta = init if init is not None else _default_init(spec, series)
     theta.validate(spec)
     w = wmap.to_working(theta)
 
     def ll_of(w_vec: np.ndarray) -> float:
-        return loglik(spec, wmap.to_theta(w_vec), series)
+        # a trial step outside the stationarity region is rejected like a
+        # degenerate likelihood
+        th = wmap.to_theta(w_vec)
+        if not _index_ar_stationary(th.alpha):
+            return -np.inf
+        return loglik(spec, th, series)
 
     def grad_of(w_vec: np.ndarray) -> np.ndarray:
         th = wmap.to_theta(w_vec)

@@ -28,7 +28,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import signal, special
+from scipy import special
 
 __all__ = [
     "AssumptionViolationError",
@@ -286,12 +286,8 @@ class Theta:
             raise ValueError("ordered models fix the intercept at zero")
         if len(self.mu) >= 2 and not all(a < b for a, b in zip(self.mu, self.mu[1:])):
             raise ValueError("thresholds mu must be strictly increasing")
-        if spec.p_ar >= 1:
-            # stationarity: roots of 1 - alpha(L) outside the unit circle
-            poly = np.concatenate(([1.0], -np.asarray(self.alpha)))
-            roots = np.roots(poly[::-1])
-            if roots.size and np.any(np.abs(roots) <= 1.0 + 1e-12):
-                raise ValueError("index AR polynomial 1 - alpha(L) has a root inside the unit circle")
+        if not _index_ar_stationary(self.alpha):
+            raise ValueError("index AR polynomial 1 - alpha(L) has a root inside the unit circle")
 
     def to_vector(self) -> np.ndarray:
         """Natural coordinates ``(pi0, delta, alpha, beta, gamma, mu)``."""
@@ -414,6 +410,14 @@ class CondLaw:
     @property
     def support_size(self) -> int:
         return int(self.probs.shape[0] - 1)
+
+
+def _index_ar_stationary(alpha: tuple[float, ...]) -> bool:
+    """True when every root of ``1 - alpha(L)`` lies outside the unit circle."""
+    if not alpha:
+        return True
+    poly = np.concatenate(([1.0], -np.asarray(alpha)))
+    return bool(np.all(np.abs(np.roots(poly[::-1])) > 1.0 + 1e-12))
 
 
 def _thresholds(spec: ModelSpec, theta: Theta) -> np.ndarray:
@@ -588,7 +592,11 @@ def simulate_x_ar1(alpha1: float, T: int, rng: np.random.Generator) -> np.ndarra
         raise ValueError("T must be positive")
     x0 = rng.standard_normal() * math.sqrt(1.0 / (1.0 - alpha1 * alpha1))
     e = rng.standard_normal(T)
-    out, _ = signal.lfilter([1.0], [1.0, -alpha1], e, zi=np.array([alpha1 * x0]))
+    out = np.empty(T)
+    prev = x0
+    for t, e_t in enumerate(e.tolist()):
+        prev = e_t + alpha1 * prev
+        out[t] = prev
     return out
 
 

@@ -37,6 +37,7 @@ __all__ = [
     "StatKind",
     "StatValue",
     "DEFAULT_STUDY_KINDS",
+    "study_kinds",
     "v_process_1",
     "v_process_2",
     "v_process_2j",
@@ -135,14 +136,18 @@ class StatValue:
         object.__setattr__(self, "value", max(v, 0.0))
 
 
+def study_kinds(m: Sequence[int]) -> tuple[StatKind, ...]:
+    """The statistics of the study tables, in column order, with Box-Pierce
+    lags ``m``."""
+    names = ["CvM0", "CvM1", "CvM2", "KS0", "KS1", "KS2"]
+    names += [f"BPN_{lag}" for lag in m]
+    names += ["JB"]
+    names += [f"BPD_{lag}" for lag in m]
+    return tuple(StatKind.from_name(n) for n in names)
+
+
 # Tables 2-4 column order
-DEFAULT_STUDY_KINDS: tuple[StatKind, ...] = tuple(
-    StatKind.from_name(n)
-    for n in (
-        "CvM0", "CvM1", "CvM2", "KS0", "KS1", "KS2",
-        "BPN_1", "BPN_2", "BPN_25", "JB", "BPD_1", "BPD_2", "BPD_25",
-    )
-)
+DEFAULT_STUDY_KINDS: tuple[StatKind, ...] = study_kinds((1, 2, 25))
 
 
 def _check_u(u) -> np.ndarray:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dcgof import boot
 from dcgof.boot import (
     BootstrapConfig,
     UnreliableBootstrapError,
@@ -20,6 +21,19 @@ from dcgof.transform import NoiseStream, randomized_pit
 
 STATIC = ModelSpec(link="probit", n_regressors=1)
 SMALL_STATS = tuple(StatKind.from_name(n) for n in ("CvM0", "KS0", "CvM1", "BPN_1", "BPD_1", "JB"))
+
+
+def every_tenth_call_raises():
+    calls = 0
+
+    def evaluate(kinds, u, e=None):
+        nonlocal calls
+        calls += 1
+        if calls % 10 == 0:
+            raise ValueError("injected fault")
+        return evaluate_statistics(kinds, u, e)
+
+    return evaluate
 
 
 def null_series(seed=0, T=150):
@@ -107,8 +121,14 @@ class TestBootstrapTest:
             BootstrapConfig(B=5)
         with pytest.raises(ValueError):
             BootstrapConfig(B=99, stats=())
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        # only model failures count as failed replicates; a bug in a
+        # statistic must not just lower the replicate count
+        monkeypatch.setattr(boot, "evaluate_statistics", every_tenth_call_raises())
+        config = BootstrapConfig(B=39, master_seed=11, stats=SMALL_STATS)
         with pytest.raises(ValueError):
-            BootstrapConfig(B=99, refit=False)
+            bootstrap_test(STATIC, null_series(7), config)
 
 
 class TestScenarioRegistry:
@@ -171,6 +191,12 @@ class TestRunScenario:
         tab = run_scenario(registry[2], T=500, R=300, master_seed=8, threads=2)
         for name in tab.stat_names:
             assert 2.0 <= tab.rate(0.05, name) <= 9.0
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        monkeypatch.setattr(boot, "evaluate_statistics", every_tenth_call_raises())
+        scenario = {s.id: s for s in scenario_registry()}[1]
+        with pytest.raises(ValueError):
+            run_scenario(scenario, T=60, R=50, master_seed=13, stats=SMALL_STATS, threads=1)
 
     def test_csv_layout(self):
         registry = {s.id: s for s in scenario_registry()}

@@ -125,6 +125,19 @@ class TestFitMle:
         err = np.abs(fit.theta_hat.to_vector() - truth.to_vector())
         assert np.all(err <= 3.0 * se)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_index_autoregression_fit_within_three_se(self, seed):
+        # line-search trials outside the stationarity region are rejected,
+        # not raised
+        spec = ModelSpec(link="probit", p_ar=1, n_regressors=1)
+        truth = Theta(pi0=0.2, alpha=(0.5,), beta=(0.8,))
+        rng = substream(seed, "fit-par")
+        data = simulate(spec, truth, 300, x=rng.standard_normal((300, 1)), rng=rng)
+        fit = fit_mle(spec, data)
+        assert fit.converged
+        err = np.abs(fit.theta_hat.to_vector() - truth.to_vector())
+        assert np.all(err <= 3.0 * fit.stderr(spec))
+
     def test_all_ones_is_separation(self):
         data = Series(y=np.ones(50, dtype=int), x=substream(6, "x").standard_normal((50, 1)))
         with pytest.raises(SeparationError):
