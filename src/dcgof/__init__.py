@@ -42,9 +42,6 @@ from .stats import (
     residuals_discrete,
     residuals_gaussian,
     v2_limit_cov,
-    v_process_1,
-    v_process_2,
-    v_process_2j,
 )
 from .boot import (
     BootstrapConfig,

@@ -91,9 +91,14 @@ class FitResult:
     loglik_trace: tuple[float, ...] = ()
 
     def stderr(self, spec: ModelSpec) -> np.ndarray:
-        """Asymptotic standard errors from the inverse information."""
-        cov = np.linalg.inv(self.info_matrix * self.n_obs)
-        return np.sqrt(np.maximum(np.diag(cov), 0.0))
+        """Asymptotic standard errors from the inverse information of the free
+        coordinates.  Ordered models fix the intercept at 0, so its row and
+        column are left out and its standard error is 0."""
+        k = 1 if spec.ordered else 0
+        cov = np.linalg.inv(self.info_matrix[k:, k:] * self.n_obs)
+        se = np.zeros(self.info_matrix.shape[0])
+        se[k:] = np.sqrt(np.maximum(np.diag(cov), 0.0))
+        return se
 
     def to_json_dict(self) -> dict:
         return {

@@ -8,12 +8,15 @@ uniform marginals:
     V2j(r; j) = (1/sqrt(T-j)) * sum_{t=j+1}^{T} [ 1{u_t <= r1} 1{u_{t-j} <= r2} - r1 r2 ]
 
 Cramer-von Mises functionals integrate the squared process over the unit
-cube; they have exact O(n^2) closed forms built from
-``int_0^1 1{a<=r} 1{b<=r} dr = 1 - max(a, b)``.  Kolmogorov-Smirnov
-functionals take the sup of the absolute process, which is attained on the
-finite candidate set of jump points and their one-sided limits (a tensor grid
-in the bivariate case), because the process is piecewise bilinear between
-jumps.
+cube.  Their closed forms are built from
+``int_0^1 1{a<=r} 1{b<=r} dr = 1 - max(a, b)``, summed over all pairs of
+points; after sorting, the pair sums take O(T log T) time and O(T) memory
+(a rank formula in one dimension, a dominance count in two).
+Kolmogorov-Smirnov functionals take the sup of the absolute process, which is
+attained on the finite candidate set of jump points and their one-sided
+limits (a tensor grid in the bivariate case), because the process is
+piecewise bilinear between jumps.  The bivariate sup visits all O(T^2) grid
+points, in blocks of grid rows, with O(T) memory.
 
 Correlation-based statistics (Box-Pierce on uniform, Gaussian and discrete
 residuals, Jarque-Bera on Gaussian residuals) and the limiting covariance of
@@ -38,9 +41,6 @@ __all__ = [
     "StatValue",
     "DEFAULT_STUDY_KINDS",
     "study_kinds",
-    "v_process_1",
-    "v_process_2",
-    "v_process_2j",
     "cvm_stat",
     "ks_stat",
     "aggregate",
@@ -157,41 +157,6 @@ def _check_u(u) -> np.ndarray:
     return u
 
 
-def v_process_1(u, r: float) -> float:
-    """One-parameter empirical process at ``r``."""
-    u = _check_u(u)
-    T = u.shape[0]
-    if T < 3:
-        raise ValueError("need T >= 3")
-    a = u[:-1]
-    return float((np.sum(a <= r) - a.shape[0] * r) / math.sqrt(T - 2))
-
-
-def v_process_2(u, r1: float, r2: float) -> float:
-    """Joint process of two consecutive residuals at ``(r1, r2)``."""
-    u = _check_u(u)
-    T = u.shape[0]
-    if T < 4:
-        raise ValueError("need T >= 4")
-    a, b = u[1 : T - 1], u[: T - 2]
-    hits = np.sum((a <= r1) & (b <= r2))
-    return float((hits - a.shape[0] * r1 * r2) / math.sqrt(T - 3))
-
-
-def v_process_2j(u, j: int, r1: float, r2: float) -> float:
-    """Lag-``j`` pairwise process at ``(r1, r2)``."""
-    u = _check_u(u)
-    T = u.shape[0]
-    j = int(j)
-    if j < 1:
-        raise ValueError("lag j must be >= 1")
-    if T < j + 1:
-        raise ValueError("need T >= j + 1")
-    a, b = u[j:], u[:-j]
-    hits = np.sum((a <= r1) & (b <= r2))
-    return float((hits - a.shape[0] * r1 * r2) / math.sqrt(T - j))
-
-
 def _process_pairs(u: np.ndarray, kind: StatKind) -> tuple[np.ndarray, np.ndarray | None, float]:
     """Indicator coordinates and normalizer for a CvM/KS kind."""
     T = u.shape[0]
@@ -209,21 +174,74 @@ def _process_pairs(u: np.ndarray, kind: StatKind) -> tuple[np.ndarray, np.ndarra
     return u[j:], u[:-j], math.sqrt(T - j)
 
 
+# Points per tile of the dense comparisons in ``_dominance``.
+_TILE = 64
+_EARLIER = np.triu(np.ones((_TILE, _TILE), dtype=bool), 1)  # [i, k]: i < k
+_EARLIER.flags.writeable = False
+# Grid rows per block of the bivariate KS sweep.
+_KS_ROWS = 64
+
+
 def _cvm_1d(a: np.ndarray, denom: float) -> float:
+    # sum_{i,k} (1 - max(a_i, a_k)) = sum_i (1 - a_(i)) (2i - 1) over the
+    # sorted values.  Completing the square with the other two terms gives
+    # 1/12 + n sum_i (a_(i) - (2i - 1)/(2n))^2, a sum free of cancellation.
     n = a.shape[0]
-    M = 1.0 - np.maximum.outer(a, a)
-    q = (1.0 - a * a) / 2.0
-    total = M.sum() - 2.0 * n * q.sum() + n * n / 3.0
+    d = np.sort(a) - np.arange(1.0, 2.0 * n, 2.0) / (2.0 * n)
+    total = 1.0 / 12.0 + n * (d @ d)
     return float(total / (denom * denom))
+
+
+def _dominance(rank: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each point k, ``#{i < k : rank_i <= rank_k}`` and the sum of
+    ``w_i`` over ``i < k`` with ``rank_i > rank_k``.  Ranks lie in 1..n."""
+    n = rank.shape[0]
+    # Dense comparisons within tiles of consecutive points.  The padding sits
+    # after every real point of the last tile, so it is never counted.
+    m = -(-n // _TILE) * _TILE
+    R = np.zeros(m, dtype=np.int64)
+    R[:n] = rank
+    W = np.zeros(m)
+    W[:n] = w
+    R, W = R.reshape(-1, _TILE), W.reshape(-1, _TILE)
+    le = R[:, :, None] <= R[:, None, :]
+    cnt = (le & _EARLIER).sum(axis=1).ravel()[:n]
+    sw = np.einsum("ti,tik->tk", W, ~le & _EARLIER).ravel()[:n]
+    # Merge levels: each point of an odd block of size s is compared with the
+    # whole even block before it, by binary search in the keys
+    # (block, rank) sorted per level.  From the second level on, the keys in
+    # the previous level's order form two sorted runs per block, which the
+    # stable sort merges in linear time.
+    pos = np.arange(n)
+    order = pos
+    span = n + 2
+    s = _TILE
+    while s < n:
+        blk = pos // s
+        key = blk * span + rank
+        order = order[np.argsort(key[order], kind="stable")]
+        cw = np.concatenate(([0.0], np.cumsum(w[order])))
+        k = pos[s:][blk[s:] % 2 == 1]
+        start = (blk[k] - 1) * s
+        idx = np.searchsorted(key[order], key[k] - span, side="right")
+        cnt[k] += idx - start
+        sw[k] += cw[start + s] - cw[idx]
+        s *= 2
+    return cnt, sw
 
 
 def _cvm_2d(a: np.ndarray, b: np.ndarray, denom: float) -> float:
+    # Pair (i, k) contributes (1 - max(a_i, a_k)) (1 - max(b_i, b_k)).  With
+    # the points ordered by a, the pairs i < k contribute
+    # (1 - a_k) [cnt_k (1 - b_k) + sw_k], with the dominance counts over b.
     n = a.shape[0]
-    A = 1.0 - np.maximum.outer(a, a)
-    B = 1.0 - np.maximum.outer(b, b)
+    order = np.argsort(a, kind="stable")
+    a, b = a[order], b[order]
+    rank = np.searchsorted(np.sort(b), b, side="right")  # ties share a rank
+    cnt, sw = _dominance(rank, 1.0 - b)
     qq = ((1.0 - a * a) / 2.0) * ((1.0 - b * b) / 2.0)
-    total = (A * B).sum() - 2.0 * n * qq.sum() + n * n / 9.0
-    return float(total / (denom * denom))
+    terms = (1.0 - a) * (1.0 - b + 2.0 * (cnt * (1.0 - b) + sw)) - 2.0 * n * qq + n / 9.0
+    return float(terms.sum() / (denom * denom))
 
 
 def _ks_1d(a: np.ndarray, denom: float) -> float:
@@ -237,20 +255,35 @@ def _ks_1d(a: np.ndarray, denom: float) -> float:
 
 def _ks_2d(a: np.ndarray, b: np.ndarray, denom: float) -> float:
     # Between jump coordinates the process is N - n*r1*r2 with N constant, so
-    # the sup over each closed cell is attained at the cell's corner of
-    # smallest or largest r1*r2; corners live on the tensor grid of observed
-    # values, their one-sided limits and the boundary 1.
+    # its sup over each cell is N - n*r1*r2 at the cell's lower corner or
+    # n*r1*r2 - N at its upper corner; corners live on the tensor grid of
+    # observed values, their one-sided limits and the boundary 1.  N is built
+    # a block of grid rows at a time from a running column count.
     n = a.shape[0]
     ga, gb = np.unique(a), np.unique(b)
-    ia, ib = np.searchsorted(ga, a), np.searchsorted(gb, b)
-    H = np.zeros((ga.size, gb.size))
-    np.add.at(H, (ia, ib), 1.0)
-    N = np.zeros((ga.size + 1, gb.size + 1))
-    N[1:, 1:] = H.cumsum(axis=0).cumsum(axis=1)
+    row = np.searchsorted(ga, a) + 1  # first grid row whose count includes the point
+    col = np.searchsorted(gb, b) + 1
+    order = np.argsort(row)
+    row, col = row[order], col[order]
     lo_a, hi_a = np.concatenate(([0.0], ga)), np.concatenate((ga, [1.0]))
     lo_b, hi_b = np.concatenate(([0.0], gb)), np.concatenate((gb, [1.0]))
-    best = np.abs(N - n * np.outer(lo_a, lo_b)).max()
-    best = max(best, np.abs(N - n * np.outer(hi_a, hi_b)).max())
+    n_rows, n_cols = lo_a.size, lo_b.size
+    starts = range(0, n_rows, _KS_ROWS)
+    cuts = np.searchsorted(row, [*starts, n_rows])
+    run = np.zeros(n_cols, dtype=np.int64)
+    best = 0.0
+    for blk, r0 in enumerate(starts):
+        r1 = min(r0 + _KS_ROWS, n_rows)
+        pts = slice(cuts[blk], cuts[blk + 1])
+        N = np.bincount((row[pts] - r0) * n_cols + col[pts], minlength=(r1 - r0) * n_cols)
+        N = N.reshape(r1 - r0, n_cols)
+        N[0] += run
+        np.cumsum(N, axis=0, out=N)
+        run = N[-1].copy()
+        np.cumsum(N, axis=1, out=N)
+        low = (N - n * np.outer(lo_a[r0:r1], lo_b)).max()
+        high = (n * np.outer(hi_a[r0:r1], hi_b) - N).max()
+        best = max(best, low, high)
     return float(best / denom)
 
 

@@ -204,6 +204,28 @@ class TestFitMle:
         err = np.abs(fit.theta_hat.to_vector() - truth.to_vector())
         assert np.all(err <= 3.0 * np.maximum(fit.stderr(spec), 1e-3))
 
+    def test_ordered_stderr_leaves_out_the_fixed_intercept(self):
+        spec = ModelSpec(link="probit", support_size=2, ordered=True, q=1, n_regressors=1)
+        truth = Theta(delta=(0.5,), beta=(1.0,), mu=(-0.5, 1.0))
+        rng = substream(1, "o")
+        data = simulate(spec, truth, 2000, x=rng.standard_normal((2000, 1)), rng=rng)
+        fit = fit_mle(spec, data)
+        se = fit.stderr(spec)
+        assert se[0] == 0.0
+        assert np.all(se[1:] > 0.0) and np.all(se[-2:] < 0.2)
+
+    def test_ordered_stderr_with_index_autoregression(self):
+        spec = ModelSpec(link="logistic", support_size=2, ordered=True, p_ar=2, n_regressors=1)
+        truth = Theta(alpha=(0.3, 0.2), beta=(1.0,), mu=(-0.5, 1.0))
+        rng = substream(2, "o2")
+        data = simulate(spec, truth, 1000, x=rng.standard_normal((1000, 1)), rng=rng)
+        fit = fit_mle(spec, data)
+        assert fit.converged
+        se = fit.stderr(spec)
+        assert se[0] == 0.0 and np.all(np.isfinite(se))
+        err = np.abs(fit.theta_hat.to_vector() - truth.to_vector())
+        assert np.all(err[1:] <= 3.0 * se[1:])
+
     def test_empty_middle_category_collapses(self):
         spec = ModelSpec(link="probit", support_size=2, n_regressors=0, ordered=True)
         y = np.array([0] * 20 + [2] * 20)

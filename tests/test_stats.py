@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from scipy.special import ndtr
 
 from dcgof.model import AssumptionViolationError, ModelSpec, Series, Theta, simulate
 from dcgof.rng import substream
+from dcgof.transform import U_CLAMP
 from dcgof.stats import (
     StatKind,
     StatValue,
@@ -21,11 +24,98 @@ from dcgof.stats import (
     residuals_discrete,
     residuals_gaussian,
     v2_limit_cov,
-    v_process_1,
-    v_process_2j,
 )
+from dcgof.stats import _cvm_1d, _cvm_2d, _ks_2d
 
 U3 = np.array([0.25, 0.5, 0.75])
+
+
+# --- oracles: the processes at one point, and the quadratic-memory kernels ---
+
+def v_process_1(u, r):
+    """One-parameter empirical process at ``r``."""
+    u = np.asarray(u, dtype=float)
+    a = u[:-1]
+    return float((np.sum(a <= r) - a.shape[0] * r) / math.sqrt(u.shape[0] - 2))
+
+
+def v_process_2(u, r1, r2):
+    """Joint process of two consecutive residuals at ``(r1, r2)``."""
+    u = np.asarray(u, dtype=float)
+    T = u.shape[0]
+    a, b = u[1 : T - 1], u[: T - 2]
+    hits = np.sum((a <= r1) & (b <= r2))
+    return float((hits - a.shape[0] * r1 * r2) / math.sqrt(T - 3))
+
+
+def v_process_2j(u, j, r1, r2):
+    """Lag-``j`` pairwise process at ``(r1, r2)``."""
+    u = np.asarray(u, dtype=float)
+    a, b = u[j:], u[:-j]
+    hits = np.sum((a <= r1) & (b <= r2))
+    return float((hits - a.shape[0] * r1 * r2) / math.sqrt(u.shape[0] - j))
+
+
+def cvm_1d_outer(a, denom):
+    """CvM closed form from the T x T matrix of ``1 - max(a_i, a_k)``."""
+    n = a.shape[0]
+    M = 1.0 - np.maximum.outer(a, a)
+    q = (1.0 - a * a) / 2.0
+    return float((M.sum() - 2.0 * n * q.sum() + n * n / 3.0) / (denom * denom))
+
+
+def cvm_2d_outer(a, b, denom):
+    n = a.shape[0]
+    A = 1.0 - np.maximum.outer(a, a)
+    B = 1.0 - np.maximum.outer(b, b)
+    qq = ((1.0 - a * a) / 2.0) * ((1.0 - b * b) / 2.0)
+    return float(((A * B).sum() - 2.0 * n * qq.sum() + n * n / 9.0) / (denom * denom))
+
+
+def cvm_fsum(a, b, denom):
+    """The CvM double sum, one rounded O(1) term per pair, summed exactly."""
+    P = 1.0 - np.maximum.outer(a, a)
+    q = (1.0 - a * a) / 2.0
+    c = 1.0 / 3.0
+    if b is not None:
+        P = P * (1.0 - np.maximum.outer(b, b))
+        q = q * ((1.0 - b * b) / 2.0)
+        c = 1.0 / 9.0
+    return math.fsum((P - q[:, None] - q[None, :] + c).ravel()) / (denom * denom)
+
+
+def ks_2d_dense(a, b, denom):
+    """Bivariate KS sup over the full (T+1)^2 cumulative count grid."""
+    n = a.shape[0]
+    ga, gb = np.unique(a), np.unique(b)
+    ia, ib = np.searchsorted(ga, a), np.searchsorted(gb, b)
+    H = np.zeros((ga.size, gb.size))
+    np.add.at(H, (ia, ib), 1.0)
+    N = np.zeros((ga.size + 1, gb.size + 1))
+    N[1:, 1:] = H.cumsum(axis=0).cumsum(axis=1)
+    lo_a, hi_a = np.concatenate(([0.0], ga)), np.concatenate((ga, [1.0]))
+    lo_b, hi_b = np.concatenate(([0.0], gb)), np.concatenate((gb, [1.0]))
+    best = np.abs(N - n * np.outer(lo_a, lo_b)).max()
+    best = max(best, np.abs(N - n * np.outer(hi_a, hi_b)).max())
+    return float(best / denom)
+
+
+@st.composite
+def residual_series(draw, max_T=200):
+    """PIT-like residuals with ties (rounding) and clamped extremes."""
+    T = draw(st.integers(4, max_T))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = rng.random(T)
+    decimals = draw(st.sampled_from([None, 1, 2]))
+    if decimals is not None:
+        u = np.round(u, decimals)
+    hit = rng.random(T) < draw(st.sampled_from([0.0, 0.1, 0.3]))
+    u[hit] = np.where(rng.random(hit.sum()) < 0.5, U_CLAMP, 1.0 - U_CLAMP)
+    return np.clip(u, U_CLAMP, 1.0 - U_CLAMP)
+
+
+def lag_pairs(u, j):
+    return u[j:], u[:-j], math.sqrt(u.shape[0] - j)
 
 
 def brute_v1(u, r):
@@ -150,6 +240,16 @@ class TestCvm:
 
 
 class TestKs:
+    @given(residual_series(), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_sup_bounds_the_process_at_any_point(self, u, r1, r2, j):
+        ks = {n: ks_stat(u, StatKind.from_name(n)).value for n in ("KS0", "KSp2")}
+        assert abs(v_process_1(u, r1)) <= ks["KS0"] + 1e-12
+        assert abs(v_process_2(u, r1, r2)) <= ks["KSp2"] + 1e-12
+        if u.shape[0] >= j + 2:
+            ksj = ks_stat(u, StatKind.from_name(f"KS{j}")).value
+            assert abs(v_process_2j(u, j, r1, r2)) <= ksj + 1e-12
+
     def test_hand_value(self):
         # V jumps to 1 at r=0.5: sup is 1
         assert ks_stat(U3, StatKind.from_name("KS0")).value == pytest.approx(1.0, abs=1e-14)
@@ -175,6 +275,62 @@ class TestKs:
         V = np.abs(ind1 @ ind2.T - n * np.outer(cand, cand)) / math.sqrt(len(u) - 1)
         assert exact >= V.max() - 1e-12
         assert exact == pytest.approx(V.max(), abs=1e-9)
+
+
+class TestKernels:
+    """The O(T log T) CvM and O(T)-memory KS kernels against the oracles."""
+
+    @given(residual_series(), st.integers(1, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_ks_2d_equals_dense_grid(self, u, j):
+        if u.shape[0] < j + 2:
+            return
+        assert _ks_2d(*lag_pairs(u, j)) == ks_2d_dense(*lag_pairs(u, j))
+        T = u.shape[0]
+        a, b, denom = u[1 : T - 1], u[: T - 2], math.sqrt(T - 3)
+        assert _ks_2d(a, b, denom) == ks_2d_dense(a, b, denom)
+
+    @given(residual_series(max_T=400), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_cvm_matches_exact_double_sum(self, u, j):
+        a, denom = u[:-1], math.sqrt(u.shape[0] - 2)
+        assert _cvm_1d(a, denom) == pytest.approx(cvm_fsum(a, None, denom), rel=1e-12)
+        if u.shape[0] < j + 2:
+            return
+        a, b, denom = lag_pairs(u, j)
+        assert _cvm_2d(a, b, denom) == pytest.approx(cvm_fsum(a, b, denom), rel=1e-12)
+
+    @pytest.mark.parametrize("T", [2000, 5000])
+    def test_cvm_matches_outer_products_at_large_t(self, T):
+        # the outer-product sums cancel to about 1e-12 relative at this size
+        u = substream(14, "cvm-large", T).random(T)
+        for name in ("CvM0", "CvM1", "CvM3", "CvMp2"):
+            kind = StatKind.from_name(name)
+            got = cvm_stat(u, kind).value
+            if kind.p == 1:
+                want = cvm_1d_outer(u[:-1], math.sqrt(T - 2))
+            elif kind.p == 2:
+                want = cvm_2d_outer(u[1 : T - 1], u[: T - 2], math.sqrt(T - 3))
+            else:
+                want = cvm_2d_outer(*lag_pairs(u, kind.j))
+            assert got == pytest.approx(want, rel=1e-10)
+
+    def test_cvm_scales_to_criterion_5_length(self):
+        u = substream(15, "cvm-1e5").random(100_000)
+        start = time.perf_counter()
+        for name in ("CvM0", "CvM1", "CvMp2"):
+            assert cvm_stat(u, StatKind.from_name(name)).value > 0.0
+        assert time.perf_counter() - start < 5.0
+
+    def test_ks_2d_memory_is_linear(self):
+        u = substream(16, "ks-mem").random(5000)
+        tracemalloc.start()
+        try:
+            ks_stat(u, StatKind.from_name("KS1"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
 
 class TestAggregate:
