@@ -8,7 +8,6 @@ from .model import (
     Series,
     Theta,
     cond_law,
-    index_value,
     link_cdf,
     simulate,
     simulate_x_ar1,

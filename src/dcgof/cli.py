@@ -177,13 +177,18 @@ def cmd_fit(config: RunConfig) -> int:
     series = load_series(config.input, config.support_size)
     spec = config.model_spec(series.n_regressors)
     result = fit_mle(spec, series)
-    payload = {"config": config.echo(), "fit": result.to_json_dict(), "model": spec.to_json_dict()}
+    try:
+        stderr = result.stderr(spec).tolist()
+    except np.linalg.LinAlgError:  # singular information: no standard errors
+        stderr = None
+    fit = {**result.to_json_dict(), "stderr": stderr}
+    payload = {"config": config.echo(), "fit": fit, "model": spec.to_json_dict()}
     _write(os.path.join(config.out, "fit.json"), json.dumps(payload, indent=2, sort_keys=True) + "\n")
     theta = result.theta_hat
     print(f"log-likelihood {result.loglik:.4g} after {result.iterations} iterations "
           f"(converged={result.converged})")
-    for name, vals in (("pi0", [theta.pi0]), ("delta", theta.delta), ("beta", theta.beta),
-                       ("gamma", theta.gamma), ("mu", theta.mu)):
+    for name, vals in (("pi0", [theta.pi0]), ("delta", theta.delta), ("alpha", theta.alpha),
+                       ("beta", theta.beta), ("gamma", theta.gamma), ("mu", theta.mu)):
         if vals:
             print(f"  {name}: " + ", ".join(f"{v:.4g}" for v in vals))
     return EXIT_OK if result.converged else EXIT_FIT

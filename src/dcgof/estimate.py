@@ -27,7 +27,7 @@ from .model import (
     link_pdf,
     link_tail,
     _index_ar_stationary,
-    _presample_pi,
+    _index_kernel,
     _thresholds,
 )
 
@@ -119,74 +119,6 @@ def _window_start(spec: ModelSpec) -> int:
     return max(spec.q, 1)
 
 
-def _index_and_grad(
-    spec: ModelSpec, theta: Theta, series: Series
-) -> tuple[np.ndarray, np.ndarray]:
-    """Index path and its gradient w.r.t. the index parameters, all periods.
-
-    The gradient columns follow the natural order
-    ``(pi0, delta, alpha, beta, gamma)``; thresholds do not enter the index.
-    """
-    T = series.T
-    y = series.y.astype(float)
-    x = series.x
-    k = spec.n_regressors
-    n_idx = 1 + spec.q + spec.p_ar + k + (k if spec.interactions else 0)
-
-    if spec.p_ar == 0:
-        G = np.empty((T, n_idx))
-        G[:, 0] = 1.0
-        pos = 1
-        for i in range(1, spec.q + 1):
-            G[:, pos] = np.concatenate((np.zeros(i), y[:-i]))
-            pos += 1
-        if k:
-            G[:, pos : pos + k] = x
-            pos += k
-        if spec.interactions:
-            y1 = np.concatenate((np.zeros(1), y[:-1]))
-            G[:, pos : pos + k] = y1[:, None] * x
-        coef = np.concatenate(([theta.pi0], theta.delta, theta.beta, theta.gamma))
-        return G @ coef, G
-
-    # recursive case: carry d pi_t / d theta through the index autoregression
-    s = sum(theta.alpha)
-    pi_pre = _presample_pi(theta)
-    g_pre = np.zeros(n_idx)
-    g_pre[0] = 1.0 / (1.0 - s)
-    for i in range(spec.p_ar):
-        g_pre[1 + spec.q + i] = theta.pi0 / (1.0 - s) ** 2
-    pi = np.empty(T)
-    G = np.empty((T, n_idx))
-    for t in range(T):
-        direct = np.zeros(n_idx)
-        direct[0] = 1.0
-        value = theta.pi0
-        for i in range(1, spec.q + 1):
-            y_lag = y[t - i] if t - i >= 0 else 0.0
-            value += theta.delta[i - 1] * y_lag
-            direct[i] = y_lag
-        acc = np.zeros(n_idx)
-        for i in range(1, spec.p_ar + 1):
-            pi_lag = pi[t - i] if t - i >= 0 else pi_pre
-            g_lag = G[t - i] if t - i >= 0 else g_pre
-            value += theta.alpha[i - 1] * pi_lag
-            direct[spec.q + i] = pi_lag
-            acc += theta.alpha[i - 1] * g_lag
-        pos = 1 + spec.q + spec.p_ar
-        if k:
-            value += float(x[t] @ np.asarray(theta.beta))
-            direct[pos : pos + k] = x[t]
-            pos += k
-        if spec.interactions:
-            y1 = y[t - 1] if t >= 1 else 0.0
-            value += float(y1 * (x[t] @ np.asarray(theta.gamma)))
-            direct[pos : pos + k] = y1 * x[t]
-        pi[t] = value
-        G[t] = direct + acc
-    return pi, G
-
-
 def _realized_cells(
     spec: ModelSpec, theta: Theta, pi: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -216,7 +148,7 @@ def loglik(spec: ModelSpec, theta: Theta, series: Series) -> float:
     theta.validate(spec)
     series.validate(spec)
     i0 = _window_start(spec)
-    pi, _ = _index_and_grad(spec, theta, series)
+    pi, _ = _index_kernel(spec, theta, series)
     p, _, _ = _realized_cells(spec, theta, pi[i0:], series.y[i0:])
     if p.min() < LOGLIK_FLOOR:
         return -np.inf
@@ -228,7 +160,7 @@ def score_contributions(spec: ModelSpec, theta: Theta, series: Series) -> np.nda
     theta.validate(spec)
     series.validate(spec)
     i0 = _window_start(spec)
-    pi_all, G_all = _index_and_grad(spec, theta, series)
+    pi_all, G_all = _index_kernel(spec, theta, series)
     pi, G, y = pi_all[i0:], G_all[i0:], series.y[i0:]
     p, f_lo, f_hi = _realized_cells(spec, theta, pi, y)
     p = np.maximum(p, LOGLIK_FLOOR)

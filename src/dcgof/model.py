@@ -21,6 +21,7 @@ used by the Monte Carlo study).
 
 from __future__ import annotations
 
+import bisect
 import enum
 import json
 import math
@@ -43,7 +44,6 @@ __all__ = [
     "link_cdf",
     "link_tail",
     "link_pdf",
-    "index_value",
     "cond_law",
     "law_path",
     "index_path",
@@ -481,44 +481,62 @@ def cond_law(spec: ModelSpec, theta: Theta, pi_t: float, check_floor: bool = Tru
     return CondLaw(probs=probs[0], cdf=cdf[0])
 
 
-def index_value(
-    spec: ModelSpec,
-    theta: Theta,
-    y_lags,
-    pi_lags,
-    x_t,
-) -> float:
-    """Index at one period from its state.
-
-    ``y_lags[i]`` is ``Y_{t-1-i}`` (most recent first) and ``pi_lags[i]`` is
-    ``pi_{t-1-i}``; lengths must match ``spec.q`` and ``spec.p_ar``.
-    """
-    y_lags = np.asarray(y_lags, dtype=float)
-    pi_lags = np.asarray(pi_lags, dtype=float)
-    x_t = np.asarray(x_t, dtype=float).reshape(-1)
-    if y_lags.shape != (spec.q,):
-        raise ValueError(f"expected {spec.q} Y lags, got {y_lags.shape}")
-    if pi_lags.shape != (spec.p_ar,):
-        raise ValueError(f"expected {spec.p_ar} index lags, got {pi_lags.shape}")
-    if x_t.shape != (spec.n_regressors,):
-        raise ValueError(f"expected {spec.n_regressors} regressors, got {x_t.shape}")
-    value = theta.pi0
-    if spec.q:
-        value += float(np.dot(theta.delta, y_lags))
-    if spec.p_ar:
-        value += float(np.dot(theta.alpha, pi_lags))
-    if spec.n_regressors:
-        value += float(np.dot(theta.beta, x_t))
-    if spec.interactions:
-        value += float(y_lags[0] * np.dot(theta.gamma, x_t))
-    return value
-
-
 def _presample_pi(theta: Theta) -> float:
     """Presample index lags: the unconditional mean ``pi0 / (1 - sum alpha)``."""
     if not theta.alpha:
         return theta.pi0
     return theta.pi0 / (1.0 - sum(theta.alpha))
+
+
+def _index_kernel(
+    spec: ModelSpec, theta: Theta, series: Series
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index path and its gradient w.r.t. the index parameters, all periods.
+
+    This is the one evaluation of the index recursion on a known outcome
+    path.  Presample outcomes are zero and presample index lags equal the
+    unconditional mean, the convention of :func:`simulate`.  The gradient
+    columns follow the natural order ``(pi0, delta, alpha, beta, gamma)``;
+    thresholds do not enter the index.  Inputs are not validated.
+    """
+    T = series.T
+    y = series.y.astype(float)
+    x = series.x
+    q, p, k = spec.q, spec.p_ar, spec.n_regressors
+    G = np.empty((T, 1 + q + p + k + (k if spec.interactions else 0)))
+    G[:, 0] = 1.0
+    for i in range(1, q + 1):
+        G[:i, i] = 0.0
+        G[i:, i] = y[:-i]
+    pos = 1 + q + p
+    if k:
+        G[:, pos : pos + k] = x
+        pos += k
+    if spec.interactions:
+        G[0, pos:] = 0.0
+        G[1:, pos:] = y[:-1, None] * x[1:]
+    if not p:
+        return G @ np.concatenate(([theta.pi0], theta.delta, theta.beta, theta.gamma)), G
+
+    # index autoregression: add alpha_i * pi_{t-i} to the index, and carry
+    # d pi_t / d theta through the same recursion
+    G[:, 1 + q : 1 + q + p] = 0.0
+    pi = G @ theta.to_vector()[: G.shape[1]]
+    alpha = theta.alpha
+    s = sum(alpha)
+    g_pre = np.zeros(G.shape[1])
+    g_pre[0] = 1.0 / (1.0 - s)
+    g_pre[1 + q : 1 + q + p] = theta.pi0 / (1.0 - s) ** 2
+    pi_lags = [_presample_pi(theta)] * p  # pi_{t-1}, ..., pi_{t-p}
+    g_lags = [g_pre] * p
+    for t, value in enumerate(pi.tolist()):
+        G[t, 1 + q : 1 + q + p] = pi_lags
+        G[t] += sum(a * g for a, g in zip(alpha, g_lags))
+        value += sum(a * lag for a, lag in zip(alpha, pi_lags))
+        pi[t] = value
+        pi_lags = [value] + pi_lags[:-1]
+        g_lags = [G[t]] + g_lags[:-1]
+    return pi, G
 
 
 def index_path(spec: ModelSpec, theta: Theta, series: Series) -> np.ndarray:
@@ -529,27 +547,7 @@ def index_path(spec: ModelSpec, theta: Theta, series: Series) -> np.ndarray:
     """
     theta.validate(spec)
     series.validate(spec)
-    T = series.T
-    y = series.y.astype(float)
-    x = series.x
-    if spec.p_ar == 0:
-        pi = np.full(T, theta.pi0)
-        for i, d in enumerate(theta.delta, start=1):
-            lagged = np.concatenate((np.zeros(i), y[:-i]))
-            pi += d * lagged
-        if spec.n_regressors:
-            pi += x @ np.asarray(theta.beta)
-        if spec.interactions:
-            y1 = np.concatenate((np.zeros(1), y[:-1]))
-            pi += y1 * (x @ np.asarray(theta.gamma))
-        return pi
-    pi = np.empty(T)
-    pi_pre = _presample_pi(theta)
-    for t in range(T):
-        y_lags = [y[t - i] if t - i >= 0 else 0.0 for i in range(1, spec.q + 1)]
-        pi_lags = [pi[t - i] if t - i >= 0 else pi_pre for i in range(1, spec.p_ar + 1)]
-        pi[t] = index_value(spec, theta, y_lags, pi_lags, x[t])
-    return pi
+    return _index_kernel(spec, theta, series)[0]
 
 
 def law_path(
@@ -600,30 +598,14 @@ def simulate_x_ar1(alpha1: float, T: int, rng: np.random.Generator) -> np.ndarra
     return out
 
 
-def _draw_outcomes_static(
-    spec: ModelSpec, theta: Theta, pi: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    mu = _thresholds(spec, theta)
-    if spec.link is LinkKind.CHISQ1:
-        z = rng.standard_normal(pi.shape[0])
-        eps = (z * z - 1.0) / _SQRT2
-        return np.sum(pi[:, None] + eps[:, None] > mu[None, :], axis=1).astype(np.int64)
-    probs, cdf = _law_arrays(spec, theta, pi, check_floor=False)
-    u = rng.random(pi.shape[0])
-    return np.sum(cdf[:, :-1] < u[:, None], axis=1).astype(np.int64)
-
-
-def _draw_outcome(
-    spec: ModelSpec, theta: Theta, mu: np.ndarray, pi_t: float, rng: np.random.Generator
-) -> int:
-    if spec.link is LinkKind.CHISQ1:
-        z = rng.standard_normal()
-        eps = (z * z - 1.0) / _SQRT2
-        return int(np.sum(pi_t + eps > mu))
-    tails = link_tail(spec.link, mu - pi_t)
-    u = rng.random()
-    # smallest j with cdf_j >= u, i.e. count of cdf_j < u
-    return int(np.sum(1.0 - tails < u))
+def _latent_errors(link: LinkKind, T: int, rng: np.random.Generator) -> np.ndarray:
+    """``T`` latent errors: the link's quantile of one uniform per period, or
+    for ``chisq1`` one standardized squared standard normal per period."""
+    if link is LinkKind.CHISQ1:
+        z = rng.standard_normal(T)
+        return (z * z - 1.0) / _SQRT2
+    u = rng.random(T)
+    return special.ndtri(u) if link is LinkKind.PROBIT else special.logit(u)
 
 
 def simulate(
@@ -635,10 +617,10 @@ def simulate(
 ) -> Series:
     """Simulate a series of length ``T`` from the model.
 
-    Outcomes are drawn from the conditional law at each period; ``chisq1``
-    errors are drawn by squaring a standard normal and thresholding the
-    latent index, which is exact.  Presample outcomes are zero and presample
-    index lags equal the unconditional mean.
+    Outcomes are drawn through the latent form ``Y_t = #{j : mu_j < pi_t +
+    eps_t}``, with the errors ``eps_t`` drawn once for all periods after the
+    regressors.  Presample outcomes are zero and presample index lags equal
+    the unconditional mean.
 
     If ``x`` is omitted, regressors are drawn iid standard normal.
     """
@@ -655,31 +637,28 @@ def simulate(
     if x.shape != (T, spec.n_regressors):
         raise ValueError(f"x must have shape ({T}, {spec.n_regressors})")
 
-    if spec.q == 0 and spec.p_ar == 0:
-        pi = np.full(T, theta.pi0)
-        if spec.n_regressors:
-            pi += x @ np.asarray(theta.beta)
-        y = _draw_outcomes_static(spec, theta, pi, rng)
-        return Series(y=y, x=x)
-
     mu = _thresholds(spec, theta)
-    y = np.zeros(T, dtype=np.int64)
-    pi = np.empty(T)
+    eps = _latent_errors(spec.link, T, rng)
+    xb = x @ np.asarray(theta.beta)
+    if spec.q == 0 and spec.p_ar == 0:
+        return Series(y=np.searchsorted(mu, theta.pi0 + xb + eps), x=x)
+
+    # one plain-float pass over the periods: Y_t feeds the index of t+1
+    mu = mu.tolist()
+    xg = (x @ np.asarray(theta.gamma)).tolist() if spec.interactions else None
     pi_pre = _presample_pi(theta)
-    beta = np.asarray(theta.beta)
-    gamma = np.asarray(theta.gamma) if spec.interactions else None
-    for t in range(T):
+    y = [0] * T
+    pi = [0.0] * T
+    for t, (xb_t, eps_t) in enumerate(zip(xb.tolist(), eps.tolist())):
         value = theta.pi0
-        for i in range(1, spec.q + 1):
-            if t - i >= 0:
-                value += theta.delta[i - 1] * y[t - i]
-        for i in range(1, spec.p_ar + 1):
-            value += theta.alpha[i - 1] * (pi[t - i] if t - i >= 0 else pi_pre)
-        if spec.n_regressors:
-            value += float(x[t] @ beta)
-        if spec.interactions:
-            y1 = y[t - 1] if t >= 1 else 0
-            value += float(y1 * (x[t] @ gamma))
+        for i, d in enumerate(theta.delta, start=1):
+            if t >= i:
+                value += d * y[t - i]
+        for i, a in enumerate(theta.alpha, start=1):
+            value += a * (pi[t - i] if t >= i else pi_pre)
+        value += xb_t
+        if xg is not None and t >= 1:
+            value += y[t - 1] * xg[t]
         pi[t] = value
-        y[t] = _draw_outcome(spec, theta, mu, value, rng)
-    return Series(y=y, x=x)
+        y[t] = bisect.bisect_left(mu, value + eps_t)
+    return Series(y=np.array(y), x=x)

@@ -134,6 +134,49 @@ class TestCmdFit:
         assert code == EXIT_OK
 
 
+    def test_ordered_stderr_in_fit_json(self, tmp_path):
+        spec = ModelSpec(link="probit", support_size=2, ordered=True, q=1, n_regressors=1)
+        data = simulate(spec, Theta(delta=(0.5,), beta=(1.0,), mu=(-0.5, 1.0)), 2000,
+                        rng=substream(1, "o"))
+        data_path = tmp_path / "ordered.csv"
+        data_path.write_text("y,x1\n" + "".join(
+            f"{yi},{xi:.17g}\n" for yi, xi in zip(data.y, data.x[:, 0])))
+        out = tmp_path / "o"
+        code = main(["fit", "--input", str(data_path), "--J", "2", "--ylags", "1",
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        fit = json.loads((out / "fit.json").read_text())["fit"]
+        # natural order (pi0, delta, beta, mu_0, mu_1); the intercept is fixed
+        assert fit["stderr"][0] == 0.0
+        assert all(0.0 < se < 1.0 for se in fit["stderr"][-2:])
+
+    def test_singular_information_writes_null_stderr(self, tmp_path):
+        # an all-zero regressor leaves its score column zero: the fit converges
+        # but the information matrix cannot be inverted
+        y = (substream(5, "zero").random(200) < 0.4).astype(int)
+        data_path = tmp_path / "zero.csv"
+        data_path.write_text("y,x1\n" + "".join(f"{yi},0.0\n" for yi in y))
+        out = tmp_path / "o"
+        assert main(["fit", "--input", str(data_path), "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "fit.json").read_text())["fit"]["stderr"] is None
+
+    def test_summary_prints_index_autoregression(self, tmp_path, capsys):
+        spec = ModelSpec(link="probit", p_ar=1, n_regressors=1)
+        data = simulate(spec, Theta(pi0=0.2, alpha=(0.5,), beta=(0.8,)), 300,
+                        rng=substream(2, "ar"))
+        data_path = tmp_path / "ar.csv"
+        data_path.write_text("y,x1\n" + "".join(
+            f"{yi},{xi:.17g}\n" for yi, xi in zip(data.y, data.x[:, 0])))
+        model_path = tmp_path / "model.json"
+        model_path.write_text(spec.dumps())
+        code = main(["fit", "--input", str(data_path), "--model-file", str(model_path),
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_OK
+        fit = json.loads((tmp_path / "o" / "fit.json").read_text())["fit"]
+        (alpha,) = fit["theta_hat"]["alpha"]
+        assert f"  alpha: {alpha:.4g}" in capsys.readouterr().out.splitlines()
+
+
 class TestCmdMc:
     def test_smoke_and_thread_invariance(self, tmp_path):
         out1, out2 = tmp_path / "m1", tmp_path / "m2"

@@ -13,8 +13,9 @@ from dcgof.model import (
     ModelSpec,
     Series,
     Theta,
+    _index_kernel,
     cond_law,
-    index_value,
+    index_path,
     link_cdf,
     link_tail,
     simulate,
@@ -70,28 +71,166 @@ class TestLinkCdf:
         assert link_tail(link, x) == link_cdf(link, -x)
 
 
+def index_value_oracle(spec, theta, y_lags, pi_lags, x_t):
+    """Index at one period from its state (most recent lag first)."""
+    value = theta.pi0
+    if spec.q:
+        value += float(np.dot(theta.delta, y_lags))
+    if spec.p_ar:
+        value += float(np.dot(theta.alpha, pi_lags))
+    if spec.n_regressors:
+        value += float(np.dot(theta.beta, x_t))
+    if spec.interactions:
+        value += float(y_lags[0] * np.dot(theta.gamma, x_t))
+    return value
+
+
+def presample_index(theta):
+    """Presample index lags: the unconditional mean of the index."""
+    return theta.pi0 / (1.0 - sum(theta.alpha))
+
+
+def index_path_oracle(spec, theta, series):
+    """Independent oracle: the index recursion one period at a time."""
+    y = series.y.astype(float)
+    pi = np.empty(series.T)
+    pi_pre = presample_index(theta)
+    for t in range(series.T):
+        y_lags = [y[t - i] if t - i >= 0 else 0.0 for i in range(1, spec.q + 1)]
+        pi_lags = [pi[t - i] if t - i >= 0 else pi_pre for i in range(1, spec.p_ar + 1)]
+        pi[t] = index_value_oracle(spec, theta, y_lags, pi_lags, series.x[t])
+    return pi
+
+
+def simulate_oracle(spec, theta, T, x=None, rng=None):
+    """Independent oracle: draw each outcome from its conditional law in turn.
+
+    One uniform per period is compared with the cell cdf (one standard
+    normal per period is squared for ``chisq1``), drawn after the
+    regressors, so it consumes the generator as :func:`simulate` does.
+    """
+    if x is None:
+        x = rng.standard_normal((T, spec.n_regressors))
+    mu = np.asarray(theta.mu) if spec.ordered else np.zeros(1)
+    y = np.zeros(T, dtype=np.int64)
+    pi = np.empty(T)
+    pi_pre = presample_index(theta)
+    for t in range(T):
+        y_lags = [y[t - i] if t - i >= 0 else 0 for i in range(1, spec.q + 1)]
+        pi_lags = [pi[t - i] if t - i >= 0 else pi_pre for i in range(1, spec.p_ar + 1)]
+        pi[t] = index_value_oracle(spec, theta, y_lags, pi_lags, x[t])
+        if spec.link is LinkKind.CHISQ1:
+            z = rng.standard_normal()
+            y[t] = int(np.sum(pi[t] + (z * z - 1.0) / math.sqrt(2.0) > mu))
+        else:
+            tails = link_tail(spec.link, mu - pi[t])
+            # smallest j with cdf_j >= u, i.e. count of cdf_j < u
+            y[t] = int(np.sum(1.0 - tails < rng.random()))
+    return Series(y=y, x=x)
+
+
+# Specs covering the three links, binary and ordered J = 2, 3, outcome lags,
+# interactions and index autoregression of order 1 and 2.
+SIM_GRID = [
+    (ModelSpec(link="probit", n_regressors=1), Theta(pi0=0.1, beta=(1.0,))),
+    (ModelSpec(link="logistic", n_regressors=2), Theta(pi0=-0.2, beta=(1.0, -0.5))),
+    (ModelSpec(link="chisq1", n_regressors=1), Theta(pi0=0.4, beta=(0.7,))),
+    (ModelSpec(link="probit", q=1, n_regressors=1), Theta(delta=(0.8,), beta=(1.0,))),
+    (ModelSpec(link="logistic", q=1, n_regressors=1, interactions=True),
+     Theta(delta=(0.8,), beta=(1.0,), gamma=(-2.0,))),
+    (ModelSpec(link="chisq1", support_size=2, ordered=True, q=2, p_ar=1, n_regressors=1,
+               interactions=True),
+     Theta(delta=(0.5, -0.3), alpha=(0.3,), beta=(1.0,), gamma=(0.5,), mu=(-0.2, 0.8))),
+    (ModelSpec(link="probit", support_size=2, ordered=True, q=1, n_regressors=1),
+     Theta(delta=(0.5,), beta=(1.0,), mu=(-0.5, 1.0))),
+    (ModelSpec(link="logistic", support_size=3, ordered=True, q=1, p_ar=1, n_regressors=1),
+     Theta(delta=(0.5,), alpha=(0.4,), beta=(1.0,), mu=(-1.0, 0.2, 1.0))),
+    (ModelSpec(link="probit", q=1, p_ar=2, n_regressors=2, interactions=True),
+     Theta(pi0=0.2, delta=(0.6,), alpha=(0.3, -0.2), beta=(1.0, 0.5), gamma=(-0.5, 0.3))),
+]
+
+
+@st.composite
+def specs_and_series(draw):
+    """A model with random parameters and a random outcome path on its support."""
+    link = draw(st.sampled_from(["probit", "logistic", "chisq1"]))
+    J = draw(st.integers(1, 3))
+    q = draw(st.integers(0, 3))
+    p_ar = draw(st.integers(0, 2))
+    k = draw(st.integers(0, 2))
+    interactions = draw(st.booleans()) and q >= 1 and k >= 1
+    spec = ModelSpec(link=link, support_size=J, q=q, p_ar=p_ar, n_regressors=k,
+                     interactions=interactions, ordered=J >= 2)
+    coef = st.floats(-2.0, 2.0)
+    theta = Theta(
+        pi0=0.0 if spec.ordered else draw(coef),
+        delta=tuple(draw(coef) for _ in range(q)),
+        # |alpha_1| + |alpha_2| < 1 keeps the index autoregression stationary
+        alpha=tuple(draw(st.floats(-0.49, 0.49)) for _ in range(p_ar)),
+        beta=tuple(draw(coef) for _ in range(k)),
+        gamma=tuple(draw(coef) for _ in range(k if interactions else 0)),
+        mu=tuple(sorted(draw(st.lists(coef, min_size=J, max_size=J, unique=True))))
+        if spec.ordered else (),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    T = draw(st.integers(max(q, p_ar, 1) + 1, 60))
+    series = Series(y=rng.integers(0, J + 1, T), x=rng.standard_normal((T, k)))
+    return spec, theta, series
+
+
 class TestIndexValue:
+    """Hand values of the index, read off a two-period series at t = 1."""
+
     def test_static_zero(self):
         spec = ModelSpec(link="probit", n_regressors=1)
         theta = Theta(pi0=0.0, beta=(1.0,))
-        assert index_value(spec, theta, [], [], [0.0]) == 0.0
+        series = Series(y=np.array([0, 1]), x=np.array([[0.3], [0.0]]))
+        assert index_path(spec, theta, series)[1] == 0.0
 
     def test_interaction_hand_value(self):
         # pi0=0, delta1=0.8, beta=1, gamma1=-2, Y_{t-1}=1, x=0.5 -> 0.8 + 0.5 - 1.0
         spec = ModelSpec(link="probit", q=1, n_regressors=1, interactions=True)
         theta = Theta(pi0=0.0, delta=(0.8,), beta=(1.0,), gamma=(-2.0,))
-        assert index_value(spec, theta, [1.0], [], [0.5]) == pytest.approx(0.3, abs=1e-15)
+        series = Series(y=np.array([1, 0]), x=np.array([[0.0], [0.5]]))
+        assert index_path(spec, theta, series)[1] == pytest.approx(0.3, abs=1e-15)
 
     def test_lag_times_zero(self):
         spec = ModelSpec(link="probit", q=1, n_regressors=0)
         theta = Theta(pi0=0.0, delta=(0.8,))
-        assert index_value(spec, theta, [0.0], [], []) == 0.0
+        series = Series(y=np.array([0, 1]), x=np.zeros((2, 0)))
+        assert index_path(spec, theta, series)[1] == 0.0
 
     def test_shape_mismatch(self):
         spec = ModelSpec(link="probit", q=1, n_regressors=1)
         theta = Theta(pi0=0.0, delta=(0.8,), beta=(1.0,))
-        with pytest.raises(ValueError):
-            index_value(spec, theta, [], [], [0.0])
+        series = Series(y=np.array([0, 1]), x=np.zeros((2, 0)))
+        with pytest.raises(ValueError, match="regressors"):
+            index_path(spec, theta, series)
+
+
+class TestIndexKernel:
+    @given(specs_and_series())
+    @settings(max_examples=200, deadline=None)
+    def test_index_matches_per_period_oracle(self, case):
+        spec, theta, series = case
+        pi, G = _index_kernel(spec, theta, series)
+        assert G.shape == (series.T, spec.n_params - spec.n_thresholds)
+        np.testing.assert_allclose(pi, index_path_oracle(spec, theta, series),
+                                   rtol=1e-12, atol=1e-12)
+
+    @given(specs_and_series())
+    @settings(max_examples=100, deadline=None)
+    def test_gradient_matches_central_differences(self, case):
+        spec, theta, series = case
+        _, G = _index_kernel(spec, theta, series)
+        vec = theta.to_vector()
+        h = 1e-6
+        for c in range(G.shape[1]):
+            step = np.zeros_like(vec)
+            step[c] = h
+            up, _ = _index_kernel(spec, Theta.from_vector(spec, vec + step), series)
+            down, _ = _index_kernel(spec, Theta.from_vector(spec, vec - step), series)
+            np.testing.assert_allclose(G[:, c], (up - down) / (2.0 * h), rtol=1e-6, atol=1e-6)
 
 
 class TestCondLaw:
@@ -212,6 +351,15 @@ class TestSimulate:
         law = cond_law(spec, theta, 0.4)
         se = math.sqrt(law.probs[1] * law.probs[0] / 200_000)
         assert abs(data.y.mean() - law.probs[1]) < 4.0 * se
+
+
+    @pytest.mark.parametrize("spec,theta", SIM_GRID)
+    def test_latent_draws_equal_per_period_draws(self, spec, theta):
+        for seed in range(200):
+            got = simulate(spec, theta, 500, rng=np.random.default_rng(seed))
+            want = simulate_oracle(spec, theta, 500, rng=np.random.default_rng(seed))
+            assert np.array_equal(got.x, want.x)
+            assert np.array_equal(got.y, want.y), f"seed {seed}"
 
 
 class TestSerialization:
