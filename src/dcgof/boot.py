@@ -150,21 +150,26 @@ def _replicate(
     sim_theta: Theta,
     x: np.ndarray,
     fit_spec: ModelSpec,
+    init: Theta | None,
     kinds,
     master_seed: int,
     sim_key: tuple,
     noise_key: tuple,
 ) -> tuple[Theta, dict[str, float]] | None:
     """One replicate: simulate from ``(sim_spec, sim_theta)`` on the regressor
-    path ``x``, refit ``fit_spec``, and compute the statistics under the
-    randomized PIT with continuation noise keyed by ``noise_key``.
+    path ``x``, refit ``fit_spec`` starting from ``init`` (cold when
+    ``None``), and compute the statistics under the randomized PIT with
+    continuation noise keyed by ``noise_key``.
+
+    A bootstrap draw refits the model it was simulated from, so its caller
+    passes ``init=sim_theta``: the estimate lies within sampling error of it.
 
     Returns ``(theta_hat, stats)``, or ``None`` when the model cannot be fitted
     or evaluated on the simulated series.  Any other exception propagates.
     """
     try:
         star = simulate_null(sim_spec, sim_theta, x, substream(master_seed, *sim_key))
-        fit = fit_mle(fit_spec, star)
+        fit = fit_mle(fit_spec, star, init=init)
         if not fit.converged:
             return None
         noise = NoiseStream.from_seed(star.T, master_seed, *noise_key)
@@ -207,7 +212,8 @@ def bootstrap_test(
     observed = _stats_at(spec, fit.theta_hat, series, noise0, kinds)
 
     tasks = [
-        (spec, fit.theta_hat, series.x, spec, kinds, master, ("boot-sim", b), ("boot", b))
+        (spec, fit.theta_hat, series.x, spec, fit.theta_hat, kinds, master,
+         ("boot-sim", b), ("boot", b))
         for b in range(1, config.B + 1)
     ]
     kept = [rep[1] for rep in _map(_replicate, tasks, threads) if rep is not None]
@@ -343,14 +349,14 @@ def _warp_replication(
     replicate fails."""
     x = simulate_x_ar1(scenario.x_ar1, T, substream(master_seed, "mc-x", r))
     null = scenario.null_spec
-    data = _replicate(scenario.dgp_spec, scenario.dgp_theta, x, null, kinds, master_seed,
-                      ("mc-dgp", r), ("mc-data", r))
+    data = _replicate(scenario.dgp_spec, scenario.dgp_theta, x, null, None, kinds,
+                      master_seed, ("mc-dgp", r), ("mc-data", r))
     if data is None:
         return None
     theta_hat, observed = data
     star_draws = []
     for b in range(b_per_rep):
-        star = _replicate(null, theta_hat, x, null, kinds, master_seed,
+        star = _replicate(null, theta_hat, x, null, theta_hat, kinds, master_seed,
                           ("mc-boot", r, b), ("mc-boot-noise", r, b))
         if star is None:
             return None

@@ -261,6 +261,13 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(",") if v.strip())
 
 
+def _scenario_ids(text: str) -> tuple[int, ...]:
+    """``all`` (every registered scenario) or a comma list of scenario ids."""
+    if text.strip() == "all":
+        return tuple(s.id for s in scenario_registry())
+    return _int_list(text)
+
+
 def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(",") if v.strip())
 
@@ -288,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--levels", type=str, default=None, help="comma list, e.g. 0.1,0.05,0.01")
         p.add_argument("--stats", type=str, default=None, help="comma list of statistic names")
         p.add_argument("--m", type=str, default=None, help="comma list of Box-Pierce lags")
-        p.add_argument("--scenarios", type=str, default=None, help="comma list of scenario ids")
+        p.add_argument("--scenarios", type=str, default=None, help="comma list of scenario ids, or all")
         p.add_argument("--T", type=str, default=None, help="comma list of sample sizes")
         p.add_argument("--R", type=int, default=None, help="Monte Carlo replications")
         p.add_argument("--threads", type=int, default=None)
@@ -328,7 +335,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     stats = pick("stats", "stats", None, lambda s: tuple(v.strip() for v in s.split(",") if v.strip()))
     config.stats = tuple(stats) if stats else None
     config.m = tuple(int(v) for v in pick("m", "m", (1, 2, 25), _int_list))
-    config.scenarios = tuple(int(v) for v in pick("scenarios", "scenarios", (), _int_list))
+    config.scenarios = tuple(int(v) for v in pick("scenarios", "scenarios", (), _scenario_ids))
     config.T = tuple(int(v) for v in pick("T", "T", (), _int_list))
     config.R = int(pick("R", "R", 0))
     config.threads = int(pick("threads", "threads", 1))

@@ -3,11 +3,21 @@
 The log likelihood conditions on the truncated history: observations with
 incomplete lag windows (the first ``max(q, 1)``) are dropped, and for models
 with index autoregression the presample index lags are set to the
-unconditional mean.  Optimization is Newton-Raphson with step-halving on the
-analytic score; the Hessian is observed numerically by central differences of
-the score.  Ordered thresholds are optimized through the increasing-gap
-parameterization ``mu_j = mu_0 + sum_{k<=j} exp(c_k)`` so the monotonicity
-constraint never binds.
+unconditional mean.  Optimization is Newton-Raphson with step-halving.  The
+log likelihood, the per-observation scores and the Hessian are analytic and
+come from one pass over the index recursion and the realized cells; the
+Hessian uses the derivative of the link density and, with index
+autoregression, the second derivatives of the index carried through the same
+recursion.  The step-halving stops once the predicted gain is below the float
+resolution of the log likelihood.  Ordered thresholds are optimized through
+the increasing-gap parameterization ``mu_j = mu_0 + sum_{k<=j} exp(c_k)`` so
+the monotonicity constraint never binds.
+
+``fit_mle`` starts from ``init`` when given (a warm start): the bootstrap
+refits each simulated series from the parameter it was simulated from, which
+is close to that series' estimate.  Without ``init`` it starts cold, from zero
+slopes and ordered thresholds at the normal quantiles of the category
+frequencies.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ from .model import (
     link_tail,
     _index_ar_stationary,
     _index_kernel,
+    _link_pdf_slope,
     _thresholds,
 )
 
@@ -44,6 +55,8 @@ __all__ = [
 ]
 
 LOGLIK_FLOOR = 1e-12
+# relative float resolution of a summed log likelihood
+LOGLIK_RESOLUTION = 1e-12
 
 
 class NonConvergenceError(RuntimeError):
@@ -68,7 +81,6 @@ class FitOptions:
     max_iter: int = 100
     theta_cap: float = 1e3
     tol_mu: float = 1e-8
-    fd_step: float = 1e-5
 
 
 @dataclass(frozen=True)
@@ -121,23 +133,83 @@ def _window_start(spec: ModelSpec) -> int:
 
 def _realized_cells(
     spec: ModelSpec, theta: Theta, pi: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Realized cell probability and the densities at its two thresholds.
+) -> tuple[np.ndarray, ...]:
+    """Realized cell probability and its two threshold gaps.
 
-    Returns ``(p, f_lo, f_hi)`` where ``p = P(Y = y)``,
-    ``f_lo = f(mu_{y-1} - pi)`` and ``f_hi = f(mu_y - pi)`` (zero at the
-    infinite boundary thresholds).
+    Returns ``(p, lo, hi, has_lo, has_hi)`` where ``p = P(Y = y)``,
+    ``lo = mu_{y-1} - pi`` and ``hi = mu_y - pi``, set to zero where the
+    threshold is infinite, which ``has_lo`` and ``has_hi`` mark false.
     """
     mu = _thresholds(spec, theta)
     J = spec.support_size
     lo = np.where(y > 0, mu[np.maximum(y - 1, 0)] - pi, -np.inf)
     hi = np.where(y < J, mu[np.minimum(y, J - 1)] - pi, np.inf)
-    tail_lo = np.where(y > 0, link_tail(spec.link, np.where(np.isfinite(lo), lo, 0.0)), 1.0)
-    tail_hi = np.where(y < J, link_tail(spec.link, np.where(np.isfinite(hi), hi, 0.0)), 0.0)
-    p = tail_lo - tail_hi
-    f_lo = np.where(np.isfinite(lo), link_pdf(spec.link, np.where(np.isfinite(lo), lo, 0.0)), 0.0)
-    f_hi = np.where(np.isfinite(hi), link_pdf(spec.link, np.where(np.isfinite(hi), hi, 0.0)), 0.0)
-    return p, f_lo, f_hi
+    has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
+    lo, hi = np.where(has_lo, lo, 0.0), np.where(has_hi, hi, 0.0)
+    tail_lo = np.where(y > 0, link_tail(spec.link, lo), 1.0)
+    tail_hi = np.where(y < J, link_tail(spec.link, hi), 0.0)
+    return tail_lo - tail_hi, lo, hi, has_lo, has_hi
+
+
+def _loglik_pass(
+    spec: ModelSpec, theta: Theta, series: Series, order: int
+) -> tuple[float, np.ndarray | None, np.ndarray | None]:
+    """One pass over the index kernel and the realized cells.
+
+    Returns ``(ll, S, H)``: the log likelihood (``-inf`` when a realized
+    cell probability hits the floor); for ``order >= 1`` the per-observation
+    scores ``S``, shape (n, L); for ``order == 2`` the Hessian ``H`` of the
+    log likelihood, shape (L, L).  All in natural coordinates; inputs are
+    not validated.
+
+    The Hessian is ``U' diag(f'(hi)/p) U - V' diag(f'(lo)/p) V - S'S`` plus
+    ``sum_t s_t d^2 pi_t / d theta d theta'``, where ``U = [G, -e_y]`` and
+    ``V = [G, -e_{y-1}]`` are the gradients of ``pi - mu_y`` and
+    ``pi - mu_{y-1}``, and ``s_t = (f(lo) - f(hi))/p`` is the score in the
+    index.  In the binary case ``U = V = G``.
+    """
+    i0 = _window_start(spec)
+    kernel = _index_kernel(spec, theta, series, curvature=order == 2)
+    pi, G, y = kernel[0][i0:], kernel[1][i0:], series.y[i0:]
+    p, lo, hi, has_lo, has_hi = _realized_cells(spec, theta, pi, y)
+    ll = -np.inf if p.min() < LOGLIK_FLOOR else float(np.sum(np.log(p)))
+    if order == 0:
+        return ll, None, None
+    p = np.maximum(p, LOGLIK_FLOOR)
+    f_lo = np.where(has_lo, link_pdf(spec.link, lo), 0.0)
+    f_hi = np.where(has_hi, link_pdf(spec.link, hi), 0.0)
+    dlp_dpi = (f_lo - f_hi) / p
+    n = y.shape[0]
+    L = spec.n_params
+    n_idx = G.shape[1]
+    S = np.zeros((n, L))
+    S[:, :n_idx] = dlp_dpi[:, None] * G
+    if spec.ordered:
+        rows = np.arange(n)
+        S[rows[has_hi], n_idx + y[has_hi]] += f_hi[has_hi] / p[has_hi]
+        S[rows[has_lo], n_idx + y[has_lo] - 1] -= f_lo[has_lo] / p[has_lo]
+    if order == 1:
+        return ll, S, None
+
+    U = V = G
+    if spec.ordered:
+        U = np.zeros((n, L))
+        U[:, :n_idx] = G
+        V = U.copy()
+        U[rows[has_hi], n_idx + y[has_hi]] = -1.0
+        V[rows[has_lo], n_idx + y[has_lo] - 1] = -1.0
+    w_hi = _link_pdf_slope(spec.link, hi, f_hi) / p
+    w_lo = _link_pdf_slope(spec.link, lo, f_lo) / p
+    H = U.T @ (w_hi[:, None] * U) - V.T @ (w_lo[:, None] * V) - S.T @ S
+    M = kernel[2]
+    if M is not None:
+        # d^2 pi_t is nonzero only in the alpha rows and columns
+        A = np.tensordot(dlp_dpi, M[i0:], axes=1)
+        ac = slice(1 + spec.q, 1 + spec.q + spec.p_ar)
+        H[ac, :n_idx] += A
+        H[:n_idx, ac] += A.T
+        H[ac, ac] -= A[:, ac]
+    return ll, S, (H + H.T) / 2.0
 
 
 def loglik(spec: ModelSpec, theta: Theta, series: Series) -> float:
@@ -147,39 +219,14 @@ def loglik(spec: ModelSpec, theta: Theta, series: Series) -> float:
     """
     theta.validate(spec)
     series.validate(spec)
-    i0 = _window_start(spec)
-    pi, _ = _index_kernel(spec, theta, series)
-    p, _, _ = _realized_cells(spec, theta, pi[i0:], series.y[i0:])
-    if p.min() < LOGLIK_FLOOR:
-        return -np.inf
-    return float(np.sum(np.log(p)))
+    return _loglik_pass(spec, theta, series, 0)[0]
 
 
 def score_contributions(spec: ModelSpec, theta: Theta, series: Series) -> np.ndarray:
     """Per-observation score vectors in natural coordinates, shape (n, L)."""
     theta.validate(spec)
     series.validate(spec)
-    i0 = _window_start(spec)
-    pi_all, G_all = _index_kernel(spec, theta, series)
-    pi, G, y = pi_all[i0:], G_all[i0:], series.y[i0:]
-    p, f_lo, f_hi = _realized_cells(spec, theta, pi, y)
-    p = np.maximum(p, LOGLIK_FLOOR)
-    dlp_dpi = (f_lo - f_hi) / p
-    n = y.shape[0]
-    L = spec.n_params
-    out = np.zeros((n, L))
-    n_idx = G.shape[1]
-    out[:, :n_idx] = dlp_dpi[:, None] * G
-    if spec.ordered:
-        J = spec.support_size
-        rows = np.arange(n)
-        dmu = np.zeros((n, J))
-        has_hi = y < J
-        dmu[rows[has_hi], y[has_hi]] += f_hi[has_hi] / p[has_hi]
-        has_lo = y > 0
-        dmu[rows[has_lo], y[has_lo] - 1] -= f_lo[has_lo] / p[has_lo]
-        out[:, n_idx:] = dmu
-    return out
+    return _loglik_pass(spec, theta, series, 1)[1]
 
 
 def score(spec: ModelSpec, theta: Theta, series: Series) -> np.ndarray:
@@ -227,20 +274,25 @@ class _WorkingMap:
         mu = np.concatenate(([wm[0]], wm[0] + np.cumsum(np.exp(wm[1:])))) if wm.size > 1 else wm.copy()
         return Theta.from_vector(spec, np.concatenate(([0.0], idx, mu)))
 
-    def grad_to_working(self, w: np.ndarray, g_nat: np.ndarray) -> np.ndarray:
-        spec = self.spec
-        if not spec.ordered:
-            return g_nat.copy()
-        g_idx = g_nat[1 : self.n_index]
-        g_mu = g_nat[self.n_index :]
-        J = spec.support_size
-        g_w_mu = np.empty(J)
-        g_w_mu[0] = g_mu.sum()
-        if J > 1:
-            c = w[self.n_index - 1 :]  # (mu0, c_1..c_{J-1})
-            rev_tail = np.cumsum(g_mu[::-1])[::-1]  # sum_{j>=k} g_mu[j]
-            g_w_mu[1:] = np.exp(c[1:]) * rev_tail[1:]
-        return np.concatenate((g_idx, g_w_mu))
+    def derivatives_to_working(
+        self, w: np.ndarray, g_nat: np.ndarray, H_nat: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient and Hessian in working coordinates, by the Jacobian
+        ``d theta / d w`` of the log-gap map.  The map is linear except in
+        the log gaps, whose second derivative ``d^2 mu_j / d c_k^2 =
+        exp(c_k)`` (``k <= j``) adds each log gap's own working-score entry
+        to its diagonal entry."""
+        if not self.spec.ordered:
+            return g_nat, H_nat
+        J = self.spec.support_size
+        scale = np.concatenate(([1.0], np.exp(w[self.n_free - J + 1 :])))
+        jac = np.eye(self.n_free)
+        jac[-J:, -J:] = np.tril(np.ones((J, J))) * scale
+        g = jac.T @ g_nat[1:]
+        H = jac.T @ H_nat[1:, 1:] @ jac
+        gaps = np.arange(self.n_free - J + 1, self.n_free)
+        H[gaps, gaps] += g[gaps]
+        return g, H
 
 
 def _default_init(spec: ModelSpec, series: Series) -> Theta:
@@ -286,7 +338,8 @@ def fit_mle(
     init: Theta | None = None,
     options: FitOptions | None = None,
 ) -> FitResult:
-    """Newton-Raphson conditional ML fit.
+    """Newton-Raphson conditional ML fit, started at ``init`` when given
+    (warm) and at :func:`_default_init` otherwise (cold).
 
     Raises
     ------
@@ -325,26 +378,31 @@ def fit_mle(
             return -np.inf
         return loglik(spec, th, series)
 
-    def grad_of(w_vec: np.ndarray) -> np.ndarray:
-        th = wmap.to_theta(w_vec)
-        return wmap.grad_to_working(w_vec, score(spec, th, series))
+    def derivatives_of(w_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        _, S, H = _loglik_pass(spec, wmap.to_theta(w_vec), series, 2)
+        return (*wmap.derivatives_to_working(w_vec, S.sum(axis=0), H), S)
 
     ll = ll_of(w)
     if not np.isfinite(ll):
         raise NonConvergenceError("initial point has degenerate likelihood", theta)
     trace = [ll]
-    g = grad_of(w)
+    g, H, S = derivatives_of(w)
     iterations = 0
     converged = bool(np.max(np.abs(g)) <= opts.tol_grad)
 
     while not converged and iterations < opts.max_iter:
         iterations += 1
-        H = _fd_hessian(grad_of, w, opts.fd_step)
         d = _ascent_direction(H, g)
-        # step-halving line search
+        # step-halving line search, stopped once the predicted gain falls
+        # below the float resolution of the log likelihood, where a trial
+        # can no longer show an increase
+        resolution = LOGLIK_RESOLUTION * max(1.0, abs(ll))
+        gain = float(g @ d)
         eta = 1.0
         accepted = False
         for _ in range(60):
+            if eta * gain < resolution:
+                break
             w_new = w + eta * d
             ll_new = ll_of(w_new)
             if np.isfinite(ll_new) and ll_new > ll:
@@ -354,7 +412,7 @@ def fit_mle(
         if accepted:
             w, ll = w_new, ll_new
             trace.append(ll)
-            g = grad_of(w)
+            g, H, S = derivatives_of(w)
         else:
             # So close to the optimum that the quadratic gain is below the
             # float resolution of the log likelihood: accept the raw Newton
@@ -363,10 +421,10 @@ def fit_mle(
             ll_new = ll_of(w_new)
             if not np.isfinite(ll_new):
                 break
-            g_new = grad_of(w_new)
+            g_new, H_new, S_new = derivatives_of(w_new)
             if np.max(np.abs(g_new)) >= np.max(np.abs(g)):
                 break
-            w, ll, g = w_new, ll_new, g_new
+            w, ll, g, H, S = w_new, ll_new, g_new, H_new, S_new
         theta = wmap.to_theta(w)
         if spec.ordered and spec.support_size > 1:
             c = w[wmap.n_index - 1 :][1:]
@@ -380,30 +438,17 @@ def fit_mle(
             )
         converged = bool(np.max(np.abs(g)) <= opts.tol_grad)
 
-    theta = wmap.to_theta(w)
-    contrib = score_contributions(spec, theta, series)
-    info = contrib.T @ contrib / contrib.shape[0]
+    # S holds the score contributions at w
     return FitResult(
-        theta_hat=theta,
+        theta_hat=wmap.to_theta(w),
         loglik=ll,
         score_norm=float(np.max(np.abs(g))),
-        info_matrix=info,
+        info_matrix=S.T @ S / S.shape[0],
         iterations=iterations,
         converged=converged,
-        n_obs=contrib.shape[0],
+        n_obs=S.shape[0],
         loglik_trace=tuple(trace),
     )
-
-
-def _fd_hessian(grad_of, w: np.ndarray, step: float) -> np.ndarray:
-    L = w.shape[0]
-    H = np.empty((L, L))
-    for i in range(L):
-        h = step * (1.0 + abs(w[i]))
-        e = np.zeros(L)
-        e[i] = h
-        H[:, i] = (grad_of(w + e) - grad_of(w - e)) / (2.0 * h)
-    return (H + H.T) / 2.0
 
 
 def _ascent_direction(H: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -158,6 +158,22 @@ def link_pdf(link: LinkKind | str, x):
     return out if isinstance(out, np.ndarray) and np.ndim(x) else float(out)
 
 
+def _link_pdf_slope(link: LinkKind, x: np.ndarray, pdf: np.ndarray) -> np.ndarray:
+    """Derivative of the latent density at ``x``, given ``pdf = link_pdf(link, x)``.
+
+    Probit ``-x f``, logistic ``f tanh(-x/2)``, and for ``chisq1``
+    ``-f (1 + 1/v) / sqrt(2)`` with ``v = sqrt(2) x + 1`` (zero where
+    ``v <= 0``, outside the support).  Inputs are not validated.
+    """
+    if link is LinkKind.PROBIT:
+        return -x * pdf
+    if link is LinkKind.LOGISTIC:
+        return pdf * np.tanh(-0.5 * x)
+    v = _SQRT2 * x + 1.0
+    inside = v > 0.0
+    return np.where(inside, -pdf * (1.0 + 1.0 / np.where(inside, v, 1.0)) / _SQRT2, 0.0)
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Declarative description of a conditional law.
@@ -489,8 +505,8 @@ def _presample_pi(theta: Theta) -> float:
 
 
 def _index_kernel(
-    spec: ModelSpec, theta: Theta, series: Series
-) -> tuple[np.ndarray, np.ndarray]:
+    spec: ModelSpec, theta: Theta, series: Series, curvature: bool = False
+) -> tuple[np.ndarray, ...]:
     """Index path and its gradient w.r.t. the index parameters, all periods.
 
     This is the one evaluation of the index recursion on a known outcome
@@ -498,6 +514,12 @@ def _index_kernel(
     unconditional mean, the convention of :func:`simulate`.  The gradient
     columns follow the natural order ``(pi0, delta, alpha, beta, gamma)``;
     thresholds do not enter the index.  Inputs are not validated.
+
+    Returns ``(pi, G)``, or with ``curvature`` ``(pi, G, M)``.  The second
+    derivative of ``pi_t`` is nonzero only in the rows and columns of
+    ``alpha``, so ``M[t, j] = d G[t] / d alpha_{j+1}``, shape
+    ``(T, p_ar, n_index)``, holds all of it; ``M`` is ``None`` without index
+    autoregression.
     """
     T = series.T
     y = series.y.astype(float)
@@ -516,27 +538,43 @@ def _index_kernel(
         G[0, pos:] = 0.0
         G[1:, pos:] = y[:-1, None] * x[1:]
     if not p:
-        return G @ np.concatenate(([theta.pi0], theta.delta, theta.beta, theta.gamma)), G
+        pi = G @ np.concatenate(([theta.pi0], theta.delta, theta.beta, theta.gamma))
+        return (pi, G, None) if curvature else (pi, G)
 
     # index autoregression: add alpha_i * pi_{t-i} to the index, and carry
-    # d pi_t / d theta through the same recursion
-    G[:, 1 + q : 1 + q + p] = 0.0
+    # d pi_t / d theta (and on request d G_t / d alpha) through the same
+    # recursion
+    ac = slice(1 + q, 1 + q + p)
+    G[:, ac] = 0.0
     pi = G @ theta.to_vector()[: G.shape[1]]
     alpha = theta.alpha
     s = sum(alpha)
     g_pre = np.zeros(G.shape[1])
     g_pre[0] = 1.0 / (1.0 - s)
-    g_pre[1 + q : 1 + q + p] = theta.pi0 / (1.0 - s) ** 2
+    g_pre[ac] = theta.pi0 / (1.0 - s) ** 2
     pi_lags = [_presample_pi(theta)] * p  # pi_{t-1}, ..., pi_{t-p}
     g_lags = [g_pre] * p
+    if curvature:
+        M = np.empty((T, p, G.shape[1]))
+        m_pre = np.zeros((p, G.shape[1]))
+        m_pre[:, 0] = 1.0 / (1.0 - s) ** 2
+        m_pre[:, ac] = 2.0 * theta.pi0 / (1.0 - s) ** 3
+        m_lags = [m_pre] * p
     for t, value in enumerate(pi.tolist()):
-        G[t, 1 + q : 1 + q + p] = pi_lags
+        if curvature:
+            # d G_t / d alpha_j = G_{t-j} + sum_i alpha_i d G_{t-i} / d alpha_j,
+            # plus G_{t-i}[alpha_j] in column alpha_i
+            stacked = np.array(g_lags)
+            M[t] = stacked + sum(a * m for a, m in zip(alpha, m_lags))
+            M[t, :, ac] += stacked[:, ac].T
+            m_lags = [M[t]] + m_lags[:-1]
+        G[t, ac] = pi_lags
         G[t] += sum(a * g for a, g in zip(alpha, g_lags))
         value += sum(a * lag for a, lag in zip(alpha, pi_lags))
         pi[t] = value
         pi_lags = [value] + pi_lags[:-1]
         g_lags = [G[t]] + g_lags[:-1]
-    return pi, G
+    return (pi, G, M) if curvature else (pi, G)
 
 
 def index_path(spec: ModelSpec, theta: Theta, series: Series) -> np.ndarray:

@@ -131,6 +131,33 @@ class TestBootstrapTest:
             bootstrap_test(STATIC, null_series(7), config)
 
 
+class TestWarmStartedRefits:
+    def test_bootstrap_draws_start_at_the_simulating_theta(self, monkeypatch):
+        # bootstrap draws refit from the parameter they were simulated from;
+        # the observed-data fit and the Monte Carlo data fit start cold
+        starts = []
+        fit_mle = boot.fit_mle
+
+        def recording_fit(spec, series, init=None):
+            starts.append(init)
+            return fit_mle(spec, series, init=init)
+
+        monkeypatch.setattr(boot, "fit_mle", recording_fit)
+        config = BootstrapConfig(B=19, master_seed=2, stats=(StatKind.from_name("CvM0"),))
+        report = bootstrap_test(STATIC, null_series(4), config)
+        assert starts[0] is None
+        assert len(starts) == 1 + config.B
+        assert all(init == report.theta_hat for init in starts[1:])
+
+        starts.clear()
+        scenario = scenario_registry()[1]
+        rep = boot._warp_replication(scenario, 100, (StatKind.from_name("CvM0"),), 2, 5, 0)
+        assert rep is not None
+        assert len(starts) == 3 and starts[0] is None
+        assert starts[1] == starts[2] and starts[1] is not None
+        assert starts[1] != scenario.dgp_theta
+
+
 class TestScenarioRegistry:
     def test_eleven_scenarios(self):
         registry = scenario_registry()

@@ -3,7 +3,17 @@ import json
 import numpy as np
 import pytest
 
-from dcgof.cli import EXIT_BOOTSTRAP, EXIT_FIT, EXIT_OK, EXIT_PARSE, ParseError, load_series, main
+from dcgof.cli import (
+    EXIT_BOOTSTRAP,
+    EXIT_FIT,
+    EXIT_OK,
+    EXIT_PARSE,
+    ParseError,
+    _build_parser,
+    _resolve_config,
+    load_series,
+    main,
+)
 from dcgof.model import ModelSpec, Theta, simulate, simulate_x_ar1
 from dcgof.rng import substream
 
@@ -200,6 +210,16 @@ class TestCmdMc:
     def test_missing_required_flags(self, tmp_path):
         code = main(["mc", "--out", str(tmp_path / "o")])
         assert code == EXIT_PARSE
+
+    def test_all_scenarios(self):
+        def scenarios(value):
+            args = _build_parser().parse_args(["mc", "--scenarios", value, "--T", "60", "--R", "50"])
+            return _resolve_config(args).scenarios
+
+        assert scenarios("all") == tuple(range(1, 12))
+        assert scenarios("2,5") == (2, 5)
+        with pytest.raises(ValueError):
+            scenarios("1,all")
 
 
 class TestConfigFile:

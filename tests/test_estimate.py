@@ -2,17 +2,36 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
+from dcgof import estimate
+from dcgof.boot import scenario_registry
 from dcgof.estimate import (
+    LOGLIK_FLOOR,
     SeparationError,
     ThresholdCollapseError,
+    _loglik_pass,
+    _window_start,
+    _WorkingMap,
     fit_mle,
     loglik,
     score,
     score_contributions,
 )
-from dcgof.model import ModelSpec, Series, Theta, simulate, simulate_x_ar1
+from dcgof.model import (
+    ModelSpec,
+    Series,
+    Theta,
+    _index_ar_stationary,
+    _index_kernel,
+    _thresholds,
+    link_pdf,
+    link_tail,
+    simulate,
+    simulate_x_ar1,
+)
 from dcgof.rng import substream
 
 BINARY = ModelSpec(link="probit", n_regressors=1)
@@ -36,6 +55,127 @@ def fd_score(spec, theta, series, h=1e-6):
         lm = loglik(spec, Theta.from_vector(spec, vec - e), series)
         out[i] = (lp - lm) / (2.0 * h)
     return out
+
+
+def fd_hessian(grad_of, w: np.ndarray, step: float = 1e-5) -> np.ndarray:
+    """Oracle: central differences of the working-coordinate score, the
+    Hessian the Newton loop used before the analytic one."""
+    L = w.shape[0]
+    H = np.empty((L, L))
+    for i in range(L):
+        h = step * (1.0 + abs(w[i]))
+        e = np.zeros(L)
+        e[i] = h
+        H[:, i] = (grad_of(w + e) - grad_of(w - e)) / (2.0 * h)
+    return (H + H.T) / 2.0
+
+
+def realized_cells_oracle(spec, theta, pi, y):
+    """The realized-cell expressions before the one-pass evaluation:
+    ``(p, f_lo, f_hi)``."""
+    mu = _thresholds(spec, theta)
+    J = spec.support_size
+    lo = np.where(y > 0, mu[np.maximum(y - 1, 0)] - pi, -np.inf)
+    hi = np.where(y < J, mu[np.minimum(y, J - 1)] - pi, np.inf)
+    tail_lo = np.where(y > 0, link_tail(spec.link, np.where(np.isfinite(lo), lo, 0.0)), 1.0)
+    tail_hi = np.where(y < J, link_tail(spec.link, np.where(np.isfinite(hi), hi, 0.0)), 0.0)
+    f_lo = np.where(np.isfinite(lo), link_pdf(spec.link, np.where(np.isfinite(lo), lo, 0.0)), 0.0)
+    f_hi = np.where(np.isfinite(hi), link_pdf(spec.link, np.where(np.isfinite(hi), hi, 0.0)), 0.0)
+    return tail_lo - tail_hi, f_lo, f_hi
+
+
+def loglik_and_scores_oracle(spec, theta, series):
+    """The log likelihood and per-observation scores, by the expressions used
+    before the one-pass evaluation."""
+    i0 = _window_start(spec)
+    pi_all, G_all = _index_kernel(spec, theta, series)
+    pi, G, y = pi_all[i0:], G_all[i0:], series.y[i0:]
+    p, f_lo, f_hi = realized_cells_oracle(spec, theta, pi, y)
+    ll = -np.inf if p.min() < LOGLIK_FLOOR else float(np.sum(np.log(p)))
+    p = np.maximum(p, LOGLIK_FLOOR)
+    n, n_idx = y.shape[0], G.shape[1]
+    out = np.zeros((n, spec.n_params))
+    out[:, :n_idx] = ((f_lo - f_hi) / p)[:, None] * G
+    if spec.ordered:
+        rows = np.arange(n)
+        has_hi, has_lo = y < spec.support_size, y > 0
+        out[rows[has_hi], n_idx + y[has_hi]] += f_hi[has_hi] / p[has_hi]
+        out[rows[has_lo], n_idx + y[has_lo] - 1] -= f_lo[has_lo] / p[has_lo]
+    return ll, out
+
+
+@st.composite
+def perturbed_models(draw):
+    """A model over links x J 1-3 x q 0-2 x p_ar 0-2 x interactions, a
+    series simulated at a truth, and a point perturbed away from it.
+
+    For ``chisq1`` the thresholds sit high above the index so that every
+    finite ``sqrt(2)(mu - pi) + 1`` stays above 0.1: the density is
+    singular at 0, where central differences are no oracle."""
+    link = draw(st.sampled_from(["probit", "logistic", "chisq1"]))
+    J = draw(st.integers(1, 3))
+    q = draw(st.integers(0, 2))
+    p = draw(st.integers(0, 2))
+    interactions = q >= 1 and draw(st.booleans())
+    spec = ModelSpec(link=link, support_size=J, q=q, p_ar=p, n_regressors=1,
+                     interactions=interactions, ordered=J >= 2)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = 2.5 if link == "chisq1" else -0.5
+    mu = tuple(base + np.cumsum(rng.uniform(0.5, 1.0, J)) - 0.5) if J >= 2 else ()
+    truth = Theta(
+        pi0=0.0 if J >= 2 else (-base if link == "chisq1" else 0.2),
+        delta=tuple(rng.uniform(-0.4, 0.4, q)),
+        alpha=tuple(rng.uniform(-0.3, 0.3, p)),
+        beta=(rng.uniform(0.2, 0.6),),
+        gamma=(rng.uniform(-0.3, 0.3),) if interactions else (),
+        mu=mu,
+    )
+    T = 150
+    series = simulate(spec, truth, T, x=0.7 * rng.standard_normal((T, 1)), rng=rng)
+    wmap = _WorkingMap(spec)
+    w = wmap.to_working(truth) + rng.uniform(-0.1, 0.1, wmap.n_free)
+    theta = wmap.to_theta(w)
+    assume(_index_ar_stationary(theta.alpha))
+    if link == "chisq1":
+        pi = _index_kernel(spec, theta, series)[0][_window_start(spec):]
+        v = math.sqrt(2.0) * (_thresholds(spec, theta)[None, :] - pi[:, None]) + 1.0
+        assume(v.min() > 0.1)
+    assume(np.isfinite(loglik(spec, theta, series)))
+    return spec, series, w
+
+
+class TestHessian:
+    @given(perturbed_models())
+    @settings(max_examples=150, deadline=None)
+    def test_analytic_matches_central_differences(self, case):
+        spec, series, w = case
+        wmap = _WorkingMap(spec)
+        zero = np.zeros((spec.n_params, spec.n_params))
+
+        def grad_of(w_vec):
+            g_nat = score(spec, wmap.to_theta(w_vec), series)
+            return wmap.derivatives_to_working(w_vec, g_nat, zero)[0]
+
+        _, S, H_nat = _loglik_pass(spec, wmap.to_theta(w), series, 2)
+        g, H = wmap.derivatives_to_working(w, S.sum(axis=0), H_nat)
+        oracle = fd_hessian(grad_of, w)
+        assert np.max(np.abs(H - oracle)) <= 1e-6 * max(1.0, np.max(np.abs(oracle)))
+        np.testing.assert_array_equal(g, grad_of(w))
+
+    @given(perturbed_models())
+    @settings(max_examples=100, deadline=None)
+    def test_shared_pass_matches_separate_expressions(self, case):
+        spec, series, w = case
+        theta = _WorkingMap(spec).to_theta(w)
+        ll, contrib = loglik_and_scores_oracle(spec, theta, series)
+        assert loglik(spec, theta, series) == pytest.approx(ll, rel=1e-12, abs=1e-12)
+        scale = max(1.0, np.max(np.abs(contrib)))
+        assert np.max(np.abs(score_contributions(spec, theta, series) - contrib)) <= 1e-12 * scale
+        total = contrib.sum(axis=0)
+        assert np.max(np.abs(score(spec, theta, series) - total)) <= 1e-12 * max(
+            1.0, np.max(np.abs(total)))
+        for order in (0, 1, 2):
+            assert _loglik_pass(spec, theta, series, order)[0] == loglik(spec, theta, series)
 
 
 class TestLoglik:
@@ -242,3 +382,59 @@ class TestFitMle:
         fit = fit_mle(DYNAMIC, data)
         text = fit.dumps()
         assert '"converged": true' in text
+
+
+def study_series(scenario_id: int, T: int, seed: int) -> tuple[ModelSpec, Theta, Series]:
+    """The null model, truth and a series of a study scenario whose DGP is
+    its null."""
+    sc = scenario_registry()[scenario_id - 1]
+    x = simulate_x_ar1(sc.x_ar1, T, substream(seed, "fit-x", scenario_id))
+    series = simulate(sc.dgp_spec, sc.dgp_theta, T, x=x, rng=substream(seed, "fit-y", scenario_id))
+    return sc.null_spec, sc.dgp_theta, series
+
+
+class TestLineSearchBudget:
+    @pytest.mark.parametrize("scenario_id, T", [(1, 100), (2, 300)])
+    def test_at_most_three_loglik_calls_per_iteration(self, monkeypatch, scenario_id, T):
+        # near the optimum the gain of a Newton step falls below the float
+        # resolution of the log likelihood; halving further cannot show an
+        # increase and only spends likelihood evaluations
+        calls = []
+        counted = estimate.loglik
+
+        def counting_loglik(*args):
+            calls.append(1)
+            return counted(*args)
+
+        monkeypatch.setattr(estimate, "loglik", counting_loglik)
+        for seed in range(50):
+            spec, _, series = study_series(scenario_id, T, seed)
+            calls.clear()
+            fit = fit_mle(spec, series)
+            assert fit.converged
+            assert len(calls) <= 3 * max(fit.iterations, 1), (seed, len(calls), fit.iterations)
+
+
+class TestWarmStart:
+    @staticmethod
+    def cases():
+        for scenario_id, T in ((1, 100), (2, 300), (3, 300)):
+            for seed in range(30):
+                yield study_series(scenario_id, T, seed)
+        ordered = ModelSpec(link="probit", support_size=2, ordered=True, q=1, n_regressors=1)
+        ordered_truth = Theta(delta=(0.5,), beta=(1.0,), mu=(-0.5, 1.0))
+        par = ModelSpec(link="probit", p_ar=1, n_regressors=1)
+        par_truth = Theta(pi0=0.2, alpha=(0.5,), beta=(0.8,))
+        for spec, truth, T in ((ordered, ordered_truth, 500), (par, par_truth, 300)):
+            for seed in range(30):
+                rng = substream(seed, "warm", spec.p_ar)
+                series = simulate(spec, truth, T, x=rng.standard_normal((T, 1)), rng=rng)
+                yield spec, truth, series
+
+    def test_warm_and_cold_starts_agree(self):
+        for spec, truth, series in self.cases():
+            cold = fit_mle(spec, series)
+            warm = fit_mle(spec, series, init=truth)
+            assert cold.converged and warm.converged
+            gap = np.max(np.abs(warm.theta_hat.to_vector() - cold.theta_hat.to_vector()))
+            assert gap <= 1e-8, (spec, gap)
