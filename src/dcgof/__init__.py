@@ -13,7 +13,6 @@ from .model import (
     simulate_x_ar1,
 )
 from .estimate import (
-    FitOptions,
     FitResult,
     NonConvergenceError,
     SeparationError,

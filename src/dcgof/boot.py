@@ -342,11 +342,10 @@ class RejectionTable:
 
 
 def _warp_replication(
-    scenario: Scenario, T: int, kinds, b_per_rep: int, master_seed: int, r: int
-) -> tuple[dict[str, float], list[dict[str, float]]] | None:
-    """Replication ``r``: statistics on data from the scenario DGP and on
-    ``b_per_rep`` bootstrap draws from the fitted null; ``None`` if any
-    replicate fails."""
+    scenario: Scenario, T: int, kinds, master_seed: int, r: int
+) -> tuple[dict[str, float], dict[str, float]] | None:
+    """Replication ``r``: statistics on data from the scenario DGP and on one
+    bootstrap draw from the fitted null; ``None`` if either replicate fails."""
     x = simulate_x_ar1(scenario.x_ar1, T, substream(master_seed, "mc-x", r))
     null = scenario.null_spec
     data = _replicate(scenario.dgp_spec, scenario.dgp_theta, x, null, None, kinds,
@@ -354,21 +353,17 @@ def _warp_replication(
     if data is None:
         return None
     theta_hat, observed = data
-    star_draws = []
-    for b in range(b_per_rep):
-        star = _replicate(null, theta_hat, x, null, theta_hat, kinds, master_seed,
-                          ("mc-boot", r, b), ("mc-boot-noise", r, b))
-        if star is None:
-            return None
-        star_draws.append(star[1])
-    return observed, star_draws
+    star = _replicate(null, theta_hat, x, null, theta_hat, kinds, master_seed,
+                      ("mc-boot", r, 0), ("mc-boot-noise", r, 0))
+    if star is None:
+        return None
+    return observed, star[1]
 
 
 def run_scenario(
     scenario: Scenario,
     T: int,
     R: int,
-    b_per_rep: int = 1,
     master_seed: int = 0,
     stats: tuple[StatKind, ...] = DEFAULT_STUDY_KINDS,
     levels: tuple[float, ...] = DEFAULT_LEVELS,
@@ -377,19 +372,17 @@ def run_scenario(
     """Warp-speed rejection rates for one scenario at sample size ``T``.
 
     Each replication simulates from the scenario DGP on a fresh regressor
-    path, fits the null model, computes the statistics, and draws one (or
-    ``b_per_rep``) bootstrap samples from the fitted null; the pooled
-    bootstrap draws form the null distribution.
+    path, fits the null model, computes the statistics, and draws one
+    bootstrap sample from the fitted null; the pooled bootstrap draws form
+    the null distribution.
     """
     if R < 50:
         raise ValueError("need R >= 50 replications")
-    if b_per_rep < 1:
-        raise ValueError("b_per_rep must be >= 1")
     for level in levels:
         if not 0.0 < level < 1.0:
             raise ValueError(f"level {level} outside (0, 1)")
     stat_names = tuple(k.name for k in stats)
-    tasks = [(scenario, T, stats, b_per_rep, master_seed, r) for r in range(R)]
+    tasks = [(scenario, T, stats, master_seed, r) for r in range(R)]
     kept = [rep for rep in _map(_warp_replication, tasks, threads) if rep is not None]
     failed = R - len(kept)
     if failed > MAX_FAILURE_SHARE * R:
@@ -398,7 +391,7 @@ def run_scenario(
     rates = np.zeros((len(levels), len(stat_names)))
     for j, name in enumerate(stat_names):
         observed = np.array([obs[name] for obs, _ in kept])
-        pooled = np.sort(np.array([d[name] for _, star in kept for d in star]))
+        pooled = np.sort(np.array([star[name] for _, star in kept]))
         n_pool = pooled.shape[0]
         # p_r = (1 + #{pooled >= D_r}) / (n_pool + 1)
         count_ge = n_pool - np.searchsorted(pooled, observed, side="left")

@@ -66,25 +66,6 @@ class RunConfig:
     R: int = 0
     threads: int = 1
 
-    def model_spec(self, n_regressors: int) -> ModelSpec:
-        if self.model_file:
-            with open(self.model_file) as fh:
-                spec = ModelSpec.from_json_dict(json.load(fh))
-            if spec.n_regressors != n_regressors:
-                raise ParseError(
-                    f"model file declares {spec.n_regressors} regressors, data has {n_regressors}"
-                )
-            return spec
-        link = {"logit": "logistic"}.get(self.link, self.link)
-        return ModelSpec(
-            link=LinkKind(link),
-            support_size=self.support_size,
-            q=self.ylags,
-            n_regressors=n_regressors,
-            interactions=self.interactions,
-            ordered=self.ordered or self.support_size >= 2,
-        )
-
     def stat_kinds(self) -> tuple[StatKind, ...]:
         if self.stats:
             return tuple(StatKind.from_name(n) for n in self.stats)
@@ -167,6 +148,30 @@ def load_series(path: str, support_size: int = 1) -> Series:
     return Series(y=np.array(ys), x=np.array(xs).reshape(len(ys), len(x_cols)))
 
 
+def _load_input(config: RunConfig) -> tuple[Series, ModelSpec]:
+    """The input series and its model: the model file's, or one built from
+    the flags.  Outcomes are checked against the resolved model's ``J``."""
+    if config.model_file:
+        with open(config.model_file) as fh:
+            spec = ModelSpec.from_json_dict(json.load(fh))
+        series = load_series(config.input, spec.support_size)
+        if spec.n_regressors != series.n_regressors:
+            raise ParseError(
+                f"model file declares {spec.n_regressors} regressors, data has {series.n_regressors}"
+            )
+        return series, spec
+    series = load_series(config.input, config.support_size)
+    link = {"logit": "logistic"}.get(config.link, config.link)
+    return series, ModelSpec(
+        link=LinkKind(link),
+        support_size=config.support_size,
+        q=config.ylags,
+        n_regressors=series.n_regressors,
+        interactions=config.interactions,
+        ordered=config.ordered or config.support_size >= 2,
+    )
+
+
 def _write(path: str, text: str) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
@@ -174,8 +179,7 @@ def _write(path: str, text: str) -> None:
 
 
 def cmd_fit(config: RunConfig) -> int:
-    series = load_series(config.input, config.support_size)
-    spec = config.model_spec(series.n_regressors)
+    series, spec = _load_input(config)
     result = fit_mle(spec, series)
     try:
         stderr = result.stderr(spec).tolist()
@@ -203,8 +207,7 @@ def _report_text(report) -> str:
 
 
 def cmd_test(config: RunConfig) -> int:
-    series = load_series(config.input, config.support_size)
-    spec = config.model_spec(series.n_regressors)
+    series, spec = _load_input(config)
     boot_config = BootstrapConfig(B=config.B, master_seed=config.seed, stats=config.stat_kinds())
     report = bootstrap_test(spec, series, boot_config, threads=config.threads)
     payload = {"config": config.echo(), "model": spec.to_json_dict(), "report": report.to_json_dict()}

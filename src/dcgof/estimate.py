@@ -5,13 +5,17 @@ incomplete lag windows (the first ``max(q, 1)``) are dropped, and for models
 with index autoregression the presample index lags are set to the
 unconditional mean.  Optimization is Newton-Raphson with step-halving.  The
 log likelihood, the per-observation scores and the Hessian are analytic and
-come from one pass over the index recursion and the realized cells; the
-Hessian uses the derivative of the link density and, with index
-autoregression, the second derivatives of the index carried through the same
-recursion.  The step-halving stops once the predicted gain is below the float
-resolution of the log likelihood.  Ordered thresholds are optimized through
-the increasing-gap parameterization ``mu_j = mu_0 + sum_{k<=j} exp(c_k)`` so
-the monotonicity constraint never binds.
+come from one pass over the index recursion and the realized cells.  The
+cells and their threshold gaps come from ``dcgof.model._cells``, the only
+place where cell probabilities are evaluated, so the fit maximizes the law
+under which the PIT is taken; a cell below ``PROB_FLOOR_HARD`` makes the log
+likelihood ``-inf``.  The Hessian uses the derivative of the link density
+and, with index autoregression, the second derivatives of the index carried
+through the same recursion.  The step-halving stops once the predicted gain
+is below the float resolution of the log likelihood.  Ordered thresholds are
+optimized through the increasing-gap parameterization
+``mu_j = mu_0 + sum_{k<=j} exp(c_k)`` so the monotonicity constraint never
+binds.
 
 ``fit_mle`` starts from ``init`` when given (a warm start): the bootstrap
 refits each simulated series from the parameter it was simulated from, which
@@ -30,20 +34,18 @@ import numpy as np
 from scipy import special
 
 from .model import (
-    LinkKind,
+    PROB_FLOOR_HARD,
     ModelSpec,
     Series,
     Theta,
     link_pdf,
-    link_tail,
+    _cells,
     _index_ar_stationary,
     _index_kernel,
     _link_pdf_slope,
-    _thresholds,
 )
 
 __all__ = [
-    "FitOptions",
     "FitResult",
     "NonConvergenceError",
     "SeparationError",
@@ -54,9 +56,15 @@ __all__ = [
     "fit_mle",
 ]
 
-LOGLIK_FLOOR = 1e-12
 # relative float resolution of a summed log likelihood
 LOGLIK_RESOLUTION = 1e-12
+# Newton stops once the max-norm of the working score is below TOL_GRAD, or
+# after MAX_ITER iterations; a working parameter beyond THETA_CAP in absolute
+# value is divergence (separation), a threshold gap below TOL_MU a collapse.
+TOL_GRAD = 1e-8
+MAX_ITER = 100
+THETA_CAP = 1e3
+TOL_MU = 1e-8
 
 
 class NonConvergenceError(RuntimeError):
@@ -73,14 +81,6 @@ class SeparationError(NonConvergenceError):
 
 class ThresholdCollapseError(NonConvergenceError):
     """Adjacent thresholds collapsed during optimization."""
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    tol_grad: float = 1e-8
-    max_iter: int = 100
-    theta_cap: float = 1e3
-    tol_mu: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -131,36 +131,17 @@ def _window_start(spec: ModelSpec) -> int:
     return max(spec.q, 1)
 
 
-def _realized_cells(
-    spec: ModelSpec, theta: Theta, pi: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """Realized cell probability and its two threshold gaps.
-
-    Returns ``(p, lo, hi, has_lo, has_hi)`` where ``p = P(Y = y)``,
-    ``lo = mu_{y-1} - pi`` and ``hi = mu_y - pi``, set to zero where the
-    threshold is infinite, which ``has_lo`` and ``has_hi`` mark false.
-    """
-    mu = _thresholds(spec, theta)
-    J = spec.support_size
-    lo = np.where(y > 0, mu[np.maximum(y - 1, 0)] - pi, -np.inf)
-    hi = np.where(y < J, mu[np.minimum(y, J - 1)] - pi, np.inf)
-    has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
-    lo, hi = np.where(has_lo, lo, 0.0), np.where(has_hi, hi, 0.0)
-    tail_lo = np.where(y > 0, link_tail(spec.link, lo), 1.0)
-    tail_hi = np.where(y < J, link_tail(spec.link, hi), 0.0)
-    return tail_lo - tail_hi, lo, hi, has_lo, has_hi
-
-
 def _loglik_pass(
     spec: ModelSpec, theta: Theta, series: Series, order: int
 ) -> tuple[float, np.ndarray | None, np.ndarray | None]:
-    """One pass over the index kernel and the realized cells.
+    """One pass over the index kernel and the realized cells, which come from
+    :func:`dcgof.model._cells` like those of the PIT and the laws.
 
     Returns ``(ll, S, H)``: the log likelihood (``-inf`` when a realized
-    cell probability hits the floor); for ``order >= 1`` the per-observation
-    scores ``S``, shape (n, L); for ``order == 2`` the Hessian ``H`` of the
-    log likelihood, shape (L, L).  All in natural coordinates; inputs are
-    not validated.
+    cell probability is below ``PROB_FLOOR_HARD``); for ``order >= 1`` the
+    per-observation scores ``S``, shape (n, L); for ``order == 2`` the
+    Hessian ``H`` of the log likelihood, shape (L, L).  All in natural
+    coordinates; inputs are not validated.
 
     The Hessian is ``U' diag(f'(hi)/p) U - V' diag(f'(lo)/p) V - S'S`` plus
     ``sum_t s_t d^2 pi_t / d theta d theta'``, where ``U = [G, -e_y]`` and
@@ -171,11 +152,12 @@ def _loglik_pass(
     i0 = _window_start(spec)
     kernel = _index_kernel(spec, theta, series, curvature=order == 2)
     pi, G, y = kernel[0][i0:], kernel[1][i0:], series.y[i0:]
-    p, lo, hi, has_lo, has_hi = _realized_cells(spec, theta, pi, y)
-    ll = -np.inf if p.min() < LOGLIK_FLOOR else float(np.sum(np.log(p)))
+    p, _, lo, hi = _cells(spec, theta, pi, y)
+    ll = -np.inf if p.min() < PROB_FLOOR_HARD else float(np.sum(np.log(p)))
     if order == 0:
         return ll, None, None
-    p = np.maximum(p, LOGLIK_FLOOR)
+    p = np.maximum(p, PROB_FLOOR_HARD)
+    has_lo, has_hi = y > 0, y < spec.support_size
     f_lo = np.where(has_lo, link_pdf(spec.link, lo), 0.0)
     f_hi = np.where(has_hi, link_pdf(spec.link, hi), 0.0)
     dlp_dpi = (f_lo - f_hi) / p
@@ -215,7 +197,8 @@ def _loglik_pass(
 def loglik(spec: ModelSpec, theta: Theta, series: Series) -> float:
     """Conditional log likelihood over observations with complete lag windows.
 
-    Returns ``-inf`` when any realized cell probability hits the floor.
+    Returns ``-inf`` when any realized cell probability is below
+    ``PROB_FLOOR_HARD``, so that the line search rejects the step.
     """
     theta.validate(spec)
     series.validate(spec)
@@ -336,7 +319,6 @@ def fit_mle(
     spec: ModelSpec,
     series: Series,
     init: Theta | None = None,
-    options: FitOptions | None = None,
 ) -> FitResult:
     """Newton-Raphson conditional ML fit, started at ``init`` when given
     (warm) and at :func:`_default_init` otherwise (cold).
@@ -349,7 +331,6 @@ def fit_mle(
     ThresholdCollapseError
         When adjacent thresholds collapse.
     """
-    opts = options or FitOptions()
     series.validate(spec)
     max_lag = max(spec.q, spec.p_ar, 1)
     if series.T <= spec.n_params + max_lag:
@@ -363,7 +344,7 @@ def fit_mle(
         # alpha vanishes and the first Newton steps can head for a spurious
         # mode near alpha = -1.  Start from the fit without index
         # autoregression instead.
-        base = fit_mle(replace(spec, p_ar=0), series, options=opts).theta_hat
+        base = fit_mle(replace(spec, p_ar=0), series).theta_hat
         init = replace(base, alpha=(0.0,) * spec.p_ar)
     wmap = _WorkingMap(spec)
     theta = init if init is not None else _default_init(spec, series)
@@ -388,9 +369,9 @@ def fit_mle(
     trace = [ll]
     g, H, S = derivatives_of(w)
     iterations = 0
-    converged = bool(np.max(np.abs(g)) <= opts.tol_grad)
+    converged = bool(np.max(np.abs(g)) <= TOL_GRAD)
 
-    while not converged and iterations < opts.max_iter:
+    while not converged and iterations < MAX_ITER:
         iterations += 1
         d = _ascent_direction(H, g)
         # step-halving line search, stopped once the predicted gain falls
@@ -428,15 +409,15 @@ def fit_mle(
         theta = wmap.to_theta(w)
         if spec.ordered and spec.support_size > 1:
             c = w[wmap.n_index - 1 :][1:]
-            if np.any(c < math.log(opts.tol_mu)):
-                raise ThresholdCollapseError("threshold gap fell below tol_mu", theta)
-        if np.max(np.abs(w)) > opts.theta_cap:
+            if np.any(c < math.log(TOL_MU)):
+                raise ThresholdCollapseError(f"threshold gap fell below {TOL_MU:g}", theta)
+        if np.max(np.abs(w)) > THETA_CAP:
             raise SeparationError(
-                f"parameter norm exceeded cap {opts.theta_cap:g}: perfect separation "
+                f"parameter norm exceeded cap {THETA_CAP:g}: perfect separation "
                 "or divergence",
                 theta,
             )
-        converged = bool(np.max(np.abs(g)) <= opts.tol_grad)
+        converged = bool(np.max(np.abs(g)) <= TOL_GRAD)
 
     # S holds the score contributions at w
     return FitResult(

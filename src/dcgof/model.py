@@ -16,7 +16,10 @@ threshold is fixed at zero and the intercept is free, so that
 
 This module defines the model description types, evaluates conditional
 probabilities, and simulates series (including the AR(1) exogenous regressor
-used by the Monte Carlo study).
+used by the Monte Carlo study).  Cell probabilities are evaluated in one
+place, ``_cells``, for the likelihood, the randomized PIT and the laws alike,
+and one floor rule, ``_check_floor``, raises below ``PROB_FLOOR_HARD`` and
+warns below ``PROB_FLOOR_WARN``.
 """
 
 from __future__ import annotations
@@ -51,8 +54,9 @@ __all__ = [
     "simulate",
 ]
 
-# Cell probabilities of the hypothesized family must stay above this floor;
-# below PROB_FLOOR_HARD evaluation raises, below PROB_FLOOR_WARN it warns.
+# Cell probabilities of the hypothesized family must stay above this floor:
+# below PROB_FLOOR_HARD the log likelihood is -inf and the laws and the PIT
+# raise (_check_floor); below PROB_FLOOR_WARN they warn.
 PROB_FLOOR_HARD = 1e-12
 PROB_FLOOR_WARN = 1e-8
 
@@ -442,58 +446,79 @@ def _thresholds(spec: ModelSpec, theta: Theta) -> np.ndarray:
     return np.zeros(1)
 
 
-def _law_arrays(
-    spec: ModelSpec, theta: Theta, pi: np.ndarray, check_floor: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized law evaluation: cell probabilities and cdf for each index.
+def _cells(
+    spec: ModelSpec, theta: Theta, pi: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Cell probability ``P(Y = y | pi)`` and cdf below it ``F(y - 1 | pi)``.
 
-    Returns ``(probs, cdf)`` of shape ``(len(pi), J + 1)``.  The law is built
-    from the upper-tail values ``S_j = P(eps > mu_j - pi)`` so that the top
-    category never suffers cancellation and the binary identity
-    ``P(Y=1) = F(pi)`` is exact for symmetric links.
+    This is the only evaluation of cell probabilities: the likelihood, the
+    randomized PIT and the laws all take them from here.  ``y`` broadcasts
+    against the array ``pi``.  Returns ``(p, below, lo, hi)`` with the
+    threshold gaps ``lo = mu_{y-1} - pi`` and ``hi = mu_y - pi``, set to zero
+    where the threshold is infinite (``y = 0`` and ``y = J``).
+
+    Cells above the bottom come from the upper tails ``S_j = P(eps > mu_j -
+    pi)``, so the top category never suffers cancellation and the binary
+    identity ``P(Y=1) = F(pi)`` is exact for symmetric links; the bottom cell
+    and ``F(0)`` come from the lower tail, so they never saturate to zero by
+    rounding.  Inputs are not validated.
     """
-    pi = np.atleast_1d(np.asarray(pi, dtype=float))
-    mu = _thresholds(spec, theta)
     J = spec.support_size
-    tails = link_tail(spec.link, mu[np.newaxis, :] - pi[:, np.newaxis])
-    tails = np.atleast_2d(tails)
-    probs = np.empty((pi.shape[0], J + 1))
-    # bottom cell from the lower tail so it never saturates to zero by rounding
-    probs[:, 0] = np.atleast_1d(link_cdf(spec.link, mu[0] - pi))
-    if J >= 2:
-        probs[:, 1:J] = tails[:, :-1] - tails[:, 1:]
-    probs[:, J] = tails[:, -1]
+    # gaps and tails at every threshold of each index, padded with the
+    # infinite thresholds: gap 0, S_{-1} = 1 and S_J = 0
+    gaps = np.zeros(pi.shape + (J + 2,))
+    gaps[..., 1:-1] = _thresholds(spec, theta) - pi[..., np.newaxis]
+    tails = np.zeros_like(gaps)
+    tails[..., 0] = 1.0
+    tails[..., 1:-1] = link_tail(spec.link, gaps[..., 1:-1])
+    bottom = link_cdf(spec.link, gaps[..., 1])
+    # flat positions of threshold y - 1 and threshold y
+    at = np.arange(0, gaps.size, J + 2).reshape(pi.shape) + y
+    above = at + 1
+    tail_lo = tails.take(at)
+    p = np.where(y == 0, bottom, tail_lo - tails.take(above))
+    below = np.where(y == 1, bottom, 1.0 - tail_lo)
+    return p, below, gaps.take(at), gaps.take(above)
+
+
+def _check_floor(cells: np.ndarray, what: str) -> None:
+    """The floor rule: raise if a cell probability is below
+    ``PROB_FLOOR_HARD``, warn if it is below ``PROB_FLOOR_WARN``."""
+    lowest = float(np.min(cells))
+    if lowest < PROB_FLOOR_HARD:
+        raise AssumptionViolationError(
+            f"{what} cell probability {lowest:.3e} below floor {PROB_FLOOR_HARD:.0e}"
+        )
+    if lowest < PROB_FLOOR_WARN:
+        warnings.warn(
+            f"{what} cell probability {lowest:.3e} below {PROB_FLOOR_WARN:.0e}",
+            ProbabilityFloorWarning,
+            stacklevel=3,
+        )
+
+
+def _law_arrays(spec: ModelSpec, theta: Theta, pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(probs, cdf)`` of shape ``(len(pi), J + 1)``: :func:`_cells` over
+    every outcome ``0..J``."""
+    J = spec.support_size
+    probs, below, _, _ = _cells(spec, theta, pi[:, np.newaxis], np.arange(J + 1))
     cdf = np.empty_like(probs)
-    cdf[:, 0] = probs[:, 0]
-    if J >= 2:
-        cdf[:, 1:J] = 1.0 - tails[:, 1:]
+    cdf[:, :J] = below[:, 1:]
     cdf[:, J] = 1.0
-    if check_floor:
-        lowest = probs.min()
-        if lowest < PROB_FLOOR_HARD:
-            raise AssumptionViolationError(
-                f"conditional cell probability {lowest:.3e} below floor {PROB_FLOOR_HARD:.0e}"
-            )
-        if lowest < PROB_FLOOR_WARN:
-            warnings.warn(
-                f"conditional cell probability {lowest:.3e} below {PROB_FLOOR_WARN:.0e}",
-                ProbabilityFloorWarning,
-                stacklevel=3,
-            )
     return probs, cdf
 
 
-def cond_law(spec: ModelSpec, theta: Theta, pi_t: float, check_floor: bool = True) -> CondLaw:
+def cond_law(spec: ModelSpec, theta: Theta, pi_t: float) -> CondLaw:
     """Conditional law of ``Y_t`` given index value ``pi_t``.
 
     Raises
     ------
     AssumptionViolationError
-        If any cell probability falls below the hard floor and
-        ``check_floor`` is true.
+        If any cell probability falls below the hard floor.
     """
     theta.validate(spec)
-    probs, cdf = _law_arrays(spec, theta, np.array([float(pi_t)]), check_floor=check_floor)
+    probs, cdf = _law_arrays(spec, theta, np.array([float(pi_t)]))
+    _check_floor(probs, "conditional")
     return CondLaw(probs=probs[0], cdf=cdf[0])
 
 
@@ -588,9 +613,7 @@ def index_path(spec: ModelSpec, theta: Theta, series: Series) -> np.ndarray:
     return _index_kernel(spec, theta, series)[0]
 
 
-def law_path(
-    spec: ModelSpec, theta: Theta, series: Series, check_floor: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
+def law_path(spec: ModelSpec, theta: Theta, series: Series) -> tuple[np.ndarray, np.ndarray]:
     """Conditional law at every period: ``(probs, cdf)`` with shape (T, J+1).
 
     The floor check covers the realized cells ``P(Y_t = y_t)``, the only
@@ -598,20 +621,8 @@ def law_path(
     may be arbitrarily small without harm here.
     """
     pi = index_path(spec, theta, series)
-    probs, cdf = _law_arrays(spec, theta, pi, check_floor=False)
-    if check_floor and series.T:
-        realized = probs[np.arange(series.T), series.y]
-        lowest = realized.min()
-        if lowest < PROB_FLOOR_HARD:
-            raise AssumptionViolationError(
-                f"realized cell probability {lowest:.3e} below floor {PROB_FLOOR_HARD:.0e}"
-            )
-        if lowest < PROB_FLOOR_WARN:
-            warnings.warn(
-                f"realized cell probability {lowest:.3e} below {PROB_FLOOR_WARN:.0e}",
-                ProbabilityFloorWarning,
-                stacklevel=2,
-            )
+    probs, cdf = _law_arrays(spec, theta, pi)
+    _check_floor(probs[np.arange(series.T), series.y], "realized")
     return probs, cdf
 
 

@@ -345,7 +345,7 @@ def residuals_gaussian(u) -> np.ndarray:
 
 def residuals_discrete(spec: ModelSpec, theta: Theta, series: Series) -> np.ndarray:
     """Standardized discrete residuals ``(Y_t - E[Y_t]) / sd(Y_t)``."""
-    probs, _ = law_path(spec, theta, series, check_floor=True)
+    probs, _ = law_path(spec, theta, series)
     support = np.arange(spec.support_size + 1, dtype=float)
     mean = probs @ support
     var = np.einsum("tj,tj->t", probs, (support[None, :] - mean[:, None]) ** 2)

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import CondLaw, ModelSpec, Series, Theta, law_path
+from .model import CondLaw, ModelSpec, Series, Theta, _cells, _check_floor, index_path
 from .rng import substream
 
 __all__ = [
@@ -147,17 +147,22 @@ def randomized_pit(
     """Randomized PIT residuals ``U_t`` under the truncated history.
 
     ``U_t = F(y_t - 1) + Fz(z_t) * P(y_t)`` evaluated at the conditional law
-    of period ``t``; the output is identical for any noise distribution once
+    of period ``t``, with both cells from the same evaluation the likelihood
+    maximizes; the output is identical for any noise distribution once
     streams are matched through ``Fz``.
+
+    Raises
+    ------
+    AssumptionViolationError
+        If a realized cell probability falls below the hard floor (a warning
+        below the warning floor).
     """
     if noise.z.shape[0] != series.T:
         raise ValueError(f"noise length {noise.z.shape[0]} != series length {series.T}")
-    probs, cdf = law_path(spec, theta, series, check_floor=True)
-    y = series.y
-    rows = np.arange(series.T)
-    p_real = probs[rows, y]
-    base = np.where(y > 0, cdf[rows, np.maximum(y - 1, 0)], 0.0)
-    u = base + noise.applied() * p_real
+    pi = index_path(spec, theta, series)
+    p, below, _, _ = _cells(spec, theta, pi, series.y)
+    _check_floor(p, "realized")
+    u = below + noise.applied() * p
     u = np.clip(u, U_CLAMP, 1.0 - U_CLAMP)
     return UniformResiduals(u=u, theta_used=theta, noise=noise)
 

@@ -135,12 +135,13 @@ class TestWarmStartedRefits:
     def test_bootstrap_draws_start_at_the_simulating_theta(self, monkeypatch):
         # bootstrap draws refit from the parameter they were simulated from;
         # the observed-data fit and the Monte Carlo data fit start cold
-        starts = []
+        starts, fits = [], []
         fit_mle = boot.fit_mle
 
         def recording_fit(spec, series, init=None):
             starts.append(init)
-            return fit_mle(spec, series, init=init)
+            fits.append(fit_mle(spec, series, init=init))
+            return fits[-1]
 
         monkeypatch.setattr(boot, "fit_mle", recording_fit)
         config = BootstrapConfig(B=19, master_seed=2, stats=(StatKind.from_name("CvM0"),))
@@ -150,12 +151,12 @@ class TestWarmStartedRefits:
         assert all(init == report.theta_hat for init in starts[1:])
 
         starts.clear()
+        fits.clear()
         scenario = scenario_registry()[1]
-        rep = boot._warp_replication(scenario, 100, (StatKind.from_name("CvM0"),), 2, 5, 0)
+        rep = boot._warp_replication(scenario, 100, (StatKind.from_name("CvM0"),), 5, 0)
         assert rep is not None
-        assert len(starts) == 3 and starts[0] is None
-        assert starts[1] == starts[2] and starts[1] is not None
-        assert starts[1] != scenario.dgp_theta
+        assert len(starts) == 2 and starts[0] is None
+        assert starts[1] == fits[0].theta_hat and starts[1] != scenario.dgp_theta
 
 
 class TestScenarioRegistry:

@@ -144,6 +144,21 @@ class TestCmdFit:
         assert code == EXIT_OK
 
 
+    def test_model_file_sets_the_outcome_bound(self, tmp_path):
+        # an ordered J = 2 model file accepts y = 2 without --J 2
+        spec = ModelSpec(link="probit", support_size=2, ordered=True, n_regressors=1)
+        data = simulate(spec, Theta(beta=(1.0,), mu=(-0.5, 0.5)), 200, rng=substream(3, "j2"))
+        assert data.y.max() == 2
+        data_path = tmp_path / "ordered.csv"
+        data_path.write_text("y,x1\n" + "".join(
+            f"{yi},{xi:.17g}\n" for yi, xi in zip(data.y, data.x[:, 0])))
+        model_path = tmp_path / "model.json"
+        model_path.write_text(spec.dumps())
+        code = main(["fit", "--input", str(data_path), "--model-file", str(model_path),
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_OK
+        assert json.loads((tmp_path / "o" / "fit.json").read_text())["model"]["support_size"] == 2
+
     def test_ordered_stderr_in_fit_json(self, tmp_path):
         spec = ModelSpec(link="probit", support_size=2, ordered=True, q=1, n_regressors=1)
         data = simulate(spec, Theta(delta=(0.5,), beta=(1.0,), mu=(-0.5, 1.0)), 2000,

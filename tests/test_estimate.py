@@ -9,7 +9,6 @@ from scipy.special import ndtr
 from dcgof import estimate
 from dcgof.boot import scenario_registry
 from dcgof.estimate import (
-    LOGLIK_FLOOR,
     SeparationError,
     ThresholdCollapseError,
     _loglik_pass,
@@ -21,18 +20,21 @@ from dcgof.estimate import (
     score_contributions,
 )
 from dcgof.model import (
+    PROB_FLOOR_HARD,
     ModelSpec,
     Series,
     Theta,
     _index_ar_stationary,
     _index_kernel,
     _thresholds,
+    law_path,
     link_pdf,
     link_tail,
     simulate,
     simulate_x_ar1,
 )
 from dcgof.rng import substream
+from dcgof.transform import U_CLAMP, NoiseStream, randomized_pit
 
 BINARY = ModelSpec(link="probit", n_regressors=1)
 DYNAMIC = ModelSpec(link="probit", q=1, n_regressors=1)
@@ -91,8 +93,8 @@ def loglik_and_scores_oracle(spec, theta, series):
     pi_all, G_all = _index_kernel(spec, theta, series)
     pi, G, y = pi_all[i0:], G_all[i0:], series.y[i0:]
     p, f_lo, f_hi = realized_cells_oracle(spec, theta, pi, y)
-    ll = -np.inf if p.min() < LOGLIK_FLOOR else float(np.sum(np.log(p)))
-    p = np.maximum(p, LOGLIK_FLOOR)
+    ll = -np.inf if p.min() < PROB_FLOOR_HARD else float(np.sum(np.log(p)))
+    p = np.maximum(p, PROB_FLOOR_HARD)
     n, n_idx = y.shape[0], G.shape[1]
     out = np.zeros((n, spec.n_params))
     out[:, :n_idx] = ((f_lo - f_hi) / p)[:, None] * G
@@ -176,6 +178,34 @@ class TestHessian:
             1.0, np.max(np.abs(total)))
         for order in (0, 1, 2):
             assert _loglik_pass(spec, theta, series, order)[0] == loglik(spec, theta, series)
+
+
+class TestOneCellEvaluation:
+    @pytest.mark.filterwarnings("ignore::dcgof.model.ProbabilityFloorWarning")
+    @given(perturbed_models())
+    @settings(max_examples=150, deadline=None)
+    def test_likelihood_pit_and_law_share_cells(self, case):
+        # the PIT is taken under exactly the law the likelihood maximizes
+        spec, series, w = case
+        theta = _WorkingMap(spec).to_theta(w)
+        probs, cdf = law_path(spec, theta, series)
+        rows, y = np.arange(series.T), series.y
+        i0 = _window_start(spec)
+        assert loglik(spec, theta, series) == float(np.sum(np.log(probs[rows, y][i0:])))
+        noise = NoiseStream.from_seed(series.T, 1, "cells")
+        base = np.where(y > 0, cdf[rows, np.maximum(y - 1, 0)], 0.0)
+        expected = np.clip(base + noise.z * probs[rows, y], U_CLAMP, 1.0 - U_CLAMP)
+        np.testing.assert_array_equal(randomized_pit(spec, theta, series, noise).u, expected)
+
+    def test_bottom_cell_from_lower_tail(self):
+        # at pi = 7, P(Y = 0) = F(0) = Phi(-7), not 1 - Phi(7): in the
+        # likelihood of a y = 0 period and in the PIT of a y = 1 period
+        theta = Theta(pi0=0.0, beta=(1.0,))
+        data = Series(y=np.array([1, 0]), x=np.array([[0.0], [7.0]]))
+        assert loglik(BINARY, theta, data) == math.log(ndtr(-7.0))
+        data = Series(y=np.array([0, 1]), x=np.array([[0.0], [7.0]]))
+        u = randomized_pit(BINARY, theta, data, NoiseStream(z=np.array([0.5, 0.0]))).u
+        assert u[1] == ndtr(-7.0)
 
 
 class TestLoglik:

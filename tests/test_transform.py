@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
-from dcgof.model import CondLaw, ModelSpec, Series, Theta, simulate
+from dcgof.estimate import loglik
+from dcgof.model import (
+    AssumptionViolationError,
+    CondLaw,
+    ModelSpec,
+    ProbabilityFloorWarning,
+    Series,
+    Theta,
+    simulate,
+)
 from dcgof.rng import substream
+from dcgof.stats import residuals_discrete
 from dcgof.transform import (
     U_CLAMP,
     NoiseStream,
@@ -148,6 +159,49 @@ class TestRandomizedPit:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "u"
         assert np.allclose([float(v) for v in lines[1:]], u.u, atol=0.0)
+
+
+class TestFloorRule:
+    SPEC = ModelSpec(link="probit", n_regressors=1)
+    THETA = Theta(pi0=0.0, beta=(1.0,))
+
+    @classmethod
+    def series_with_bottom_cell_at(cls, pi):
+        """A binary probit series whose fourth period is ``y = 0`` at index
+        ``pi``, so that its realized cell is ``Phi(-pi)``; the other cells
+        are well inside the floor."""
+        return Series(y=np.array([1, 0, 1, 0, 1, 0]),
+                      x=np.array([[0.3], [-0.2], [0.5], [pi], [0.1], [-0.4]]))
+
+    def test_below_hard_floor_raises(self):
+        # Phi(-8) = 6.2e-16 < 1e-12
+        series = self.series_with_bottom_cell_at(8.0)
+        noise = NoiseStream(z=np.full(series.T, 0.5))
+        with pytest.raises(AssumptionViolationError):
+            randomized_pit(self.SPEC, self.THETA, series, noise)
+        with pytest.raises(AssumptionViolationError):
+            residuals_discrete(self.SPEC, self.THETA, series)
+        assert loglik(self.SPEC, self.THETA, series) == -np.inf
+
+    def test_between_floors_warns(self):
+        # 1e-12 < Phi(-6) = 9.9e-10 < 1e-8
+        series = self.series_with_bottom_cell_at(6.0)
+        noise = NoiseStream(z=np.full(series.T, 0.5))
+        with pytest.warns(ProbabilityFloorWarning, match="below 1e-08"):
+            u = randomized_pit(self.SPEC, self.THETA, series, noise).u
+        assert np.all((u > 0.0) & (u < 1.0))
+        with pytest.warns(ProbabilityFloorWarning, match="below 1e-08"):
+            e = residuals_discrete(self.SPEC, self.THETA, series)
+        assert np.all(np.isfinite(e))
+        assert np.isfinite(loglik(self.SPEC, self.THETA, series))
+
+    def test_above_warning_floor_is_silent(self):
+        series = self.series_with_bottom_cell_at(5.0)  # Phi(-5) = 2.9e-7
+        noise = NoiseStream(z=np.full(series.T, 0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            randomized_pit(self.SPEC, self.THETA, series, noise)
+            residuals_discrete(self.SPEC, self.THETA, series)
 
 
 class TestNoiseStream:
