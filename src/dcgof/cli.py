@@ -152,8 +152,13 @@ def _load_input(config: RunConfig) -> tuple[Series, ModelSpec]:
     """The input series and its model: the model file's, or one built from
     the flags.  Outcomes are checked against the resolved model's ``J``."""
     if config.model_file:
-        with open(config.model_file) as fh:
-            spec = ModelSpec.from_json_dict(json.load(fh))
+        try:
+            with open(config.model_file) as fh:
+                spec = ModelSpec.from_json_dict(json.load(fh))
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ParseError(f"cannot read model file {config.model_file}: {exc}") from exc
+        except KeyError as exc:
+            raise ParseError(f"model file {config.model_file} has no {exc} key") from exc
         series = load_series(config.input, spec.support_size)
         if spec.n_regressors != series.n_regressors:
             raise ParseError(

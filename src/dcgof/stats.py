@@ -15,8 +15,11 @@ points; after sorting, the pair sums take O(T log T) time and O(T) memory
 Kolmogorov-Smirnov functionals take the sup of the absolute process, which is
 attained on the finite candidate set of jump points and their one-sided
 limits (a tensor grid in the bivariate case), because the process is
-piecewise bilinear between jumps.  The bivariate sup visits all O(T^2) grid
-points, in blocks of grid rows, with O(T) memory.
+piecewise bilinear between jumps.  The bivariate sup is found by branch and
+bound over tiles of that grid, with O(T) memory: a tile is searched only
+while a bound on the process over it beats the largest exact value found.
+That leaves a small share of the O(T^2) grid points on null-like data, all
+of them in the worst case, and the result equals the full sweep's exactly.
 
 Correlation-based statistics (Box-Pierce on uniform, Gaussian and discrete
 residuals, Jarque-Bera on Gaussian residuals) and the limiting covariance of
@@ -178,8 +181,13 @@ def _process_pairs(u: np.ndarray, kind: StatKind) -> tuple[np.ndarray, np.ndarra
 _TILE = 64
 _EARLIER = np.triu(np.ones((_TILE, _TILE), dtype=bool), 1)  # [i, k]: i < k
 _EARLIER.flags.writeable = False
-# Grid rows per block of the bivariate KS sweep.
-_KS_ROWS = 64
+# Sub-tiles per side of a tile in the bivariate KS search, and the most
+# tiles per side of its top grid: a grid of at most _KS_TOP rows and columns
+# is evaluated densely, as one block.
+_KS_SPLIT = 4
+_KS_TOP = 128
+# Tiles refined per batch of the search, which bounds its memory.
+_KS_BATCH = 1024
 
 
 def _cvm_1d(a: np.ndarray, denom: float) -> float:
@@ -257,33 +265,99 @@ def _ks_2d(a: np.ndarray, b: np.ndarray, denom: float) -> float:
     # Between jump coordinates the process is N - n*r1*r2 with N constant, so
     # its sup over each cell is N - n*r1*r2 at the cell's lower corner or
     # n*r1*r2 - N at its upper corner; corners live on the tensor grid of
-    # observed values, their one-sided limits and the boundary 1.  N is built
-    # a block of grid rows at a time from a running column count.
+    # observed values, their one-sided limits and the boundary 1.
+    #
+    # The grid is searched by branch and bound over square tiles.  N, lo_a and
+    # lo_b, hi_a and hi_b are nondecreasing and float rounding is monotone, so
+    # on rows r0..r1 and columns c0..c1 the low term is at most
+    # N(r1, c1) - n*(lo_a[r0]*lo_b[c0]) and the high term at most
+    # n*(hi_a[r1]*hi_b[c1]) - N(r0-1, c0-1), both computed with the same
+    # expressions as the exact values.  A tile whose bound does not beat the
+    # largest exact value found is dropped; the others split into
+    # _KS_SPLIT x _KS_SPLIT sub-tiles, highest bound first, down to single
+    # cells, so the result is the exact sup.
     n = a.shape[0]
-    ga, gb = np.unique(a), np.unique(b)
-    row = np.searchsorted(ga, a) + 1  # first grid row whose count includes the point
-    col = np.searchsorted(gb, b) + 1
-    order = np.argsort(row)
-    row, col = row[order], col[order]
-    lo_a, hi_a = np.concatenate(([0.0], ga)), np.concatenate((ga, [1.0]))
-    lo_b, hi_b = np.concatenate(([0.0], gb)), np.concatenate((gb, [1.0]))
-    n_rows, n_cols = lo_a.size, lo_b.size
-    starts = range(0, n_rows, _KS_ROWS)
-    cuts = np.searchsorted(row, [*starts, n_rows])
-    run = np.zeros(n_cols, dtype=np.int64)
-    best = 0.0
-    for blk, r0 in enumerate(starts):
-        r1 = min(r0 + _KS_ROWS, n_rows)
-        pts = slice(cuts[blk], cuts[blk + 1])
-        N = np.bincount((row[pts] - r0) * n_cols + col[pts], minlength=(r1 - r0) * n_cols)
-        N = N.reshape(r1 - r0, n_cols)
-        N[0] += run
-        np.cumsum(N, axis=0, out=N)
-        run = N[-1].copy()
-        np.cumsum(N, axis=1, out=N)
-        low = (N - n * np.outer(lo_a[r0:r1], lo_b)).max()
-        high = (n * np.outer(hi_a[r0:r1], hi_b) - N).max()
-        best = max(best, low, high)
+    ga, row = np.unique(a, return_inverse=True)
+    gb, col = np.unique(b, return_inverse=True)
+    row += 1  # first grid row whose count includes the point
+    col += 1
+    # lo_a/lo_b carry one padding entry, read only for empty sub-tiles
+    lo_a, hi_a = np.concatenate(([0.0], ga, [1.0])), np.concatenate((ga, [1.0]))
+    lo_b, hi_b = np.concatenate(([0.0], gb, [1.0])), np.concatenate((gb, [1.0]))
+    n_rows, n_cols = hi_a.size, hi_b.size
+
+    def visit(M, rho, gam, best, split):
+        # M[k, l, t] = N(rho[k, t], gam[l, t]) on the lines of tile t of a
+        # batch.  Raises best to the exact values at the corners with
+        # k, l >= 1; with split, also returns the sub-tiles between the lines
+        # whose bound beats it, highest bound first, as (first row, first
+        # column, N at the corner before the sub-tile, bound).
+        r, c = rho[1:, None], gam[None, 1:]
+        inner = M[1:, 1:]
+        high = n * (hi_a[r] * hi_b[c])
+        best = max(best, (inner - n * (lo_a[r] * lo_b[c])).max(), (high - inner).max())
+        if not split:
+            return best, None
+        low = inner - n * (lo_a[rho[:-1, None] + 1] * lo_b[gam[None, :-1] + 1])
+        bound = np.maximum(low, high - M[:-1, :-1])
+        keep = bound > best
+        keep &= (rho[1:] > rho[:-1])[:, None] & (gam[1:] > gam[:-1])[None, :]  # not empty
+        k, l, t = np.nonzero(keep)
+        order = np.argsort(-bound[k, l, t])
+        k, l, t = k[order], l[order], t[order]
+        return best, (rho[k, t] + 1, gam[l, t] + 1, M[k, l, t], bound[k, l, t])
+
+    # The top grid: lines k*g - 1 of rows and columns (line -1 is empty),
+    # with at most _KS_TOP tiles per side.
+    g = 1
+    while max(n_rows, n_cols) > _KS_TOP * g:
+        g *= _KS_SPLIT
+    kr, kc = -(-n_rows // g) + 1, -(-n_cols // g) + 1
+    M = np.bincount((row // g + 1) * kc + col // g + 1, minlength=kr * kc).reshape(kr, kc)
+    np.cumsum(M, axis=0, out=M)
+    np.cumsum(M, axis=1, out=M)
+    rho = np.minimum(np.arange(kr) * g - 1, n_rows - 1)[:, None]
+    gam = np.minimum(np.arange(kc) * g - 1, n_cols - 1)[:, None]
+    best, tiles = visit(M[:, :, None], rho, gam, 0.0, g > 1)
+    pending = [(g, tiles)] if g > 1 else []
+    strips = {}
+    steps = np.arange(_KS_SPLIT + 1)[:, None]
+    while pending:
+        g, tiles = pending[-1]
+        live = np.count_nonzero(tiles[3] > best)  # tiles are in descending bound order
+        take = min(live, _KS_BATCH)
+        if take < live:
+            pending[-1] = (g, tuple(x[take:live] for x in tiles))
+        else:
+            pending.pop()
+        if take == 0:
+            continue
+        # in row-major order the row-strip queries below come sorted
+        order = np.argsort(tiles[0][:take] * n_cols + tiles[1][:take])
+        r0, c0, anchor = (x[order] for x in tiles[:3])
+        g //= _KS_SPLIT
+        if g not in strips:
+            # points sorted by strip of g rows, then column; and transposed
+            strips[g] = (np.sort(row // g * n_cols + col), np.sort(col // g * n_rows + row))
+        by_row, by_col = strips[g]
+        # M[k, l] = N(r0 - 1 + k*g, c0 - 1 + l*g): the anchor N(r0 - 1, c0 - 1),
+        # the points above the tile in each column strip, and the points of
+        # each row strip left of each column line
+        M = np.empty((_KS_SPLIT + 1, _KS_SPLIT + 1, take), dtype=np.int64)
+        base = (r0 // g + steps[:-1]) * n_cols
+        ends = np.minimum(c0 + steps * g, n_cols)
+        M[1:] = np.searchsorted(by_row, base[:, None] + ends) - np.searchsorted(by_row, base)[:, None]
+        order = np.argsort(c0 * n_rows + r0)  # column-major, for the same reason
+        base = (c0[order] // g + steps[:-1]) * n_rows
+        M[0, 0] = anchor
+        M[0, 1:][:, order] = np.searchsorted(by_col, base + r0[order]) - np.searchsorted(by_col, base)
+        np.cumsum(M[0], axis=0, out=M[0])
+        np.cumsum(M, axis=0, out=M)
+        rho = np.minimum(r0 - 1 + steps * g, n_rows - 1)
+        gam = np.minimum(c0 - 1 + steps * g, n_cols - 1)
+        best, tiles = visit(M, rho, gam, best, g > 1)
+        if g > 1 and tiles[0].size:
+            pending.append((g, tiles))
     return float(best / denom)
 
 
@@ -303,6 +377,9 @@ def ks_stat(u, kind: StatKind) -> StatValue:
         raise ValueError(f"not a KS kind: {kind}")
     u = _check_u(u)
     a, b, denom = _process_pairs(u, kind)
+    # the 2-D search's bounds need the grid coordinates to be monotone
+    if not (u.min() >= 0.0 and u.max() <= 1.0):
+        raise ValueError("KS residuals must lie in [0, 1]")
     value = _ks_1d(a, denom) if b is None else _ks_2d(a, b, denom)
     return StatValue(kind=kind, value=value)
 
@@ -354,12 +431,10 @@ def residuals_discrete(spec: ModelSpec, theta: Theta, series: Series) -> np.ndar
     return (series.y - mean) / np.sqrt(var)
 
 
-def box_pierce(resid, m: int, kind: StatKind | None = None) -> StatValue:
-    """Box-Pierce statistic ``T * sum_{j=1}^{m} acf(j)^2`` on mean-centered residuals."""
+def _acf2_sums(resid, m: int) -> tuple[int, list[float]]:
+    """Length ``T`` and the running sums ``sum_{j<=k} acf(j)^2``, k = 1..m,
+    of the mean-centered residuals."""
     x = np.asarray(resid, dtype=float)
-    m = int(m)
-    if m < 1:
-        raise ValueError("m must be >= 1")
     T = x.shape[0]
     if T <= m + 1:
         raise ValueError(f"need T > m + 1 = {m + 1}, got {T}")
@@ -367,13 +442,24 @@ def box_pierce(resid, m: int, kind: StatKind | None = None) -> StatValue:
     denom = float(xc @ xc)
     if denom <= 0.0:
         raise ValueError("residual series has zero variance")
+    sums = []
     acf2 = 0.0
     for j in range(1, m + 1):
         rho = float(xc[j:] @ xc[:-j]) / denom
         acf2 += rho * rho
+        sums.append(acf2)
+    return T, sums
+
+
+def box_pierce(resid, m: int, kind: StatKind | None = None) -> StatValue:
+    """Box-Pierce statistic ``T * sum_{j=1}^{m} acf(j)^2`` on mean-centered residuals."""
+    m = int(m)
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    T, sums = _acf2_sums(resid, m)
     if kind is None:
         kind = StatKind(tag="BPU_m", m=m)
-    return StatValue(kind=kind, value=T * acf2)
+    return StatValue(kind=kind, value=T * sums[-1])
 
 
 def jarque_bera(values) -> StatValue:
@@ -422,19 +508,34 @@ def evaluate_statistics(
             gauss = residuals_gaussian(u)
         return gauss
 
+    # One autocorrelation pass per residual series, up to its largest lag
+    lags: dict[str, int] = {}
+    for kind in kinds:
+        if kind.tag in ("BPU_m", "BPN_m", "BPD_m"):
+            lags[kind.tag] = max(lags.get(kind.tag, 0), kind.m)
+    acf2: dict[str, tuple[int, list[float]]] = {}
+
+    def box_pierce_of(kind: StatKind) -> float:
+        if kind.tag not in acf2:
+            if kind.tag == "BPU_m":
+                x = u
+            elif kind.tag == "BPN_m":
+                x = gaussian()
+            elif e is None:
+                raise ValueError("discrete residuals required for BPD statistics")
+            else:
+                x = e
+            acf2[kind.tag] = _acf2_sums(x, lags[kind.tag])
+        T, sums = acf2[kind.tag]
+        return StatValue(kind=kind, value=T * sums[kind.m - 1]).value
+
     for kind in kinds:
         if kind.tag in ("CvM_p", "CvM_2j"):
             out[kind.name] = cvm_stat(u, kind).value
         elif kind.tag in ("KS_p", "KS_2j"):
             out[kind.name] = ks_stat(u, kind).value
-        elif kind.tag == "BPU_m":
-            out[kind.name] = box_pierce(u, kind.m, kind).value
-        elif kind.tag == "BPN_m":
-            out[kind.name] = box_pierce(gaussian(), kind.m, kind).value
-        elif kind.tag == "BPD_m":
-            if e is None:
-                raise ValueError("discrete residuals required for BPD statistics")
-            out[kind.name] = box_pierce(e, kind.m, kind).value
+        elif kind.tag in ("BPU_m", "BPN_m", "BPD_m"):
+            out[kind.name] = box_pierce_of(kind)
         elif kind.tag == "JB":
             out[kind.name] = jarque_bera(gaussian()).value
         elif kind.tag == "ADP":

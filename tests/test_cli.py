@@ -143,6 +143,18 @@ class TestCmdFit:
                      "--out", str(out)])
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("command", ["fit", "test"])
+    @pytest.mark.parametrize("content", [None, '{"q": 1}'])
+    def test_unreadable_model_file_is_parse_error(self, tmp_path, command, content):
+        # a missing file, or one without a "link" key
+        data_path = tmp_path / "data.csv"
+        write_series_csv(data_path, seed=3)
+        model_path = tmp_path / "model.json"
+        if content is not None:
+            model_path.write_text(content)
+        code = main([command, "--input", str(data_path), "--model-file", str(model_path),
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_PARSE
 
     def test_model_file_sets_the_outcome_bound(self, tmp_path):
         # an ordered J = 2 model file accepts y = 2 without --J 2

@@ -25,7 +25,7 @@ from dcgof.stats import (
     residuals_gaussian,
     v2_limit_cov,
 )
-from dcgof.stats import _cvm_1d, _cvm_2d, _ks_2d
+from dcgof.stats import _cvm_1d, _cvm_2d, _ks_2d, _process_pairs
 
 U3 = np.array([0.25, 0.5, 0.75])
 
@@ -100,13 +100,45 @@ def ks_2d_dense(a, b, denom):
     return float(best / denom)
 
 
+def ks_2d_sweep(a, b, denom):
+    """Bivariate KS sup over the whole grid, swept in blocks of 64 grid rows
+    with O(T) memory, with the expressions of ``_ks_2d``'s exact values."""
+    rows = 64
+    n = a.shape[0]
+    ga, gb = np.unique(a), np.unique(b)
+    row = np.searchsorted(ga, a) + 1  # first grid row whose count includes the point
+    col = np.searchsorted(gb, b) + 1
+    order = np.argsort(row)
+    row, col = row[order], col[order]
+    lo_a, hi_a = np.concatenate(([0.0], ga)), np.concatenate((ga, [1.0]))
+    lo_b, hi_b = np.concatenate(([0.0], gb)), np.concatenate((gb, [1.0]))
+    n_rows, n_cols = lo_a.size, lo_b.size
+    starts = range(0, n_rows, rows)
+    cuts = np.searchsorted(row, [*starts, n_rows])
+    run = np.zeros(n_cols, dtype=np.int64)
+    best = 0.0
+    for blk, r0 in enumerate(starts):
+        r1 = min(r0 + rows, n_rows)
+        pts = slice(cuts[blk], cuts[blk + 1])
+        N = np.bincount((row[pts] - r0) * n_cols + col[pts], minlength=(r1 - r0) * n_cols)
+        N = N.reshape(r1 - r0, n_cols)
+        N[0] += run
+        np.cumsum(N, axis=0, out=N)
+        run = N[-1].copy()
+        np.cumsum(N, axis=1, out=N)
+        low = (N - n * np.outer(lo_a[r0:r1], lo_b)).max()
+        high = (n * np.outer(hi_a[r0:r1], hi_b) - N).max()
+        best = max(best, low, high)
+    return float(best / denom)
+
+
 @st.composite
-def residual_series(draw, max_T=200):
+def residual_series(draw, min_T=4, max_T=200):
     """PIT-like residuals with ties (rounding) and clamped extremes."""
-    T = draw(st.integers(4, max_T))
+    T = draw(st.integers(min_T, max_T))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     u = rng.random(T)
-    decimals = draw(st.sampled_from([None, 1, 2]))
+    decimals = draw(st.sampled_from([None, 1, 2, 3]))
     if decimals is not None:
         u = np.round(u, decimals)
     hit = rng.random(T) < draw(st.sampled_from([0.0, 0.1, 0.3]))
@@ -250,6 +282,14 @@ class TestKs:
             ksj = ks_stat(u, StatKind.from_name(f"KS{j}")).value
             assert abs(v_process_2j(u, j, r1, r2)) <= ksj + 1e-12
 
+    @pytest.mark.parametrize("name", ["KS0", "KS1", "KSp2"])
+    def test_residuals_outside_unit_interval_rejected(self, name):
+        for bad in (-0.1, 1.5, np.nan):
+            u = substream(18, "ks-range").random(20)
+            u[7] = bad
+            with pytest.raises(ValueError):
+                ks_stat(u, StatKind.from_name(name))
+
     def test_hand_value(self):
         # V jumps to 1 at r=0.5: sup is 1
         assert ks_stat(U3, StatKind.from_name("KS0")).value == pytest.approx(1.0, abs=1e-14)
@@ -278,7 +318,7 @@ class TestKs:
 
 
 class TestKernels:
-    """The O(T log T) CvM and O(T)-memory KS kernels against the oracles."""
+    """The O(T log T) CvM and the O(T)-memory KS search against the oracles."""
 
     @given(residual_series(), st.integers(1, 3))
     @settings(max_examples=80, deadline=None)
@@ -289,6 +329,49 @@ class TestKernels:
         T = u.shape[0]
         a, b, denom = u[1 : T - 1], u[: T - 2], math.sqrt(T - 3)
         assert _ks_2d(a, b, denom) == ks_2d_dense(a, b, denom)
+
+    @given(residual_series(min_T=2100, max_T=3000), st.integers(1, 3))
+    @settings(max_examples=10, deadline=None)
+    def test_ks_2d_equals_row_sweep_across_all_levels(self, u, j):
+        # with more than 2048 grid rows the search refines tiles of 64, 16
+        # and 4 grid lines before the single cells; ties can shrink the grid
+        assert _ks_2d(*lag_pairs(u, j)) == ks_2d_sweep(*lag_pairs(u, j))
+        T = u.shape[0]
+        a, b, denom = u[1 : T - 1], u[: T - 2], math.sqrt(T - 3)
+        assert _ks_2d(a, b, denom) == ks_2d_sweep(a, b, denom)
+
+    @pytest.mark.parametrize("T", [2000, 5000])
+    @pytest.mark.parametrize("data", ["null", "lag-1 dependence", "ties"])
+    def test_ks_2d_equals_row_sweep_at_large_t(self, T, data):
+        rng = substream(19, "ks-large", T)
+        if data == "lag-1 dependence":
+            # Gaussian AR(1) with coefficient 0.9 through the normal cdf
+            z = np.empty(T)
+            z[0] = rng.standard_normal()
+            e = rng.standard_normal(T) * math.sqrt(1.0 - 0.81)
+            for t in range(1, T):
+                z[t] = 0.9 * z[t - 1] + e[t]
+            u = ndtr(z)
+        else:
+            u = rng.random(T)
+            if data == "ties":
+                u = np.clip(np.round(u, 2), U_CLAMP, 1.0 - U_CLAMP)
+        for name in ("KS1", "KS2", "KSp2"):
+            a, b, denom = _process_pairs(u, StatKind.from_name(name))
+            assert _ks_2d(a, b, denom) == ks_2d_sweep(a, b, denom)
+
+    def test_ks_2d_scales_to_criterion_5_length(self):
+        u = substream(17, "ks-1e5").random(100_000)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            assert ks_stat(u, StatKind.from_name("KS1")).value > 0.0
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 5.0
+        assert peak < 64e6
 
     @given(residual_series(max_T=400), st.integers(1, 3))
     @settings(max_examples=60, deadline=None)
@@ -491,6 +574,17 @@ class TestEvaluateStatistics:
         out = evaluate_statistics(kinds, u, e)
         assert set(out) == {k.name for k in kinds}
         assert all(v >= 0.0 and math.isfinite(v) for v in out.values())
+
+    def test_box_pierce_values_equal_single_calls(self):
+        # one autocorrelation pass per series serves every requested lag
+        u = substream(20, "ev5").random(120)
+        e = substream(21, "ev6").standard_normal(120)
+        names = ("BPU_1", "BPU_25", "BPU_2", "BPN_1", "BPN_2", "BPN_25", "BPD_25", "BPD_1", "BPD_2")
+        out = evaluate_statistics([StatKind.from_name(n) for n in names], u, e)
+        series = {"BPU": u, "BPN": residuals_gaussian(u), "BPD": e}
+        for name in names:
+            tag, m = name.split("_")
+            assert out[name] == box_pierce(series[tag], int(m)).value
 
     def test_adj_equals_manual_aggregate(self):
         u = substream(13, "ev4").random(80)
