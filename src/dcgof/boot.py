@@ -117,16 +117,15 @@ def simulate_null(
     Lagged outcomes in the information set are the simulated ones; presample
     initialization is identical to :func:`dcgof.model.simulate`.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
-    return simulate(spec, theta_hat, x.shape[0], x=x, rng=rng)
+    return simulate(spec, theta_hat, len(x), x=x, rng=rng)
 
 
-def pvalue(observed: float, replicates: np.ndarray) -> float:
-    """Exact-test convention ``(1 + #{D*_b >= D}) / (B + 1)``."""
-    replicates = np.asarray(replicates, dtype=float)
-    return (1.0 + float(np.sum(replicates >= observed))) / (replicates.shape[0] + 1.0)
+def pvalue(observed, replicates: np.ndarray):
+    """Exact-test convention ``(1 + #{D*_b >= D}) / (B + 1)`` at each observed
+    value ``D``: a float for a scalar ``observed``, else an array."""
+    pooled = np.sort(np.asarray(replicates, dtype=float))
+    count_ge = pooled.shape[0] - np.searchsorted(pooled, observed, side="left")
+    return (1.0 + count_ge) / (pooled.shape[0] + 1.0)
 
 
 def _needs_discrete(kinds) -> bool:
@@ -390,12 +389,8 @@ def run_scenario(
 
     rates = np.zeros((len(levels), len(stat_names)))
     for j, name in enumerate(stat_names):
-        observed = np.array([obs[name] for obs, _ in kept])
-        pooled = np.sort(np.array([star[name] for _, star in kept]))
-        n_pool = pooled.shape[0]
-        # p_r = (1 + #{pooled >= D_r}) / (n_pool + 1)
-        count_ge = n_pool - np.searchsorted(pooled, observed, side="left")
-        pvals = (1.0 + count_ge) / (n_pool + 1.0)
+        pvals = pvalue(np.array([obs[name] for obs, _ in kept]),
+                       [star[name] for _, star in kept])
         for i, level in enumerate(levels):
             rates[i, j] = 100.0 * float(np.mean(pvals <= level))
     return RejectionTable(

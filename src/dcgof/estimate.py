@@ -22,6 +22,13 @@ refits each simulated series from the parameter it was simulated from, which
 is close to that series' estimate.  Without ``init`` it starts cold, from zero
 slopes and ordered thresholds at the normal quantiles of the category
 frequencies.
+
+Public functions check the series and the parameter; underscore kernels
+(``_loglik_pass``, the Newton loop) take checked arrays.  The line search
+has one trial rule instead: a step that is not finite, whose thresholds are
+not strictly increasing, or that is not stationary scores ``-inf`` and is
+rejected, so a fit that fails this way raises a ``NonConvergenceError`` (a
+failed bootstrap replicate), not a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -34,15 +41,15 @@ import numpy as np
 from scipy import special
 
 from .model import (
+    _LINKS,
     PROB_FLOOR_HARD,
     ModelSpec,
     Series,
     Theta,
-    link_pdf,
     _cells,
     _index_ar_stationary,
     _index_kernel,
-    _link_pdf_slope,
+    _thresholds,
 )
 
 __all__ = [
@@ -132,10 +139,11 @@ def _window_start(spec: ModelSpec) -> int:
 
 
 def _loglik_pass(
-    spec: ModelSpec, theta: Theta, series: Series, order: int
+    spec: ModelSpec, vec: np.ndarray, series: Series, order: int
 ) -> tuple[float, np.ndarray | None, np.ndarray | None]:
-    """One pass over the index kernel and the realized cells, which come from
-    :func:`dcgof.model._cells` like those of the PIT and the laws.
+    """One pass at the natural vector ``vec`` over the index kernel and the
+    realized cells, which come from :func:`dcgof.model._cells` like those of
+    the PIT and the laws.
 
     Returns ``(ll, S, H)``: the log likelihood (``-inf`` when a realized
     cell probability is below ``PROB_FLOOR_HARD``); for ``order >= 1`` the
@@ -150,20 +158,21 @@ def _loglik_pass(
     index.  In the binary case ``U = V = G``.
     """
     i0 = _window_start(spec)
-    kernel = _index_kernel(spec, theta, series, curvature=order == 2)
+    kernel = _index_kernel(spec, vec, series, curvature=order == 2)
     pi, G, y = kernel[0][i0:], kernel[1][i0:], series.y[i0:]
-    p, _, lo, hi = _cells(spec, theta, pi, y)
+    p, _, lo, hi = _cells(spec, _thresholds(vec[spec.n_index :]), pi, y)
     ll = -np.inf if p.min() < PROB_FLOOR_HARD else float(np.sum(np.log(p)))
     if order == 0:
         return ll, None, None
+    link = _LINKS[spec.link]
     p = np.maximum(p, PROB_FLOOR_HARD)
     has_lo, has_hi = y > 0, y < spec.support_size
-    f_lo = np.where(has_lo, link_pdf(spec.link, lo), 0.0)
-    f_hi = np.where(has_hi, link_pdf(spec.link, hi), 0.0)
+    f_lo = np.where(has_lo, link.pdf(lo), 0.0)
+    f_hi = np.where(has_hi, link.pdf(hi), 0.0)
     dlp_dpi = (f_lo - f_hi) / p
     n = y.shape[0]
     L = spec.n_params
-    n_idx = G.shape[1]
+    n_idx = spec.n_index
     S = np.zeros((n, L))
     S[:, :n_idx] = dlp_dpi[:, None] * G
     if spec.ordered:
@@ -180,14 +189,14 @@ def _loglik_pass(
         V = U.copy()
         U[rows[has_hi], n_idx + y[has_hi]] = -1.0
         V[rows[has_lo], n_idx + y[has_lo] - 1] = -1.0
-    w_hi = _link_pdf_slope(spec.link, hi, f_hi) / p
-    w_lo = _link_pdf_slope(spec.link, lo, f_lo) / p
+    w_hi = link.pdf_slope(hi, f_hi) / p
+    w_lo = link.pdf_slope(lo, f_lo) / p
     H = U.T @ (w_hi[:, None] * U) - V.T @ (w_lo[:, None] * V) - S.T @ S
     M = kernel[2]
     if M is not None:
         # d^2 pi_t is nonzero only in the alpha rows and columns
         A = np.tensordot(dlp_dpi, M[i0:], axes=1)
-        ac = slice(1 + spec.q, 1 + spec.q + spec.p_ar)
+        ac = spec.alpha_slice
         H[ac, :n_idx] += A
         H[:n_idx, ac] += A.T
         H[ac, ac] -= A[:, ac]
@@ -197,19 +206,18 @@ def _loglik_pass(
 def loglik(spec: ModelSpec, theta: Theta, series: Series) -> float:
     """Conditional log likelihood over observations with complete lag windows.
 
-    Returns ``-inf`` when any realized cell probability is below
-    ``PROB_FLOOR_HARD``, so that the line search rejects the step.
+    Returns ``-inf`` when a realized cell probability is below ``PROB_FLOOR_HARD``.
     """
     theta.validate(spec)
     series.validate(spec)
-    return _loglik_pass(spec, theta, series, 0)[0]
+    return _loglik_pass(spec, theta.to_vector(), series, 0)[0]
 
 
 def score_contributions(spec: ModelSpec, theta: Theta, series: Series) -> np.ndarray:
     """Per-observation score vectors in natural coordinates, shape (n, L)."""
     theta.validate(spec)
     series.validate(spec)
-    return _loglik_pass(spec, theta, series, 1)[1]
+    return _loglik_pass(spec, theta.to_vector(), series, 1)[1]
 
 
 def score(spec: ModelSpec, theta: Theta, series: Series) -> np.ndarray:
@@ -220,7 +228,7 @@ def score(spec: ModelSpec, theta: Theta, series: Series) -> np.ndarray:
 # --- working parameterization -------------------------------------------------
 
 class _WorkingMap:
-    """Maps between natural ``Theta`` and the unconstrained working vector.
+    """Maps natural parameter vectors to unconstrained working vectors and back.
 
     Binary models use the natural coordinates directly.  Ordered models drop
     the (fixed) intercept and represent thresholds as the first threshold
@@ -229,33 +237,24 @@ class _WorkingMap:
 
     def __init__(self, spec: ModelSpec):
         self.spec = spec
-        k = spec.n_regressors
-        self.n_index = 1 + spec.q + spec.p_ar + k + (k if spec.interactions else 0)
-        if spec.ordered:
-            self.n_free = (self.n_index - 1) + spec.support_size
-        else:
-            self.n_free = self.n_index
+        self.n_free = spec.n_params - 1 if spec.ordered else spec.n_params
 
-    def to_working(self, theta: Theta) -> np.ndarray:
-        vec = theta.to_vector()
+    def to_working(self, vec: np.ndarray) -> np.ndarray:
+        """Working vector of a natural vector with strictly increasing thresholds."""
         if not self.spec.ordered:
             return vec.copy()
-        idx = vec[1 : self.n_index]
-        mu = np.asarray(theta.mu)
-        gaps = np.diff(mu)
-        if np.any(gaps <= 0):
-            raise ValueError("thresholds must be strictly increasing")
-        work_mu = np.concatenate(([mu[0]], np.log(gaps))) if mu.size > 1 else mu.copy()
-        return np.concatenate((idx, work_mu))
+        mu = vec[self.spec.n_index :]
+        return np.concatenate((vec[1 : self.spec.n_index], mu[:1], np.log(np.diff(mu))))
+
+    def to_natural(self, w: np.ndarray) -> np.ndarray:
+        if not self.spec.ordered:
+            return w
+        wm = w[self.spec.n_index - 1 :]
+        mu = np.concatenate(([wm[0]], wm[0] + np.cumsum(np.exp(wm[1:]))))
+        return np.concatenate(([0.0], w[: self.spec.n_index - 1], mu))
 
     def to_theta(self, w: np.ndarray) -> Theta:
-        spec = self.spec
-        if not spec.ordered:
-            return Theta.from_vector(spec, w)
-        idx = w[: self.n_index - 1]
-        wm = w[self.n_index - 1 :]
-        mu = np.concatenate(([wm[0]], wm[0] + np.cumsum(np.exp(wm[1:])))) if wm.size > 1 else wm.copy()
-        return Theta.from_vector(spec, np.concatenate(([0.0], idx, mu)))
+        return Theta.from_vector(self.spec, self.to_natural(w))
 
     def derivatives_to_working(
         self, w: np.ndarray, g_nat: np.ndarray, H_nat: np.ndarray
@@ -278,11 +277,20 @@ class _WorkingMap:
         return g, H
 
 
-def _default_init(spec: ModelSpec, series: Series) -> Theta:
-    """All parameters zero; ordered thresholds at normal quantiles of the
-    empirical category frequencies."""
+def _default_init(spec: ModelSpec, series: Series) -> np.ndarray:
+    """The cold start, a natural vector: all parameters zero, ordered
+    thresholds at normal quantiles of the empirical category frequencies."""
+    if spec.p_ar:
+        # From the all-zero start the index path is flat, so the score in
+        # alpha vanishes and the first Newton steps can head for a spurious
+        # mode near alpha = -1.  Start from the fit without index
+        # autoregression instead.
+        base = replace(spec, p_ar=0)
+        vec = _newton(base, series, _default_init(base, series)).theta_hat.to_vector()
+        return np.insert(vec, spec.alpha_slice.start, np.zeros(spec.p_ar))
+    vec = np.zeros(spec.n_params)
     if not spec.ordered:
-        return Theta.from_vector(spec, np.zeros(spec.n_params))
+        return vec
     i0 = _window_start(spec)
     y = series.y[i0:]
     n = y.shape[0]
@@ -295,9 +303,8 @@ def _default_init(spec: ModelSpec, series: Series) -> Theta:
     for j in range(1, J):
         if mu[j] <= mu[j - 1]:
             mu[j] = mu[j - 1] + 1e-3
-    vec = np.zeros(spec.n_params)
     vec[-J:] = mu
-    return Theta.from_vector(spec, vec)
+    return vec
 
 
 def _check_category_counts(spec: ModelSpec, series: Series) -> None:
@@ -338,34 +345,32 @@ def fit_mle(
             f"need T > {spec.n_params + max_lag} observations to fit {spec.n_params} parameters"
         )
     _check_category_counts(spec, series)
+    if init is None:
+        return _newton(spec, series, _default_init(spec, series))
+    init.validate(spec)
+    return _newton(spec, series, init.to_vector())
 
-    if init is None and spec.p_ar:
-        # From the all-zero start the index path is flat, so the score in
-        # alpha vanishes and the first Newton steps can head for a spurious
-        # mode near alpha = -1.  Start from the fit without index
-        # autoregression instead.
-        base = fit_mle(replace(spec, p_ar=0), series).theta_hat
-        init = replace(base, alpha=(0.0,) * spec.p_ar)
+
+def _newton(spec: ModelSpec, series: Series, vec: np.ndarray) -> FitResult:
+    """Newton loop of :func:`fit_mle` from the natural vector ``vec`` on a checked series."""
     wmap = _WorkingMap(spec)
-    theta = init if init is not None else _default_init(spec, series)
-    theta.validate(spec)
-    w = wmap.to_working(theta)
+    w = wmap.to_working(vec)
 
     def ll_of(w_vec: np.ndarray) -> float:
-        # a trial step outside the stationarity region is rejected like a
-        # degenerate likelihood
-        th = wmap.to_theta(w_vec)
-        if not _index_ar_stationary(th.alpha):
+        # the trial rule: see the module docstring
+        nat = wmap.to_natural(w_vec)
+        if not (np.all(np.isfinite(nat)) and np.all(np.diff(nat[spec.n_index :]) > 0.0)
+                and _index_ar_stationary(nat[spec.alpha_slice])):
             return -np.inf
-        return loglik(spec, th, series)
+        return _loglik_pass(spec, nat, series, 0)[0]
 
     def derivatives_of(w_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        _, S, H = _loglik_pass(spec, wmap.to_theta(w_vec), series, 2)
+        _, S, H = _loglik_pass(spec, wmap.to_natural(w_vec), series, 2)
         return (*wmap.derivatives_to_working(w_vec, S.sum(axis=0), H), S)
 
     ll = ll_of(w)
     if not np.isfinite(ll):
-        raise NonConvergenceError("initial point has degenerate likelihood", theta)
+        raise NonConvergenceError("initial point has degenerate likelihood", wmap.to_theta(w))
     trace = [ll]
     g, H, S = derivatives_of(w)
     iterations = 0
@@ -406,16 +411,14 @@ def fit_mle(
             if np.max(np.abs(g_new)) >= np.max(np.abs(g)):
                 break
             w, ll, g, H, S = w_new, ll_new, g_new, H_new, S_new
-        theta = wmap.to_theta(w)
-        if spec.ordered and spec.support_size > 1:
-            c = w[wmap.n_index - 1 :][1:]
-            if np.any(c < math.log(TOL_MU)):
-                raise ThresholdCollapseError(f"threshold gap fell below {TOL_MU:g}", theta)
+        # the log gaps of ordered thresholds; empty in the binary case
+        if np.any(w[spec.n_index :] < math.log(TOL_MU)):
+            raise ThresholdCollapseError(f"threshold gap fell below {TOL_MU:g}", wmap.to_theta(w))
         if np.max(np.abs(w)) > THETA_CAP:
             raise SeparationError(
                 f"parameter norm exceeded cap {THETA_CAP:g}: perfect separation "
                 "or divergence",
-                theta,
+                wmap.to_theta(w),
             )
         converged = bool(np.max(np.abs(g)) <= TOL_GRAD)
 

@@ -20,6 +20,12 @@ used by the Monte Carlo study).  Cell probabilities are evaluated in one
 place, ``_cells``, for the likelihood, the randomized PIT and the laws alike,
 and one floor rule, ``_check_floor``, raises below ``PROB_FLOOR_HARD`` and
 warns below ``PROB_FLOOR_WARN``.
+
+Inputs are checked once, at the boundary: public functions check their
+arguments (``Theta.validate``, ``Series``, the link functions' finite
+argument), and underscore kernels take checked arrays (the natural parameter
+vector, the thresholds) and check nothing.  Links are evaluated through one
+table of unchecked array functions, ``_LINKS``, behind the link functions too.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import special
@@ -89,11 +96,61 @@ def _as_link(link: LinkKind | str) -> LinkKind:
     return LinkKind(link)
 
 
-def _check_finite(x: np.ndarray | float, what: str) -> np.ndarray:
+def _chisq1_half(x: np.ndarray) -> np.ndarray:
+    """``max(v, 0) / 2`` with ``v = sqrt(2) x + 1``: 0 left of the support,
+    where ``gammainc(1/2, 0) = 0`` and ``gammaincc(1/2, 0) = 1`` exactly."""
+    return np.maximum(_SQRT2 * x + 1.0, 0.0) / 2.0
+
+
+def _chisq1_pdf(x: np.ndarray) -> np.ndarray:
+    v = _SQRT2 * x + 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dens = _SQRT2 * np.exp(-np.maximum(v, 1e-300) / 2.0) / np.sqrt(
+            2.0 * math.pi * np.maximum(v, 1e-300)
+        )
+    return np.where(v > 0.0, dens, 0.0)
+
+
+def _chisq1_pdf_slope(x: np.ndarray, pdf: np.ndarray) -> np.ndarray:
+    v = _SQRT2 * x + 1.0
+    inside = v > 0.0
+    return np.where(inside, -pdf * (1.0 + 1.0 / np.where(inside, v, 1.0)) / _SQRT2, 0.0)
+
+
+class _Link(NamedTuple):
+    """Unchecked array functions of one latent error law; ``pdf_slope(x, f)``
+    is the derivative of the density at ``x`` given ``f = pdf(x)``."""
+
+    cdf: Callable
+    tail: Callable
+    pdf: Callable
+    pdf_slope: Callable
+
+
+_LINKS = {
+    LinkKind.PROBIT: _Link(
+        special.ndtr, lambda x: special.ndtr(-x),
+        lambda x: np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi), lambda x, f: -x * f,
+    ),
+    LinkKind.LOGISTIC: _Link(
+        special.expit, lambda x: special.expit(-x),
+        lambda x: special.expit(x) * special.expit(-x), lambda x, f: f * np.tanh(-0.5 * x),
+    ),
+    LinkKind.CHISQ1: _Link(
+        lambda x: special.gammainc(0.5, _chisq1_half(x)),
+        lambda x: special.gammaincc(0.5, _chisq1_half(x)), _chisq1_pdf, _chisq1_pdf_slope,
+    ),
+}
+
+
+def _check_finite(fn: str, link: LinkKind | str, x):
+    """The one check behind the public link functions: ``fn`` of the link
+    table at ``x``, which must be finite; a float for a scalar ``x``."""
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} must be finite")
-    return arr
+        raise ValueError(f"link_{fn} argument must be finite")
+    out = getattr(_LINKS[_as_link(link)], fn)(arr)
+    return out if isinstance(out, np.ndarray) and np.ndim(x) else float(out)
 
 
 def link_cdf(link: LinkKind | str, x):
@@ -112,16 +169,7 @@ def link_cdf(link: LinkKind | str, x):
         ``P(eps <= x)``.  For ``chisq1`` this is
         ``P(chi2_1 <= sqrt(2) x + 1)``, zero whenever ``sqrt(2) x + 1 <= 0``.
     """
-    link = _as_link(link)
-    arr = _check_finite(x, "link_cdf argument")
-    if link is LinkKind.PROBIT:
-        out = special.ndtr(arr)
-    elif link is LinkKind.LOGISTIC:
-        out = special.expit(arr)
-    else:
-        v = _SQRT2 * arr + 1.0
-        out = np.where(v > 0.0, special.gammainc(0.5, np.maximum(v, 0.0) / 2.0), 0.0)
-    return out if isinstance(out, np.ndarray) and np.ndim(x) else float(out)
+    return _check_finite("cdf", link, x)
 
 
 def link_tail(link: LinkKind | str, x):
@@ -131,51 +179,12 @@ def link_tail(link: LinkKind | str, x):
     is what makes the binary case identity ``P(Y=1) = F(pi)`` hold to the last
     bit.
     """
-    link = _as_link(link)
-    arr = _check_finite(x, "link_tail argument")
-    if link is LinkKind.PROBIT:
-        out = special.ndtr(-arr)
-    elif link is LinkKind.LOGISTIC:
-        out = special.expit(-arr)
-    else:
-        v = _SQRT2 * arr + 1.0
-        out = np.where(v > 0.0, special.gammaincc(0.5, np.maximum(v, 0.0) / 2.0), 1.0)
-    return out if isinstance(out, np.ndarray) and np.ndim(x) else float(out)
+    return _check_finite("tail", link, x)
 
 
 def link_pdf(link: LinkKind | str, x):
     """Density of the latent error at ``x``."""
-    link = _as_link(link)
-    arr = _check_finite(x, "link_pdf argument")
-    if link is LinkKind.PROBIT:
-        out = np.exp(-0.5 * arr * arr) / math.sqrt(2.0 * math.pi)
-    elif link is LinkKind.LOGISTIC:
-        p = special.expit(arr)
-        out = p * special.expit(-arr)
-    else:
-        v = _SQRT2 * arr + 1.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dens = _SQRT2 * np.exp(-np.maximum(v, 1e-300) / 2.0) / np.sqrt(
-                2.0 * math.pi * np.maximum(v, 1e-300)
-            )
-        out = np.where(v > 0.0, dens, 0.0)
-    return out if isinstance(out, np.ndarray) and np.ndim(x) else float(out)
-
-
-def _link_pdf_slope(link: LinkKind, x: np.ndarray, pdf: np.ndarray) -> np.ndarray:
-    """Derivative of the latent density at ``x``, given ``pdf = link_pdf(link, x)``.
-
-    Probit ``-x f``, logistic ``f tanh(-x/2)``, and for ``chisq1``
-    ``-f (1 + 1/v) / sqrt(2)`` with ``v = sqrt(2) x + 1`` (zero where
-    ``v <= 0``, outside the support).  Inputs are not validated.
-    """
-    if link is LinkKind.PROBIT:
-        return -x * pdf
-    if link is LinkKind.LOGISTIC:
-        return pdf * np.tanh(-0.5 * x)
-    v = _SQRT2 * x + 1.0
-    inside = v > 0.0
-    return np.where(inside, -pdf * (1.0 + 1.0 / np.where(inside, v, 1.0)) / _SQRT2, 0.0)
+    return _check_finite("pdf", link, x)
 
 
 @dataclass(frozen=True)
@@ -227,10 +236,20 @@ class ModelSpec:
         return self.support_size if self.ordered else 0
 
     @property
+    def n_index(self) -> int:
+        """Number of index coefficients ``(pi0, delta, alpha, beta, gamma)``."""
+        k = self.n_regressors
+        return 1 + self.q + self.p_ar + k + (k if self.interactions else 0)
+
+    @property
+    def alpha_slice(self) -> slice:
+        """Position of ``alpha`` in the natural parameter vector."""
+        return slice(1 + self.q, 1 + self.q + self.p_ar)
+
+    @property
     def n_params(self) -> int:
         """Length of the natural parameter vector, intercept included."""
-        k = self.n_regressors
-        return 1 + self.q + self.p_ar + k + (k if self.interactions else 0) + self.n_thresholds
+        return self.n_index + self.n_thresholds
 
     @property
     def max_lag(self) -> int:
@@ -291,17 +310,12 @@ class Theta:
     def validate(self, spec: ModelSpec) -> None:
         """Raise ``ValueError`` if the vector is inconsistent with ``spec``."""
         k = spec.n_regressors
-        if len(self.delta) != spec.q:
-            raise ValueError(f"delta has length {len(self.delta)}, expected q={spec.q}")
-        if len(self.alpha) != spec.p_ar:
-            raise ValueError(f"alpha has length {len(self.alpha)}, expected p_ar={spec.p_ar}")
-        if len(self.beta) != k:
-            raise ValueError(f"beta has length {len(self.beta)}, expected {k}")
-        expected_gamma = k if spec.interactions else 0
-        if len(self.gamma) != expected_gamma:
-            raise ValueError(f"gamma has length {len(self.gamma)}, expected {expected_gamma}")
-        if len(self.mu) != spec.n_thresholds:
-            raise ValueError(f"mu has length {len(self.mu)}, expected {spec.n_thresholds}")
+        for name, n in (("delta", spec.q), ("alpha", spec.p_ar), ("beta", k),
+                        ("gamma", k if spec.interactions else 0), ("mu", spec.n_thresholds)):
+            if len(getattr(self, name)) != n:
+                raise ValueError(f"{name} has length {len(getattr(self, name))}, expected {n}")
+        if not np.all(np.isfinite(self.to_vector())):
+            raise ValueError("parameters must be finite")
         if spec.ordered and self.pi0 != 0.0:
             raise ValueError("ordered models fix the intercept at zero")
         if len(self.mu) >= 2 and not all(a < b for a, b in zip(self.mu, self.mu[1:])):
@@ -320,20 +334,10 @@ class Theta:
         vec = np.asarray(vec, dtype=float)
         if vec.shape != (spec.n_params,):
             raise ValueError(f"expected vector of length {spec.n_params}, got {vec.shape}")
-        k = spec.n_regressors
-        pos = 1
-        delta = vec[pos : pos + spec.q]
-        pos += spec.q
-        alpha = vec[pos : pos + spec.p_ar]
-        pos += spec.p_ar
-        beta = vec[pos : pos + k]
-        pos += k
-        ngam = k if spec.interactions else 0
-        gamma = vec[pos : pos + ngam]
-        pos += ngam
-        mu = vec[pos:]
-        return cls(pi0=vec[0], delta=tuple(delta), alpha=tuple(alpha), beta=tuple(beta),
-                   gamma=tuple(gamma), mu=tuple(mu))
+        ac, k = spec.alpha_slice, spec.n_regressors
+        return cls(pi0=vec[0], delta=tuple(vec[1 : ac.start]), alpha=tuple(vec[ac]),
+                   beta=tuple(vec[ac.stop : ac.stop + k]),
+                   gamma=tuple(vec[ac.stop + k : spec.n_index]), mu=tuple(vec[spec.n_index :]))
 
     def to_json_dict(self) -> dict:
         return {
@@ -432,24 +436,24 @@ class CondLaw:
         return int(self.probs.shape[0] - 1)
 
 
-def _index_ar_stationary(alpha: tuple[float, ...]) -> bool:
+def _index_ar_stationary(alpha) -> bool:
     """True when every root of ``1 - alpha(L)`` lies outside the unit circle."""
-    if not alpha:
+    if len(alpha) == 0:
         return True
     poly = np.concatenate(([1.0], -np.asarray(alpha)))
     return bool(np.all(np.abs(np.roots(poly[::-1])) > 1.0 + 1e-12))
 
 
-def _thresholds(spec: ModelSpec, theta: Theta) -> np.ndarray:
-    if spec.ordered:
-        return np.asarray(theta.mu, dtype=float)
-    return np.zeros(1)
+def _thresholds(mu) -> np.ndarray:
+    """Thresholds as an array; the binary model's (empty ``mu``) is a single zero."""
+    return np.asarray(mu, dtype=float) if len(mu) else np.zeros(1)
 
 
 def _cells(
-    spec: ModelSpec, theta: Theta, pi: np.ndarray, y: np.ndarray
+    spec: ModelSpec, mu: np.ndarray, pi: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, ...]:
-    """Cell probability ``P(Y = y | pi)`` and cdf below it ``F(y - 1 | pi)``.
+    """Cell probability ``P(Y = y | pi)`` and cdf below it ``F(y - 1 | pi)``
+    under the thresholds ``mu`` (from :func:`_thresholds`).
 
     This is the only evaluation of cell probabilities: the likelihood, the
     randomized PIT and the laws all take them from here.  ``y`` broadcasts
@@ -464,14 +468,15 @@ def _cells(
     rounding.  Inputs are not validated.
     """
     J = spec.support_size
+    link = _LINKS[spec.link]
     # gaps and tails at every threshold of each index, padded with the
     # infinite thresholds: gap 0, S_{-1} = 1 and S_J = 0
     gaps = np.zeros(pi.shape + (J + 2,))
-    gaps[..., 1:-1] = _thresholds(spec, theta) - pi[..., np.newaxis]
+    gaps[..., 1:-1] = mu - pi[..., np.newaxis]
     tails = np.zeros_like(gaps)
     tails[..., 0] = 1.0
-    tails[..., 1:-1] = link_tail(spec.link, gaps[..., 1:-1])
-    bottom = link_cdf(spec.link, gaps[..., 1])
+    tails[..., 1:-1] = link.tail(gaps[..., 1:-1])
+    bottom = link.cdf(gaps[..., 1])
     # flat positions of threshold y - 1 and threshold y
     at = np.arange(0, gaps.size, J + 2).reshape(pi.shape) + y
     above = at + 1
@@ -497,11 +502,11 @@ def _check_floor(cells: np.ndarray, what: str) -> None:
         )
 
 
-def _law_arrays(spec: ModelSpec, theta: Theta, pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _law_arrays(spec: ModelSpec, mu: np.ndarray, pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(probs, cdf)`` of shape ``(len(pi), J + 1)``: :func:`_cells` over
     every outcome ``0..J``."""
     J = spec.support_size
-    probs, below, _, _ = _cells(spec, theta, pi[:, np.newaxis], np.arange(J + 1))
+    probs, below, _, _ = _cells(spec, mu, pi[:, np.newaxis], np.arange(J + 1))
     cdf = np.empty_like(probs)
     cdf[:, :J] = below[:, 1:]
     cdf[:, J] = 1.0
@@ -513,26 +518,24 @@ def cond_law(spec: ModelSpec, theta: Theta, pi_t: float) -> CondLaw:
 
     Raises
     ------
+    ValueError
+        If ``theta`` does not fit ``spec`` or ``pi_t`` is not finite.
     AssumptionViolationError
         If any cell probability falls below the hard floor.
     """
     theta.validate(spec)
-    probs, cdf = _law_arrays(spec, theta, np.array([float(pi_t)]))
+    pi_t = float(pi_t)
+    if not math.isfinite(pi_t):
+        raise ValueError("pi_t must be finite")
+    probs, cdf = _law_arrays(spec, _thresholds(theta.mu), np.array([pi_t]))
     _check_floor(probs, "conditional")
     return CondLaw(probs=probs[0], cdf=cdf[0])
 
 
-def _presample_pi(theta: Theta) -> float:
-    """Presample index lags: the unconditional mean ``pi0 / (1 - sum alpha)``."""
-    if not theta.alpha:
-        return theta.pi0
-    return theta.pi0 / (1.0 - sum(theta.alpha))
-
-
 def _index_kernel(
-    spec: ModelSpec, theta: Theta, series: Series, curvature: bool = False
+    spec: ModelSpec, vec: np.ndarray, series: Series, curvature: bool = False
 ) -> tuple[np.ndarray, ...]:
-    """Index path and its gradient w.r.t. the index parameters, all periods.
+    """Index path and its gradient w.r.t. the index parameters at the natural vector ``vec``.
 
     This is the one evaluation of the index recursion on a known outcome
     path.  Presample outcomes are zero and presample index lags equal the
@@ -550,40 +553,39 @@ def _index_kernel(
     y = series.y.astype(float)
     x = series.x
     q, p, k = spec.q, spec.p_ar, spec.n_regressors
-    G = np.empty((T, 1 + q + p + k + (k if spec.interactions else 0)))
+    ac = spec.alpha_slice
+    G = np.empty((T, spec.n_index))
     G[:, 0] = 1.0
     for i in range(1, q + 1):
         G[:i, i] = 0.0
         G[i:, i] = y[:-i]
-    pos = 1 + q + p
+    G[:, ac] = 0.0
+    pos = ac.stop
     if k:
         G[:, pos : pos + k] = x
         pos += k
     if spec.interactions:
         G[0, pos:] = 0.0
         G[1:, pos:] = y[:-1, None] * x[1:]
+    pi = G @ vec[: spec.n_index]
     if not p:
-        pi = G @ np.concatenate(([theta.pi0], theta.delta, theta.beta, theta.gamma))
         return (pi, G, None) if curvature else (pi, G)
 
     # index autoregression: add alpha_i * pi_{t-i} to the index, and carry
     # d pi_t / d theta (and on request d G_t / d alpha) through the same
     # recursion
-    ac = slice(1 + q, 1 + q + p)
-    G[:, ac] = 0.0
-    pi = G @ theta.to_vector()[: G.shape[1]]
-    alpha = theta.alpha
+    pi0, alpha = float(vec[0]), vec[ac].tolist()
     s = sum(alpha)
     g_pre = np.zeros(G.shape[1])
     g_pre[0] = 1.0 / (1.0 - s)
-    g_pre[ac] = theta.pi0 / (1.0 - s) ** 2
-    pi_lags = [_presample_pi(theta)] * p  # pi_{t-1}, ..., pi_{t-p}
+    g_pre[ac] = pi0 / (1.0 - s) ** 2
+    pi_lags = [pi0 / (1.0 - s)] * p  # pi_{t-1}, ..., pi_{t-p}
     g_lags = [g_pre] * p
     if curvature:
         M = np.empty((T, p, G.shape[1]))
         m_pre = np.zeros((p, G.shape[1]))
         m_pre[:, 0] = 1.0 / (1.0 - s) ** 2
-        m_pre[:, ac] = 2.0 * theta.pi0 / (1.0 - s) ** 3
+        m_pre[:, ac] = 2.0 * pi0 / (1.0 - s) ** 3
         m_lags = [m_pre] * p
     for t, value in enumerate(pi.tolist()):
         if curvature:
@@ -610,7 +612,7 @@ def index_path(spec: ModelSpec, theta: Theta, series: Series) -> np.ndarray:
     """
     theta.validate(spec)
     series.validate(spec)
-    return _index_kernel(spec, theta, series)[0]
+    return _index_kernel(spec, theta.to_vector(), series)[0]
 
 
 def law_path(spec: ModelSpec, theta: Theta, series: Series) -> tuple[np.ndarray, np.ndarray]:
@@ -621,7 +623,7 @@ def law_path(spec: ModelSpec, theta: Theta, series: Series) -> tuple[np.ndarray,
     may be arbitrarily small without harm here.
     """
     pi = index_path(spec, theta, series)
-    probs, cdf = _law_arrays(spec, theta, pi)
+    probs, cdf = _law_arrays(spec, _thresholds(theta.mu), pi)
     _check_floor(probs[np.arange(series.T), series.y], "realized")
     return probs, cdf
 
@@ -686,7 +688,7 @@ def simulate(
     if x.shape != (T, spec.n_regressors):
         raise ValueError(f"x must have shape ({T}, {spec.n_regressors})")
 
-    mu = _thresholds(spec, theta)
+    mu = _thresholds(theta.mu)
     eps = _latent_errors(spec.link, T, rng)
     xb = x @ np.asarray(theta.beta)
     if spec.q == 0 and spec.p_ar == 0:
@@ -695,7 +697,7 @@ def simulate(
     # one plain-float pass over the periods: Y_t feeds the index of t+1
     mu = mu.tolist()
     xg = (x @ np.asarray(theta.gamma)).tolist() if spec.interactions else None
-    pi_pre = _presample_pi(theta)
+    pi_pre = theta.pi0 / (1.0 - sum(theta.alpha))  # the unconditional mean
     y = [0] * T
     pi = [0.0] * T
     for t, (xb_t, eps_t) in enumerate(zip(xb.tolist(), eps.tolist())):

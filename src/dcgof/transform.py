@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import CondLaw, ModelSpec, Series, Theta, _cells, _check_floor, index_path
+from .model import CondLaw, ModelSpec, Series, Theta, _cells, _check_floor, _thresholds, index_path
 from .rng import substream
 
 __all__ = [
@@ -160,7 +160,7 @@ def randomized_pit(
     if noise.z.shape[0] != series.T:
         raise ValueError(f"noise length {noise.z.shape[0]} != series length {series.T}")
     pi = index_path(spec, theta, series)
-    p, below, _, _ = _cells(spec, theta, pi, series.y)
+    p, below, _, _ = _cells(spec, _thresholds(theta.mu), pi, series.y)
     _check_floor(p, "realized")
     u = below + noise.applied() * p
     u = np.clip(u, U_CLAMP, 1.0 - U_CLAMP)

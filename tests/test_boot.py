@@ -55,6 +55,17 @@ class TestPvalue:
         p = pvalue(0.5, reps)
         assert 0.0 < p <= 1.0
 
+    def test_ties_count_as_at_least_as_large(self):
+        assert pvalue(0.5, np.array([0.5, 0.5, 0.2, 0.9])) == 4.0 / 5.0
+
+    def test_array_of_observed_values(self):
+        # rounding makes ties between observed values and replicates
+        reps = np.round(substream(2, "pv").random(199), 2)
+        observed = np.array([0.0, 0.5, reps[0], reps[7], 1.0, 0.999])
+        expected = [(1.0 + np.sum(reps >= d)) / 200.0 for d in observed]
+        np.testing.assert_array_equal(pvalue(observed, reps), expected)
+        assert [pvalue(d, reps) for d in observed] == expected
+
 
 class TestSimulateNull:
     def test_static_frequencies(self):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -269,3 +272,17 @@ class TestConfigFile:
         code = main(["test", "--input", str(data_path), "--levels", "1.5",
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_PARSE
+
+
+def test_import_loads_no_scipy_subpackage_but_special():
+    # every dcgof start pays for the scipy subpackages it imports; measured
+    # with `python -X importtime`, scipy.signal once added about 1.1 s and
+    # scipy.linalg would add about 59 ms
+    code = ("import sys, dcgof; print(*sorted(name for name, mod in sys.modules.items() "
+            "if name.startswith('scipy.') and name.count('.') == 1 "
+            "and not name.startswith('scipy._') and hasattr(mod, '__path__')))")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.split() == ["scipy.special"]

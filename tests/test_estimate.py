@@ -1,4 +1,6 @@
+import collections
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +10,9 @@ from scipy.special import ndtr
 
 from dcgof import estimate
 from dcgof.boot import scenario_registry
+from dcgof import model
 from dcgof.estimate import (
+    NonConvergenceError,
     SeparationError,
     ThresholdCollapseError,
     _loglik_pass,
@@ -27,6 +31,8 @@ from dcgof.model import (
     _index_ar_stationary,
     _index_kernel,
     _thresholds,
+    cond_law,
+    index_path,
     law_path,
     link_pdf,
     link_tail,
@@ -75,7 +81,7 @@ def fd_hessian(grad_of, w: np.ndarray, step: float = 1e-5) -> np.ndarray:
 def realized_cells_oracle(spec, theta, pi, y):
     """The realized-cell expressions before the one-pass evaluation:
     ``(p, f_lo, f_hi)``."""
-    mu = _thresholds(spec, theta)
+    mu = _thresholds(theta.mu)
     J = spec.support_size
     lo = np.where(y > 0, mu[np.maximum(y - 1, 0)] - pi, -np.inf)
     hi = np.where(y < J, mu[np.minimum(y, J - 1)] - pi, np.inf)
@@ -90,7 +96,7 @@ def loglik_and_scores_oracle(spec, theta, series):
     """The log likelihood and per-observation scores, by the expressions used
     before the one-pass evaluation."""
     i0 = _window_start(spec)
-    pi_all, G_all = _index_kernel(spec, theta, series)
+    pi_all, G_all = _index_kernel(spec, theta.to_vector(), series)
     pi, G, y = pi_all[i0:], G_all[i0:], series.y[i0:]
     p, f_lo, f_hi = realized_cells_oracle(spec, theta, pi, y)
     ll = -np.inf if p.min() < PROB_FLOOR_HARD else float(np.sum(np.log(p)))
@@ -135,12 +141,12 @@ def perturbed_models(draw):
     T = 150
     series = simulate(spec, truth, T, x=0.7 * rng.standard_normal((T, 1)), rng=rng)
     wmap = _WorkingMap(spec)
-    w = wmap.to_working(truth) + rng.uniform(-0.1, 0.1, wmap.n_free)
+    w = wmap.to_working(truth.to_vector()) + rng.uniform(-0.1, 0.1, wmap.n_free)
     theta = wmap.to_theta(w)
     assume(_index_ar_stationary(theta.alpha))
     if link == "chisq1":
-        pi = _index_kernel(spec, theta, series)[0][_window_start(spec):]
-        v = math.sqrt(2.0) * (_thresholds(spec, theta)[None, :] - pi[:, None]) + 1.0
+        pi = _index_kernel(spec, theta.to_vector(), series)[0][_window_start(spec):]
+        v = math.sqrt(2.0) * (_thresholds(theta.mu)[None, :] - pi[:, None]) + 1.0
         assume(v.min() > 0.1)
     assume(np.isfinite(loglik(spec, theta, series)))
     return spec, series, w
@@ -158,7 +164,7 @@ class TestHessian:
             g_nat = score(spec, wmap.to_theta(w_vec), series)
             return wmap.derivatives_to_working(w_vec, g_nat, zero)[0]
 
-        _, S, H_nat = _loglik_pass(spec, wmap.to_theta(w), series, 2)
+        _, S, H_nat = _loglik_pass(spec, wmap.to_natural(w), series, 2)
         g, H = wmap.derivatives_to_working(w, S.sum(axis=0), H_nat)
         oracle = fd_hessian(grad_of, w)
         assert np.max(np.abs(H - oracle)) <= 1e-6 * max(1.0, np.max(np.abs(oracle)))
@@ -177,7 +183,7 @@ class TestHessian:
         assert np.max(np.abs(score(spec, theta, series) - total)) <= 1e-12 * max(
             1.0, np.max(np.abs(total)))
         for order in (0, 1, 2):
-            assert _loglik_pass(spec, theta, series, order)[0] == loglik(spec, theta, series)
+            assert _loglik_pass(spec, theta.to_vector(), series, order)[0] == loglik(spec, theta, series)
 
 
 class TestOneCellEvaluation:
@@ -414,6 +420,78 @@ class TestFitMle:
         assert '"converged": true' in text
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize("link, J, seed", [("probit", 3, 268), ("chisq1", 2, 5)])
+    def test_degenerate_trial_step_is_a_rejected_step(self, link, J, seed):
+        # warm-started short-series ordered fits, as a bootstrap refit runs
+        # them; a trial step's log gap underflows to equal thresholds
+        # (probit) or its exp overflows to an infinite threshold (chisq1)
+        spec = ModelSpec(link=link, support_size=J, ordered=True, q=1, n_regressors=1)
+        rng = np.random.default_rng(seed)
+        T = int(rng.integers(20, 80))
+        mu = tuple(np.cumsum(np.r_[0.0, rng.uniform(0.01, 0.3, J - 1)]))
+        theta = Theta(delta=(rng.uniform(-1, 1.5),), beta=(rng.uniform(0.5, 3),), mu=mu)
+        series = simulate(spec, theta, T, rng=rng)
+        try:
+            fit_mle(spec, series, init=theta)
+        except NonConvergenceError:
+            pass
+
+    @pytest.mark.parametrize("field", ["pi0", "delta", "alpha", "beta", "gamma", "mu"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_parameter_rejected_at_the_boundary(self, field, bad):
+        if field == "mu":
+            spec = ModelSpec(link="probit", support_size=2, ordered=True, n_regressors=1)
+            good = Theta(beta=(1.0,), mu=(-0.5, 0.5))
+        else:
+            spec = ModelSpec(link="probit", q=1, p_ar=1, n_regressors=1, interactions=True)
+            good = Theta(pi0=0.1, delta=(0.5,), alpha=(0.3,), beta=(1.0,), gamma=(-0.5,))
+        value = bad if field == "pi0" else (bad,) + getattr(good, field)[1:]
+        theta = replace(good, **{field: value})
+        series = simulate(spec, good, 200, rng=substream(0, "nonfinite"))
+        calls = (lambda: simulate(spec, theta, 200, rng=substream(1, "nonfinite")),
+                 lambda: index_path(spec, theta, series),
+                 lambda: loglik(spec, theta, series),
+                 lambda: fit_mle(spec, series, init=theta))
+        for call in calls:
+            with pytest.raises(ValueError, match="finite"):
+                call()
+
+    @pytest.mark.parametrize("pi_t", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_index_rejected_by_cond_law(self, pi_t):
+        with pytest.raises(ValueError, match="finite"):
+            cond_law(BINARY, Theta(beta=(1.0,)), pi_t)
+
+    def test_fit_checks_its_inputs_once(self, monkeypatch):
+        # the Newton loop runs on vectors: each check runs at most once per
+        # fit, whatever the number of iterations and line-search trials
+        truth = Theta(pi0=0.0, delta=(0.8,), beta=(1.0,))
+        series = small_series(seed=3, T=300, theta=truth)
+        calls = collections.Counter()
+
+        def count(owner, name, key):
+            original = getattr(owner, name)
+
+            def counted(*args):
+                calls[key] += 1
+                return original(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(Theta, "validate", "Theta.validate")
+        count(Series, "validate", "Series.validate")
+        count(Theta, "from_vector", "Theta.from_vector")
+        count(model, "_check_finite", "_check_finite")
+        count(model, "_as_link", "_as_link")
+        for init in (None, truth):
+            calls.clear()
+            fit = fit_mle(DYNAMIC, series, init=init)
+            assert fit.converged and fit.iterations >= 2
+            assert calls["Theta.validate"] <= 1 and calls["Series.validate"] <= 1, calls
+            assert calls["Theta.from_vector"] <= 1, calls
+            assert calls["_check_finite"] == 0 and calls["_as_link"] == 0, calls
+
+
 def study_series(scenario_id: int, T: int, seed: int) -> tuple[ModelSpec, Theta, Series]:
     """The null model, truth and a series of a study scenario whose DGP is
     its null."""
@@ -430,13 +508,14 @@ class TestLineSearchBudget:
         # resolution of the log likelihood; halving further cannot show an
         # increase and only spends likelihood evaluations
         calls = []
-        counted = estimate.loglik
+        counted = estimate._loglik_pass
 
-        def counting_loglik(*args):
-            calls.append(1)
-            return counted(*args)
+        def counting_pass(spec, vec, series, order):
+            if order == 0:
+                calls.append(1)
+            return counted(spec, vec, series, order)
 
-        monkeypatch.setattr(estimate, "loglik", counting_loglik)
+        monkeypatch.setattr(estimate, "_loglik_pass", counting_pass)
         for seed in range(50):
             spec, _, series = study_series(scenario_id, T, seed)
             calls.clear()

@@ -213,7 +213,7 @@ class TestIndexKernel:
     @settings(max_examples=200, deadline=None)
     def test_index_matches_per_period_oracle(self, case):
         spec, theta, series = case
-        pi, G = _index_kernel(spec, theta, series)
+        pi, G = _index_kernel(spec, theta.to_vector(), series)
         assert G.shape == (series.T, spec.n_params - spec.n_thresholds)
         np.testing.assert_allclose(pi, index_path_oracle(spec, theta, series),
                                    rtol=1e-12, atol=1e-12)
@@ -222,14 +222,14 @@ class TestIndexKernel:
     @settings(max_examples=100, deadline=None)
     def test_gradient_matches_central_differences(self, case):
         spec, theta, series = case
-        _, G = _index_kernel(spec, theta, series)
+        _, G = _index_kernel(spec, theta.to_vector(), series)
         vec = theta.to_vector()
         h = 1e-6
         for c in range(G.shape[1]):
             step = np.zeros_like(vec)
             step[c] = h
-            up, _ = _index_kernel(spec, Theta.from_vector(spec, vec + step), series)
-            down, _ = _index_kernel(spec, Theta.from_vector(spec, vec - step), series)
+            up, _ = _index_kernel(spec, vec + step, series)
+            down, _ = _index_kernel(spec, vec - step, series)
             np.testing.assert_allclose(G[:, c], (up - down) / (2.0 * h), rtol=1e-6, atol=1e-6)
 
 
