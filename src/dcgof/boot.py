@@ -7,31 +7,54 @@ fresh continuation noise per replicate.
 
 The study harness uses warp-speed Monte Carlo: one bootstrap draw per
 replication, with the draws pooled across replications to form the null
-distribution of each statistic.  Replications are independent tasks with
-their own RNG substreams, so results are identical for any worker count.
+distribution of each statistic.
+
+Both run one batched step, ``_replicate``, over a chunk of keys at a time:
+simulate every key from its own RNG substream and stack the draws, refit
+them in one Newton loop (``dcgof.estimate._fit``), then take the randomized
+PIT, the discrete residuals and the statistics over the whole chunk.  A
+replicate that fails is marked with its cause code
+(``dcgof.estimate.Cause``), not raised; only model failures (fit errors,
+unconverged fits, the probability floor) count, and any other exception
+propagates.  ``_map`` cuts the keys into near-equal contiguous chunks, at
+least one per worker process and none above ``CHUNK_POINTS`` points
+(replicates times periods), which keeps memory O(chunk * T * L).
+
+Batch invariance: every stage computes each row of a chunk with the same
+float operations as that row alone, so a key's draws, estimate, iteration
+count, cause, residuals and statistics are identical in any chunk, and the
+results are identical for any worker count.
 """
 
 from __future__ import annotations
 
+import collections
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimate import NonConvergenceError, fit_mle
+from .estimate import Cause, NonConvergenceError, _check_length, _fit, fit_mle
 from .model import (
-    AssumptionViolationError,
     LinkKind,
     ModelSpec,
     Series,
     Theta,
+    _Batch,
+    _simulate,
     simulate,
     simulate_x_ar1,
 )
 from .rng import substream
-from .stats import DEFAULT_STUDY_KINDS, StatKind, evaluate_statistics, residuals_discrete
-from .transform import NoiseStream, randomized_pit
+from .stats import (
+    DEFAULT_STUDY_KINDS,
+    StatKind,
+    _residuals_discrete,
+    evaluate_statistics,
+    residuals_discrete,
+)
+from .transform import NoiseStream, _pit, randomized_pit
 
 __all__ = [
     "BootstrapConfig",
@@ -49,6 +72,19 @@ __all__ = [
 
 DEFAULT_LEVELS = (0.10, 0.05, 0.01)
 MAX_FAILURE_SHARE = 0.2
+# The most points (replicates times periods) one batched replicate step
+# takes at once: it bounds the step's memory, O(chunk * T * L).
+CHUNK_POINTS = 2**12
+# The cause of a failed replicate, as the `dcgof mc` progress line names it
+FAILURE_LABELS = {
+    Cause.UNCONVERGED: "non-convergence",
+    Cause.DEGENERATE_START: "non-convergence",
+    Cause.EMPTY_EXTREME: "separation",
+    Cause.DIVERGED: "separation",
+    Cause.EMPTY_MIDDLE: "threshold collapse",
+    Cause.GAP_COLLAPSE: "threshold collapse",
+    Cause.FLOOR: "probability floor",
+}
 
 
 class UnreliableBootstrapError(RuntimeError):
@@ -146,45 +182,95 @@ def _stats_at(
 
 def _replicate(
     sim_spec: ModelSpec,
-    sim_theta: Theta,
+    sim_vec: np.ndarray,
     x: np.ndarray,
     fit_spec: ModelSpec,
-    init: Theta | None,
+    init: np.ndarray | None,
     kinds,
     master_seed: int,
-    sim_key: tuple,
-    noise_key: tuple,
-) -> tuple[Theta, dict[str, float]] | None:
-    """One replicate: simulate from ``(sim_spec, sim_theta)`` on the regressor
-    path ``x``, refit ``fit_spec`` starting from ``init`` (cold when
-    ``None``), and compute the statistics under the randomized PIT with
-    continuation noise keyed by ``noise_key``.
+    sim_keys: list,
+    noise_keys: list,
+) -> tuple[np.ndarray, dict[str, np.ndarray], np.ndarray]:
+    """The replicate step over a chunk of K keys: simulate row ``k`` from
+    ``(sim_spec, sim_vec[k])`` on the regressor path ``x[k]`` (K, T, k) with
+    the substream of ``sim_keys[k]``, refit ``fit_spec`` starting from
+    ``init[k]`` (cold when ``init`` is ``None``), and compute the statistics
+    under the randomized PIT with continuation noise keyed by
+    ``noise_keys[k]``.  Each stage runs once over the whole chunk.
 
     A bootstrap draw refits the model it was simulated from, so its caller
-    passes ``init=sim_theta``: the estimate lies within sampling error of it.
+    passes ``init=sim_vec``: the estimate lies within sampling error of it.
 
-    Returns ``(theta_hat, stats)``, or ``None`` when the model cannot be fitted
-    or evaluated on the simulated series.  Any other exception propagates.
+    Returns the estimates (K, L), the statistics ``{name: (K,)}`` (NaN on
+    failed rows) and each row's :class:`dcgof.estimate.Cause`.  A row fails
+    when its model cannot be fitted (a fit error or an unconverged fit) or
+    evaluated (the probability floor); any other exception propagates.
     """
-    try:
-        star = simulate_null(sim_spec, sim_theta, x, substream(master_seed, *sim_key))
-        fit = fit_mle(fit_spec, star, init=init)
-        if not fit.converged:
-            return None
-        noise = NoiseStream.from_seed(star.T, master_seed, *noise_key)
-        return fit.theta_hat, _stats_at(fit_spec, fit.theta_hat, star, noise, kinds)
-    except (NonConvergenceError, AssumptionViolationError):
-        return None
+    K, T = x.shape[:2]
+    rngs = [substream(master_seed, *key) for key in sim_keys]
+    star = _Batch(_simulate(sim_spec, sim_vec, x, rngs), x)
+    fit = _fit(fit_spec, star, init)
+    cause = fit.cause
+    stats = {kind.name: np.full(K, np.nan) for kind in kinds}
+    ok = np.flatnonzero(cause == Cause.CONVERGED)
+    if not ok.size:
+        return fit.vec, stats, cause
+    star, vec = star.take(ok), fit.vec[ok]
+    fz = np.array([NoiseStream.from_seed(T, master_seed, *noise_keys[i]).applied() for i in ok])
+    u, broken = _pit(fit_spec, vec, star, fz)
+    e = None
+    if _needs_discrete(kinds):
+        e, broken_e = _residuals_discrete(fit_spec, vec, star)
+        broken |= broken_e
+    cause[ok[broken]] = Cause.FLOOR
+    keep, ok = ~broken, ok[~broken]
+    if ok.size:
+        values = evaluate_statistics(kinds, u[keep], None if e is None else e[keep])
+        for name, column in values.items():
+            stats[name][ok] = column
+    return fit.vec, stats, cause
 
 
-def _map(fn, tasks: list[tuple], threads: int) -> list:
-    """``[fn(*task) for task in tasks]``, spread over ``threads`` worker
-    processes when ``threads > 1``; results keep the order of ``tasks``."""
+def _chunks(n: int, T: int, threads: int) -> list[tuple[int, int]]:
+    """Near-equal contiguous chunks ``(lo, hi)`` of ``range(n)``, none with
+    more than ``CHUNK_POINTS`` points of length-``T`` series (but at least
+    one series), and as many per worker: a multiple of ``threads``."""
+    size = max(1, CHUNK_POINTS // T)
+    threads = max(threads, 1)
+    count = min(n, -(-n // size // threads) * threads)
+    edges = [n * i // count for i in range(count + 1)]
+    return list(zip(edges, edges[1:]))
+
+
+def _map(fn, args: tuple, n: int, T: int, threads: int) -> list:
+    """The concatenated lists ``fn(*args, lo, hi)`` over the chunks of
+    :func:`_chunks`, computed in ``threads`` worker processes when
+    ``threads > 1``; the chunks keep their order.  Each row is computed the
+    same in any chunk, so the result does not depend on ``threads``."""
+    chunks = _chunks(n, T, threads)
     if threads <= 1:
-        return [fn(*task) for task in tasks]
-    chunksize = max(1, len(tasks) // (8 * threads))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, *zip(*tasks), chunksize=chunksize))
+        parts = [fn(*args, lo, hi) for lo, hi in chunks]
+    else:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(fn, *zip(*((*args, lo, hi) for lo, hi in chunks))))
+    return [item for part in parts for item in part]
+
+
+def _rows(stats: dict[str, np.ndarray], cause: np.ndarray) -> list:
+    """``(cause, {name: value})`` of each row of a chunk's statistics."""
+    names = list(stats)
+    columns = [stats[name].tolist() for name in names]
+    return [(int(c), dict(zip(names, values))) for c, *values in zip(cause.tolist(), *columns)]
+
+
+def _bootstrap_chunk(spec, vec, x, kinds, master_seed, lo, hi) -> list:
+    """Bootstrap draws ``lo + 1 .. hi``, all from and refitted at ``vec``."""
+    keys = range(lo + 1, hi + 1)
+    vecs = np.tile(vec, (hi - lo, 1))
+    x = np.broadcast_to(x, (hi - lo,) + x.shape)
+    _, stats, cause = _replicate(spec, vecs, x, spec, vecs, kinds, master_seed,
+                                 [("boot-sim", b) for b in keys], [("boot", b) for b in keys])
+    return _rows(stats, cause)
 
 
 def bootstrap_test(
@@ -210,12 +296,9 @@ def bootstrap_test(
     noise0 = NoiseStream.from_seed(series.T, master, "data")
     observed = _stats_at(spec, fit.theta_hat, series, noise0, kinds)
 
-    tasks = [
-        (spec, fit.theta_hat, series.x, spec, fit.theta_hat, kinds, master,
-         ("boot-sim", b), ("boot", b))
-        for b in range(1, config.B + 1)
-    ]
-    kept = [rep[1] for rep in _map(_replicate, tasks, threads) if rep is not None]
+    args = (spec, fit.theta_hat.to_vector(), series.x, kinds, master)
+    kept = [stats for cause, stats in _map(_bootstrap_chunk, args, config.B, series.T, threads)
+            if cause == Cause.CONVERGED]
     failed = config.B - len(kept)
     if failed > MAX_FAILURE_SHARE * config.B:
         raise UnreliableBootstrapError(
@@ -315,6 +398,8 @@ class RejectionTable:
     stat_names: tuple[str, ...]
     rates: np.ndarray  # shape (len(levels), len(stat_names)), percentages
     master_seed: int
+    # failed replications by cause (FAILURE_LABELS); not part of the tables
+    failures: dict[str, int] = field(default_factory=dict)
 
     def rate(self, level: float, stat_name: str) -> float:
         i = self.levels.index(level)
@@ -340,23 +425,29 @@ class RejectionTable:
         }
 
 
-def _warp_replication(
-    scenario: Scenario, T: int, kinds, master_seed: int, r: int
-) -> tuple[dict[str, float], dict[str, float]] | None:
-    """Replication ``r``: statistics on data from the scenario DGP and on one
-    bootstrap draw from the fitted null; ``None`` if either replicate fails."""
-    x = simulate_x_ar1(scenario.x_ar1, T, substream(master_seed, "mc-x", r))
+def _warp_replications(scenario: Scenario, T: int, kinds, master_seed: int, lo: int, hi: int) -> list:
+    """Replications ``lo .. hi - 1``: statistics on data from the scenario DGP
+    and on one bootstrap draw from the fitted null, as ``(cause, observed,
+    draw)``; a replication fails with the cause of its first failed step."""
+    rs = range(lo, hi)
+    x = np.array([simulate_x_ar1(scenario.x_ar1, T, substream(master_seed, "mc-x", r))
+                  for r in rs])[..., np.newaxis]
     null = scenario.null_spec
-    data = _replicate(scenario.dgp_spec, scenario.dgp_theta, x, null, None, kinds,
-                      master_seed, ("mc-dgp", r), ("mc-data", r))
-    if data is None:
-        return None
-    theta_hat, observed = data
-    star = _replicate(null, theta_hat, x, null, theta_hat, kinds, master_seed,
-                      ("mc-boot", r, 0), ("mc-boot-noise", r, 0))
-    if star is None:
-        return None
-    return observed, star[1]
+    dgp = np.tile(scenario.dgp_theta.to_vector(), (hi - lo, 1))
+    theta_hat, observed, cause = _replicate(
+        scenario.dgp_spec, dgp, x, null, None, kinds, master_seed,
+        [("mc-dgp", r) for r in rs], [("mc-data", r) for r in rs])
+    draws = {name: np.full(hi - lo, np.nan) for name in observed}
+    ok = np.flatnonzero(cause == Cause.CONVERGED)
+    if ok.size:
+        _, star, star_cause = _replicate(
+            null, theta_hat[ok], x[ok], null, theta_hat[ok], kinds, master_seed,
+            [("mc-boot", rs[i], 0) for i in ok], [("mc-boot-noise", rs[i], 0) for i in ok])
+        cause[ok] = star_cause
+        for name, column in star.items():
+            draws[name][ok] = column
+    pairs = zip(_rows(observed, cause), _rows(draws, cause))
+    return [(c, obs, star) for (c, obs), (_, star) in pairs]
 
 
 def run_scenario(
@@ -380,9 +471,11 @@ def run_scenario(
     for level in levels:
         if not 0.0 < level < 1.0:
             raise ValueError(f"level {level} outside (0, 1)")
+    _check_length(scenario.null_spec, T)
     stat_names = tuple(k.name for k in stats)
-    tasks = [(scenario, T, stats, master_seed, r) for r in range(R)]
-    kept = [rep for rep in _map(_warp_replication, tasks, threads) if rep is not None]
+    reps = _map(_warp_replications, (scenario, T, stats, master_seed), R, T, threads)
+    kept = [(obs, star) for cause, obs, star in reps if cause == Cause.CONVERGED]
+    failures = collections.Counter(FAILURE_LABELS[Cause(c)] for c, _, _ in reps if c)
     failed = R - len(kept)
     if failed > MAX_FAILURE_SHARE * R:
         raise UnreliableBootstrapError(f"{failed} of {R} replications failed")
@@ -403,6 +496,7 @@ def run_scenario(
         stat_names=stat_names,
         rates=rates,
         master_seed=master_seed,
+        failures=dict(sorted(failures.items())),
     )
 
 

@@ -244,8 +244,10 @@ def cmd_mc(config: RunConfig) -> int:
                 threads=config.threads,
             )
             tables.append(tab)
-            # progress only: wall time stays out of the output files
-            print(f"scenario {sid} T={T}: {tab.R_effective} of {tab.R} replications "
+            # progress only: wall time and failure causes stay out of the output files
+            failed = ", ".join(f"{n} {cause}" for cause, n in tab.failures.items())
+            failed = f" (failed: {failed})" if failed else ""
+            print(f"scenario {sid} T={T}: {tab.R_effective} of {tab.R} replications{failed} "
                   f"[{time.perf_counter() - start:.1f}s]", file=sys.stderr, flush=True)
     csv_text = rejection_tables_to_csv(tables)
     _write(os.path.join(config.out, "rejections.csv"), csv_text)

@@ -23,6 +23,17 @@ is close to that series' estimate.  Without ``init`` it starts cold, from zero
 slopes and ordered thresholds at the normal quantiles of the category
 frequencies.
 
+The fit is batched: ``_fit`` runs one Newton loop over a stack of series
+(a ``dcgof.model._Batch``) and working vectors, and ``fit_mle`` is that loop
+on a batch of one.  Per-row masks carry each fit through the line search and
+the stopping rules with the step-halving rule, ``TOL_GRAD``, ``MAX_ITER``,
+``THETA_CAP`` and ``LOGLIK_RESOLUTION`` of a single fit, and each row ends
+with a cause code (``Cause``): converged, unconverged, or the failure that
+``fit_mle`` turns into its exception.  A singular Hessian in one row falls
+back to Levenberg damping for that row alone.  Every row is computed with
+the same float operations as it would be alone, so a fit does not depend on
+the batch it runs in.
+
 Public functions check the series and the parameter; underscore kernels
 (``_loglik_pass``, the Newton loop) take checked arrays.  The line search
 has one trial rule instead: a step that is not finite, whose thresholds are
@@ -33,9 +44,11 @@ failed bootstrap replicate), not a ``ValueError``.
 
 from __future__ import annotations
 
+import enum
 import json
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
@@ -46,7 +59,9 @@ from .model import (
     ModelSpec,
     Series,
     Theta,
+    _Batch,
     _cells,
+    _dot,
     _index_ar_stationary,
     _index_kernel,
     _thresholds,
@@ -138,18 +153,33 @@ def _window_start(spec: ModelSpec) -> int:
     return max(spec.q, 1)
 
 
+def _check_length(spec: ModelSpec, T: int) -> None:
+    max_lag = max(spec.q, spec.p_ar, 1)
+    if T <= spec.n_params + max_lag:
+        raise ValueError(
+            f"need T > {spec.n_params + max_lag} observations to fit {spec.n_params} parameters"
+        )
+
+
+def _mT(A: np.ndarray) -> np.ndarray:
+    """Transpose of the last two axes."""
+    return np.swapaxes(A, -1, -2)
+
+
 def _loglik_pass(
-    spec: ModelSpec, vec: np.ndarray, series: Series, order: int
-) -> tuple[float, np.ndarray | None, np.ndarray | None]:
+    spec: ModelSpec, vec: np.ndarray, series, order: int
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """One pass at the natural vector ``vec`` over the index kernel and the
     realized cells, which come from :func:`dcgof.model._cells` like those of
     the PIT and the laws.
 
-    Returns ``(ll, S, H)``: the log likelihood (``-inf`` when a realized
-    cell probability is below ``PROB_FLOOR_HARD``); for ``order >= 1`` the
-    per-observation scores ``S``, shape (n, L); for ``order == 2`` the
-    Hessian ``H`` of the log likelihood, shape (L, L).  All in natural
-    coordinates; inputs are not validated.
+    Leading axes of ``vec`` (..., L) and ``series`` (a ``Series`` or a
+    ``dcgof.model._Batch``) are batch axes.  Returns ``(ll, S, H)``: the log
+    likelihood (``-inf`` when a realized cell probability is below
+    ``PROB_FLOOR_HARD``); for ``order >= 1`` the per-observation scores
+    ``S``, shape (..., n, L); for ``order == 2`` the Hessian ``H`` of the log
+    likelihood, shape (..., L, L).  All in natural coordinates; inputs are
+    not validated.
 
     The Hessian is ``U' diag(f'(hi)/p) U - V' diag(f'(lo)/p) V - S'S`` plus
     ``sum_t s_t d^2 pi_t / d theta d theta'``, where ``U = [G, -e_y]`` and
@@ -159,48 +189,51 @@ def _loglik_pass(
     """
     i0 = _window_start(spec)
     kernel = _index_kernel(spec, vec, series, curvature=order == 2)
-    pi, G, y = kernel[0][i0:], kernel[1][i0:], series.y[i0:]
-    p, _, lo, hi = _cells(spec, _thresholds(vec[spec.n_index :]), pi, y)
-    ll = -np.inf if p.min() < PROB_FLOOR_HARD else float(np.sum(np.log(p)))
+    pi, G, y = kernel[0][..., i0:], kernel[1][..., i0:, :], series.y[..., i0:]
+    p, _, lo, hi = _cells(spec, _thresholds(vec[..., spec.n_index :]), pi, y)
+    below_floor = np.min(p, axis=-1) < PROB_FLOOR_HARD
+    p = np.maximum(p, PROB_FLOOR_HARD)
+    ll = np.where(below_floor, -np.inf, np.sum(np.log(p), axis=-1))
     if order == 0:
         return ll, None, None
     link = _LINKS[spec.link]
-    p = np.maximum(p, PROB_FLOOR_HARD)
     has_lo, has_hi = y > 0, y < spec.support_size
     f_lo = np.where(has_lo, link.pdf(lo), 0.0)
     f_hi = np.where(has_hi, link.pdf(hi), 0.0)
     dlp_dpi = (f_lo - f_hi) / p
-    n = y.shape[0]
     L = spec.n_params
     n_idx = spec.n_index
-    S = np.zeros((n, L))
-    S[:, :n_idx] = dlp_dpi[:, None] * G
+    S = np.zeros(y.shape + (L,))
+    S[..., :n_idx] = dlp_dpi[..., None] * G
     if spec.ordered:
-        rows = np.arange(n)
-        S[rows[has_hi], n_idx + y[has_hi]] += f_hi[has_hi] / p[has_hi]
-        S[rows[has_lo], n_idx + y[has_lo] - 1] -= f_lo[has_lo] / p[has_lo]
+        # one-hot columns of the realized thresholds mu_y and mu_{y-1}
+        at_hi = y[..., None] == np.arange(spec.support_size)
+        at_lo = y[..., None] == np.arange(1, spec.support_size + 1)
+        S[..., n_idx:] = at_hi * (f_hi / p)[..., None] - at_lo * (f_lo / p)[..., None]
     if order == 1:
         return ll, S, None
 
     U = V = G
     if spec.ordered:
-        U = np.zeros((n, L))
-        U[:, :n_idx] = G
+        U = np.zeros(y.shape + (L,))
+        U[..., :n_idx] = G
         V = U.copy()
-        U[rows[has_hi], n_idx + y[has_hi]] = -1.0
-        V[rows[has_lo], n_idx + y[has_lo] - 1] = -1.0
+        U[..., n_idx:] = np.where(at_hi, -1.0, 0.0)
+        V[..., n_idx:] = np.where(at_lo, -1.0, 0.0)
     w_hi = link.pdf_slope(hi, f_hi) / p
     w_lo = link.pdf_slope(lo, f_lo) / p
-    H = U.T @ (w_hi[:, None] * U) - V.T @ (w_lo[:, None] * V) - S.T @ S
+    H = _mT(U) @ (w_hi[..., None] * U) - _mT(V) @ (w_lo[..., None] * V) - _mT(S) @ S
     M = kernel[2]
     if M is not None:
         # d^2 pi_t is nonzero only in the alpha rows and columns
-        A = np.tensordot(dlp_dpi, M[i0:], axes=1)
+        M = M[..., i0:, :, :]
+        flat = M.reshape(M.shape[:-2] + (-1,))
+        A = (dlp_dpi[..., None, :] @ flat)[..., 0, :].reshape(M.shape[:-3] + M.shape[-2:])
         ac = spec.alpha_slice
-        H[ac, :n_idx] += A
-        H[:n_idx, ac] += A.T
-        H[ac, ac] -= A[:, ac]
-    return ll, S, (H + H.T) / 2.0
+        H[..., ac, :n_idx] += A
+        H[..., :n_idx, ac] += _mT(A)
+        H[..., ac, ac] -= A[..., ac]
+    return ll, S, (H + _mT(H)) / 2.0
 
 
 def loglik(spec: ModelSpec, theta: Theta, series: Series) -> float:
@@ -210,14 +243,14 @@ def loglik(spec: ModelSpec, theta: Theta, series: Series) -> float:
     """
     theta.validate(spec)
     series.validate(spec)
-    return _loglik_pass(spec, theta.to_vector(), series, 0)[0]
+    return float(_loglik_pass(spec, theta.to_vector()[None], _Batch.of(series), 0)[0][0])
 
 
 def score_contributions(spec: ModelSpec, theta: Theta, series: Series) -> np.ndarray:
     """Per-observation score vectors in natural coordinates, shape (n, L)."""
     theta.validate(spec)
     series.validate(spec)
-    return _loglik_pass(spec, theta.to_vector(), series, 1)[1]
+    return _loglik_pass(spec, theta.to_vector()[None], _Batch.of(series), 1)[1][0]
 
 
 def score(spec: ModelSpec, theta: Theta, series: Series) -> np.ndarray:
@@ -228,7 +261,8 @@ def score(spec: ModelSpec, theta: Theta, series: Series) -> np.ndarray:
 # --- working parameterization -------------------------------------------------
 
 class _WorkingMap:
-    """Maps natural parameter vectors to unconstrained working vectors and back.
+    """Maps natural parameter vectors to unconstrained working vectors and back,
+    along the last axis (leading axes are batch axes).
 
     Binary models use the natural coordinates directly.  Ordered models drop
     the (fixed) intercept and represent thresholds as the first threshold
@@ -243,15 +277,21 @@ class _WorkingMap:
         """Working vector of a natural vector with strictly increasing thresholds."""
         if not self.spec.ordered:
             return vec.copy()
-        mu = vec[self.spec.n_index :]
-        return np.concatenate((vec[1 : self.spec.n_index], mu[:1], np.log(np.diff(mu))))
+        n = self.spec.n_index
+        mu = vec[..., n:]
+        return np.concatenate(
+            (vec[..., 1:n], mu[..., :1], np.log(np.diff(mu, axis=-1))), axis=-1
+        )
 
     def to_natural(self, w: np.ndarray) -> np.ndarray:
         if not self.spec.ordered:
             return w
-        wm = w[self.spec.n_index - 1 :]
-        mu = np.concatenate(([wm[0]], wm[0] + np.cumsum(np.exp(wm[1:]))))
-        return np.concatenate(([0.0], w[: self.spec.n_index - 1], mu))
+        n = self.spec.n_index
+        wm = w[..., n - 1 :]
+        mu = np.concatenate(
+            (wm[..., :1], wm[..., :1] + np.cumsum(np.exp(wm[..., 1:]), axis=-1)), axis=-1
+        )
+        return np.concatenate((np.zeros(w.shape[:-1] + (1,)), w[..., : n - 1], mu), axis=-1)
 
     def to_theta(self, w: np.ndarray) -> Theta:
         return Theta.from_vector(self.spec, self.to_natural(w))
@@ -266,60 +306,129 @@ class _WorkingMap:
         to its diagonal entry."""
         if not self.spec.ordered:
             return g_nat, H_nat
-        J = self.spec.support_size
-        scale = np.concatenate(([1.0], np.exp(w[self.n_free - J + 1 :])))
-        jac = np.eye(self.n_free)
-        jac[-J:, -J:] = np.tril(np.ones((J, J))) * scale
-        g = jac.T @ g_nat[1:]
-        H = jac.T @ H_nat[1:, 1:] @ jac
-        gaps = np.arange(self.n_free - J + 1, self.n_free)
-        H[gaps, gaps] += g[gaps]
+        J, F = self.spec.support_size, self.n_free
+        lead = w.shape[:-1]
+        scale = np.concatenate((np.ones(lead + (1,)), np.exp(w[..., F - J + 1 :])), axis=-1)
+        jac = np.zeros(lead + (F, F))
+        jac[..., np.arange(F), np.arange(F)] = 1.0
+        jac[..., -J:, -J:] = np.tril(np.ones((J, J))) * scale[..., None, :]
+        g = (_mT(jac) @ g_nat[..., 1:, None])[..., 0]
+        H = _mT(jac) @ H_nat[..., 1:, 1:] @ jac
+        gaps = np.arange(F - J + 1, F)
+        H[..., gaps, gaps] += g[..., gaps]
         return g, H
 
 
-def _default_init(spec: ModelSpec, series: Series) -> np.ndarray:
-    """The cold start, a natural vector: all parameters zero, ordered
-    thresholds at normal quantiles of the empirical category frequencies."""
+# --- the batched fit ------------------------------------------------------------
+
+class Cause(enum.IntEnum):
+    """How the fit of one row of a batch ended, or why its replicate failed.
+
+    ``CONVERGED`` and ``UNCONVERGED`` fits return (``fit_mle`` reports
+    ``converged=False`` for the latter); the other fit causes are the
+    exceptions of :data:`_ERRORS`.  ``FLOOR`` is a replicate whose
+    randomized PIT or discrete residuals break the probability floor (or
+    have zero conditional variance), an ``AssumptionViolationError``.
+    """
+
+    CONVERGED = 0
+    UNCONVERGED = 1
+    DEGENERATE_START = 2
+    EMPTY_EXTREME = 3
+    DIVERGED = 4
+    EMPTY_MIDDLE = 5
+    GAP_COLLAPSE = 6
+    FLOOR = 7
+
+
+_ERRORS = {
+    Cause.DEGENERATE_START: (NonConvergenceError, "initial point has degenerate likelihood"),
+    Cause.EMPTY_EXTREME: (
+        SeparationError,
+        "an extreme outcome category is empty: the likelihood has no interior maximum",
+    ),
+    Cause.DIVERGED: (
+        SeparationError,
+        f"parameter norm exceeded cap {THETA_CAP:g}: perfect separation or divergence",
+    ),
+    Cause.EMPTY_MIDDLE: (
+        ThresholdCollapseError,
+        "a middle outcome category is empty: adjacent thresholds collapse",
+    ),
+    Cause.GAP_COLLAPSE: (ThresholdCollapseError, f"threshold gap fell below {TOL_MU:g}"),
+}
+
+
+class _Fits(NamedTuple):
+    """Per-row result of :func:`_newton`: the natural vector of the last
+    iterate (the start for a row that never ran), its log likelihood, the
+    max-norm of its working score, its score contributions (n, L), the
+    iteration count, the cause code and the accepted log-likelihood trace."""
+
+    vec: np.ndarray
+    ll: np.ndarray
+    score_norm: np.ndarray
+    S: np.ndarray
+    iterations: np.ndarray
+    cause: np.ndarray
+    trace: list
+
+
+def _category_counts(spec: ModelSpec, y: np.ndarray) -> np.ndarray:
+    """Counts of each outcome ``0..J`` over the likelihood window, per row."""
+    y = y[..., _window_start(spec) :]
+    return np.count_nonzero(y[..., None] == np.arange(spec.support_size + 1), axis=-2)
+
+
+def _category_causes(spec: ModelSpec, y: np.ndarray) -> np.ndarray:
+    """``EMPTY_EXTREME`` or ``EMPTY_MIDDLE`` for a row whose likelihood has
+    no interior maximum, else ``CONVERGED`` (the row is fitted)."""
+    counts = _category_counts(spec, y)
+    J = spec.support_size
+    return np.select(
+        [(counts[..., 0] == 0) | (counts[..., J] == 0), np.any(counts[..., 1:J] == 0, axis=-1)],
+        [Cause.EMPTY_EXTREME, Cause.EMPTY_MIDDLE],
+        Cause.CONVERGED,
+    )
+
+
+def _default_init(spec: ModelSpec, series, cause: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cold start of each row, a natural vector: all parameters zero,
+    ordered thresholds at normal quantiles of the empirical category
+    frequencies.  Returns it with ``cause``, updated when a row's start
+    itself fails."""
     if spec.p_ar:
         # From the all-zero start the index path is flat, so the score in
         # alpha vanishes and the first Newton steps can head for a spurious
         # mode near alpha = -1.  Start from the fit without index
         # autoregression instead.
         base = replace(spec, p_ar=0)
-        vec = _newton(base, series, _default_init(base, series)).theta_hat.to_vector()
-        return np.insert(vec, spec.alpha_slice.start, np.zeros(spec.p_ar))
-    vec = np.zeros(spec.n_params)
+        fit = _newton(base, series, *_default_init(base, series, cause))
+        cause = np.where(fit.cause == Cause.UNCONVERGED, Cause.CONVERGED, fit.cause)
+        return np.insert(fit.vec, [spec.alpha_slice.start] * spec.p_ar, 0.0, axis=-1), cause
+    vec = np.zeros(series.y.shape[:-1] + (spec.n_params,))
     if not spec.ordered:
-        return vec
-    i0 = _window_start(spec)
-    y = series.y[i0:]
-    n = y.shape[0]
+        return vec, cause
+    counts = _category_counts(spec, series.y)
+    n = counts.sum(axis=-1, keepdims=True)
     J = spec.support_size
-    counts = np.bincount(y, minlength=J + 1)
-    cum = np.cumsum(counts[:-1]) / n
+    cum = np.cumsum(counts[..., :-1], axis=-1) / n
     cum = np.clip(cum, 1.0 / (n + 1.0), 1.0 - 1.0 / (n + 1.0))
     mu = special.ndtri(cum)
     # enforce strictly increasing in pathological clipped cases
     for j in range(1, J):
-        if mu[j] <= mu[j - 1]:
-            mu[j] = mu[j - 1] + 1e-3
-    vec[-J:] = mu
-    return vec
+        mu[..., j] = np.where(mu[..., j] <= mu[..., j - 1], mu[..., j - 1] + 1e-3, mu[..., j])
+    vec[..., -J:] = mu
+    return vec, cause
 
 
-def _check_category_counts(spec: ModelSpec, series: Series) -> None:
-    i0 = _window_start(spec)
-    counts = np.bincount(series.y[i0:], minlength=spec.support_size + 1)
-    J = spec.support_size
-    if counts[0] == 0 or counts[J] == 0:
-        raise SeparationError(
-            "an extreme outcome category is empty: the likelihood has no interior maximum"
-        )
-    middle = np.nonzero(counts[1:J] == 0)[0]
-    if middle.size:
-        raise ThresholdCollapseError(
-            f"outcome category {int(middle[0]) + 1} is empty: adjacent thresholds collapse"
-        )
+def _fit(spec: ModelSpec, series, init: np.ndarray | None) -> _Fits:
+    """Fits of a batch (``dcgof.model._Batch``), each row started at its row
+    of ``init`` (warm) or at :func:`_default_init` (cold, ``init=None``)."""
+    cause = _category_causes(spec, series.y)
+    if init is None:
+        init, cause = _default_init(spec, series, cause)
+    return _newton(spec, series, init, cause)
 
 
 def fit_mle(
@@ -328,7 +437,8 @@ def fit_mle(
     init: Theta | None = None,
 ) -> FitResult:
     """Newton-Raphson conditional ML fit, started at ``init`` when given
-    (warm) and at :func:`_default_init` otherwise (cold).
+    (warm) and at :func:`_default_init` otherwise (cold): the batched fit on
+    a batch of one.
 
     Raises
     ------
@@ -337,115 +447,184 @@ def fit_mle(
         divergence beyond the cap).
     ThresholdCollapseError
         When adjacent thresholds collapse.
+    NonConvergenceError
+        When the start has a degenerate likelihood.
     """
     series.validate(spec)
-    max_lag = max(spec.q, spec.p_ar, 1)
-    if series.T <= spec.n_params + max_lag:
-        raise ValueError(
-            f"need T > {spec.n_params + max_lag} observations to fit {spec.n_params} parameters"
-        )
-    _check_category_counts(spec, series)
-    if init is None:
-        return _newton(spec, series, _default_init(spec, series))
-    init.validate(spec)
-    return _newton(spec, series, init.to_vector())
-
-
-def _newton(spec: ModelSpec, series: Series, vec: np.ndarray) -> FitResult:
-    """Newton loop of :func:`fit_mle` from the natural vector ``vec`` on a checked series."""
-    wmap = _WorkingMap(spec)
-    w = wmap.to_working(vec)
-
-    def ll_of(w_vec: np.ndarray) -> float:
-        # the trial rule: see the module docstring
-        nat = wmap.to_natural(w_vec)
-        if not (np.all(np.isfinite(nat)) and np.all(np.diff(nat[spec.n_index :]) > 0.0)
-                and _index_ar_stationary(nat[spec.alpha_slice])):
-            return -np.inf
-        return _loglik_pass(spec, nat, series, 0)[0]
-
-    def derivatives_of(w_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        _, S, H = _loglik_pass(spec, wmap.to_natural(w_vec), series, 2)
-        return (*wmap.derivatives_to_working(w_vec, S.sum(axis=0), H), S)
-
-    ll = ll_of(w)
-    if not np.isfinite(ll):
-        raise NonConvergenceError("initial point has degenerate likelihood", wmap.to_theta(w))
-    trace = [ll]
-    g, H, S = derivatives_of(w)
-    iterations = 0
-    converged = bool(np.max(np.abs(g)) <= TOL_GRAD)
-
-    while not converged and iterations < MAX_ITER:
-        iterations += 1
-        d = _ascent_direction(H, g)
-        # step-halving line search, stopped once the predicted gain falls
-        # below the float resolution of the log likelihood, where a trial
-        # can no longer show an increase
-        resolution = LOGLIK_RESOLUTION * max(1.0, abs(ll))
-        gain = float(g @ d)
-        eta = 1.0
-        accepted = False
-        for _ in range(60):
-            if eta * gain < resolution:
-                break
-            w_new = w + eta * d
-            ll_new = ll_of(w_new)
-            if np.isfinite(ll_new) and ll_new > ll:
-                accepted = True
-                break
-            eta *= 0.5
-        if accepted:
-            w, ll = w_new, ll_new
-            trace.append(ll)
-            g, H, S = derivatives_of(w)
-        else:
-            # So close to the optimum that the quadratic gain is below the
-            # float resolution of the log likelihood: accept the raw Newton
-            # step as long as it shrinks the score.
-            w_new = w + d
-            ll_new = ll_of(w_new)
-            if not np.isfinite(ll_new):
-                break
-            g_new, H_new, S_new = derivatives_of(w_new)
-            if np.max(np.abs(g_new)) >= np.max(np.abs(g)):
-                break
-            w, ll, g, H, S = w_new, ll_new, g_new, H_new, S_new
-        # the log gaps of ordered thresholds; empty in the binary case
-        if np.any(w[spec.n_index :] < math.log(TOL_MU)):
-            raise ThresholdCollapseError(f"threshold gap fell below {TOL_MU:g}", wmap.to_theta(w))
-        if np.max(np.abs(w)) > THETA_CAP:
-            raise SeparationError(
-                f"parameter norm exceeded cap {THETA_CAP:g}: perfect separation "
-                "or divergence",
-                wmap.to_theta(w),
-            )
-        converged = bool(np.max(np.abs(g)) <= TOL_GRAD)
-
-    # S holds the score contributions at w
+    _check_length(spec, series.T)
+    if init is not None:
+        init.validate(spec)
+        init = init.to_vector()[np.newaxis]
+    fit = _fit(spec, _Batch.of(series), init)
+    cause = Cause(int(fit.cause[0]))
+    if cause in _ERRORS:
+        error, message = _ERRORS[cause]
+        last = None if cause in (Cause.EMPTY_EXTREME, Cause.EMPTY_MIDDLE) else fit.vec[0]
+        raise error(message, None if last is None else Theta.from_vector(spec, last))
+    S = fit.S[0]
     return FitResult(
-        theta_hat=wmap.to_theta(w),
-        loglik=ll,
-        score_norm=float(np.max(np.abs(g))),
+        theta_hat=Theta.from_vector(spec, fit.vec[0]),
+        loglik=float(fit.ll[0]),
+        score_norm=float(fit.score_norm[0]),
         info_matrix=S.T @ S / S.shape[0],
-        iterations=iterations,
-        converged=converged,
+        iterations=int(fit.iterations[0]),
+        converged=cause is Cause.CONVERGED,
         n_obs=S.shape[0],
-        loglik_trace=tuple(trace),
+        loglik_trace=tuple(fit.trace[0]),
     )
 
 
+def _newton(spec: ModelSpec, series, vec: np.ndarray, cause: np.ndarray) -> _Fits:
+    """Newton loop of :func:`fit_mle` over a batch from the natural vectors
+    ``vec`` (K, L), on checked rows; rows whose ``cause`` is not
+    ``CONVERGED`` are skipped and keep it.
+
+    Every row follows the rule of a single fit, tracked by masks: the
+    iteration count, the step-halving line search (one trial per round for
+    each row still searching) and the stopping and failure rules.  A row's
+    numbers depend on its own data alone, so they are the same in any batch.
+    """
+    wmap = _WorkingMap(spec)
+    K, F = vec.shape[0], wmap.n_free
+    n_obs = series.y.shape[-1] - _window_start(spec)
+    with np.errstate(divide="ignore", invalid="ignore"):  # in rows that are skipped
+        w = wmap.to_working(vec)
+    cause = np.array(cause, dtype=np.int64)
+
+    def ll_of(rows: np.ndarray, w_rows: np.ndarray) -> np.ndarray:
+        # the trial rule: see the module docstring
+        with np.errstate(over="ignore", invalid="ignore"):
+            nat = wmap.to_natural(w_rows)
+            ok = np.all(np.isfinite(nat), axis=-1)
+            ok &= np.all(np.diff(nat[:, spec.n_index :], axis=-1) > 0.0, axis=-1)
+        if spec.p_ar:
+            ok[ok] = [_index_ar_stationary(a) for a in nat[ok][:, spec.alpha_slice]]
+        out = np.full(len(rows), -np.inf)
+        if ok.any():
+            out[ok] = _loglik_pass(spec, nat[ok], series.take(rows[ok]), 0)[0]
+        return out
+
+    def derivatives_of(rows: np.ndarray, w_rows: np.ndarray):
+        _, S_rows, H_nat = _loglik_pass(spec, wmap.to_natural(w_rows), series.take(rows), 2)
+        return (*wmap.derivatives_to_working(w_rows, S_rows.sum(axis=-2), H_nat), S_rows)
+
+    ll = np.full(K, -np.inf)
+    g = np.zeros((K, F))
+    H = np.zeros((K, F, F))
+    S = np.zeros((K, n_obs, spec.n_params))
+    iterations = np.zeros(K, dtype=np.int64)
+    converged = np.zeros(K, dtype=bool)
+    rows = np.flatnonzero(cause == Cause.CONVERGED)
+    ll[rows] = ll_of(rows, w[rows])
+    trace = [[v] for v in ll.tolist()]
+    cause[rows[~np.isfinite(ll[rows])]] = Cause.DEGENERATE_START
+    rows = np.flatnonzero(cause == Cause.CONVERGED)
+    if rows.size:
+        g[rows], H[rows], S[rows] = derivatives_of(rows, w[rows])
+    converged[rows] = np.max(np.abs(g[rows]), axis=-1) <= TOL_GRAD
+    live = (cause == Cause.CONVERGED) & ~converged
+
+    while True:
+        live &= iterations < MAX_ITER
+        rows = np.flatnonzero(live)
+        if not rows.size:
+            break
+        iterations[rows] += 1
+        d = _ascent_direction(H[rows], g[rows])
+        # step-halving line search, stopped once the predicted gain falls
+        # below the float resolution of the log likelihood, where a trial
+        # can no longer show an increase
+        resolution = LOGLIK_RESOLUTION * np.maximum(1.0, np.abs(ll[rows]))
+        gain = _dot(g[rows], d)
+        eta = np.ones(rows.size)
+        accepted = np.zeros(rows.size, dtype=bool)
+        w_new = np.empty((rows.size, F))
+        ll_new = np.empty(rows.size)
+        searching = np.ones(rows.size, dtype=bool)
+        for _ in range(60):
+            searching &= ~(eta * gain < resolution)
+            at = np.flatnonzero(searching)
+            if not at.size:
+                break
+            w_try = w[rows[at]] + eta[at, None] * d[at]
+            ll_try = ll_of(rows[at], w_try)
+            better = np.isfinite(ll_try) & (ll_try > ll[rows[at]])
+            won = at[better]
+            accepted[won] = True
+            w_new[won], ll_new[won] = w_try[better], ll_try[better]
+            searching[won] = False
+            eta[at[~better]] *= 0.5
+        won = rows[accepted]
+        if won.size:
+            w[won], ll[won] = w_new[accepted], ll_new[accepted]
+            for r, v in zip(won.tolist(), ll[won].tolist()):
+                trace[r].append(v)
+            g[won], H[won], S[won] = derivatives_of(won, w[won])
+        raw = rows[~accepted]
+        if raw.size:
+            # So close to the optimum that the quadratic gain is below the
+            # float resolution of the log likelihood: accept the raw Newton
+            # step as long as it shrinks the score; otherwise the row stops.
+            w_raw = w[raw] + d[~accepted]
+            ll_raw = ll_of(raw, w_raw)
+            finite = np.isfinite(ll_raw)
+            live[raw[~finite]] = False
+            raw, w_raw, ll_raw = raw[finite], w_raw[finite], ll_raw[finite]
+            if raw.size:
+                g_raw, H_raw, S_raw = derivatives_of(raw, w_raw)
+                shrinks = ~(np.max(np.abs(g_raw), axis=-1) >= np.max(np.abs(g[raw]), axis=-1))
+                live[raw[~shrinks]] = False
+                raw = raw[shrinks]
+                w[raw], ll[raw] = w_raw[shrinks], ll_raw[shrinks]
+                g[raw], H[raw], S[raw] = g_raw[shrinks], H_raw[shrinks], S_raw[shrinks]
+        rows = rows[live[rows]]
+        # the log gaps of ordered thresholds; empty in the binary case
+        collapsed = np.any(w[rows, spec.n_index :] < math.log(TOL_MU), axis=-1)
+        cause[rows[collapsed]] = Cause.GAP_COLLAPSE
+        rows = rows[~collapsed]
+        diverged = np.max(np.abs(w[rows]), axis=-1) > THETA_CAP
+        cause[rows[diverged]] = Cause.DIVERGED
+        rows = rows[~diverged]
+        converged[rows] = np.max(np.abs(g[rows]), axis=-1) <= TOL_GRAD
+        live &= (cause == Cause.CONVERGED) & ~converged
+
+    cause[(cause == Cause.CONVERGED) & ~converged] = Cause.UNCONVERGED
+    with np.errstate(over="ignore"):
+        nat = wmap.to_natural(w)
+    return _Fits(nat, ll, np.max(np.abs(g), axis=-1), S, iterations, cause, trace)
+
+
+def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``A[i]^-1 b[i]`` for each row; NaN for a row whose matrix is singular."""
+    try:
+        return np.linalg.solve(A, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full(b.shape, np.nan)
+        for i in range(len(b)):
+            try:
+                out[i] = np.linalg.solve(A[i], b[i, :, None])[:, 0]
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
 def _ascent_direction(H: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Newton direction, with Levenberg damping if the Hessian misbehaves."""
+    """Newton direction of each row, with Levenberg damping for a row whose
+    Hessian misbehaves (singular, not finite, or not giving an ascent)."""
     A = -H
-    lam = 0.0
-    scale = max(np.trace(A) / A.shape[0], 1.0)
+    F = g.shape[-1]
+    scale = np.maximum(np.trace(A, axis1=-2, axis2=-1) / F, 1.0)
+    d = g / scale[:, None]
+    lam = np.zeros(len(g))
+    todo = np.arange(len(g))
+    eye = np.eye(F)
     for _ in range(12):
-        try:
-            d = np.linalg.solve(A + lam * np.eye(A.shape[0]), g)
-        except np.linalg.LinAlgError:
-            d = None
-        if d is not None and np.isfinite(d).all() and float(d @ g) > 0.0:
-            return d
-        lam = max(2.0 * lam, 1e-8 * scale) * 10.0
-    return g / scale
+        trial = _solve(A[todo] + lam[todo, None, None] * eye, g[todo])
+        with np.errstate(invalid="ignore"):
+            ok = np.all(np.isfinite(trial), axis=-1) & (_dot(trial, g[todo]) > 0.0)
+        d[todo[ok]] = trial[ok]
+        todo = todo[~ok]
+        if not todo.size:
+            break
+        lam[todo] = np.maximum(2.0 * lam[todo], 1e-8 * scale[todo]) * 10.0
+    return d

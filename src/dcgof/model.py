@@ -17,20 +17,24 @@ threshold is fixed at zero and the intercept is free, so that
 This module defines the model description types, evaluates conditional
 probabilities, and simulates series (including the AR(1) exogenous regressor
 used by the Monte Carlo study).  Cell probabilities are evaluated in one
-place, ``_cells``, for the likelihood, the randomized PIT and the laws alike,
-and one floor rule, ``_check_floor``, raises below ``PROB_FLOOR_HARD`` and
-warns below ``PROB_FLOOR_WARN``.
+place, the padded tails of ``_tails``, from which ``_cells`` takes the
+realized cells of the likelihood and the randomized PIT and ``_law_arrays``
+the laws; one floor rule, ``_floor_rows``, flags rows below
+``PROB_FLOOR_HARD`` and warns below ``PROB_FLOOR_WARN`` (``_check_floor``
+raises for a single law).
 
 Inputs are checked once, at the boundary: public functions check their
 arguments (``Theta.validate``, ``Series``, the link functions' finite
 argument), and underscore kernels take checked arrays (the natural parameter
 vector, the thresholds) and check nothing.  Links are evaluated through one
 table of unchecked array functions, ``_LINKS``, behind the link functions too.
+The kernels take a leading batch axis (a ``_Batch`` of series and a stack
+of parameter vectors) and compute each row as it would be computed alone;
+the public functions run them on a batch of one.
 """
 
 from __future__ import annotations
 
-import bisect
 import enum
 import json
 import math
@@ -445,8 +449,52 @@ def _index_ar_stationary(alpha) -> bool:
 
 
 def _thresholds(mu) -> np.ndarray:
-    """Thresholds as an array; the binary model's (empty ``mu``) is a single zero."""
-    return np.asarray(mu, dtype=float) if len(mu) else np.zeros(1)
+    """Thresholds as an array, along the last axis; the binary model's (empty
+    ``mu``) is a single zero."""
+    mu = np.asarray(mu, dtype=float)
+    return mu if mu.shape[-1] else np.zeros(mu.shape[:-1] + (1,))
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row pair of ``a`` and ``b`` (..., n); the same
+    float operations as ``a[i] @ b[i]``."""
+    return (a[..., np.newaxis, :] @ b[..., :, np.newaxis])[..., 0, 0]
+
+
+class _Batch(NamedTuple):
+    """Series stacked along a leading axis, ``y`` (K, T) and ``x`` (K, T, k).
+
+    The kernels take any object with ``y`` (..., T) and ``x`` (..., T, k), so a
+    :class:`Series` is the unbatched case; the public functions run them on a
+    batch of one.  Rows are not validated.
+    """
+
+    y: np.ndarray
+    x: np.ndarray
+
+    @classmethod
+    def of(cls, series: Series) -> "_Batch":
+        return cls(series.y[np.newaxis], series.x[np.newaxis])
+
+    def take(self, rows) -> "_Batch":
+        return _Batch(self.y[rows], self.x[rows])
+
+
+def _tails(
+    spec: ModelSpec, mu: np.ndarray, pi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Threshold gaps ``mu_j - pi`` and upper tails ``S_j = P(eps > mu_j - pi)``
+    of each index, along a new last axis padded with the infinite thresholds
+    (gap 0, ``S_{-1} = 1``, ``S_J = 0``), and the lower tail ``F(mu_0 - pi)``.
+    ``mu`` (..., J) carries the leading axes of ``pi`` (..., T)."""
+    J = spec.support_size
+    link = _LINKS[spec.link]
+    gaps = np.zeros(pi.shape + (J + 2,))
+    gaps[..., 1:-1] = mu[..., np.newaxis, :] - pi[..., np.newaxis]
+    tails = np.zeros_like(gaps)
+    tails[..., 0] = 1.0
+    tails[..., 1:-1] = link.tail(gaps[..., 1:-1])
+    return gaps, tails, link.cdf(gaps[..., 1])
 
 
 def _cells(
@@ -455,30 +503,23 @@ def _cells(
     """Cell probability ``P(Y = y | pi)`` and cdf below it ``F(y - 1 | pi)``
     under the thresholds ``mu`` (from :func:`_thresholds`).
 
-    This is the only evaluation of cell probabilities: the likelihood, the
-    randomized PIT and the laws all take them from here.  ``y`` broadcasts
-    against the array ``pi``.  Returns ``(p, below, lo, hi)`` with the
-    threshold gaps ``lo = mu_{y-1} - pi`` and ``hi = mu_y - pi``, set to zero
-    where the threshold is infinite (``y = 0`` and ``y = J``).
+    This and :func:`_law_arrays` are the only evaluations of cell
+    probabilities, both from the padded tails of :func:`_tails`: the
+    likelihood and the randomized PIT take the realized cells from here, the
+    laws take every cell.  ``y`` has the shape of ``pi``.  Returns ``(p,
+    below, lo, hi)`` with the threshold gaps ``lo = mu_{y-1} - pi`` and ``hi =
+    mu_y - pi``, set to zero where the threshold is infinite (``y = 0`` and
+    ``y = J``).
 
-    Cells above the bottom come from the upper tails ``S_j = P(eps > mu_j -
-    pi)``, so the top category never suffers cancellation and the binary
-    identity ``P(Y=1) = F(pi)`` is exact for symmetric links; the bottom cell
-    and ``F(0)`` come from the lower tail, so they never saturate to zero by
-    rounding.  Inputs are not validated.
+    Cells above the bottom come from the upper tails, so the top category
+    never suffers cancellation and the binary identity ``P(Y=1) = F(pi)`` is
+    exact for symmetric links; the bottom cell and ``F(0)`` come from the
+    lower tail, so they never saturate to zero by rounding.  Inputs are not
+    validated.
     """
-    J = spec.support_size
-    link = _LINKS[spec.link]
-    # gaps and tails at every threshold of each index, padded with the
-    # infinite thresholds: gap 0, S_{-1} = 1 and S_J = 0
-    gaps = np.zeros(pi.shape + (J + 2,))
-    gaps[..., 1:-1] = mu - pi[..., np.newaxis]
-    tails = np.zeros_like(gaps)
-    tails[..., 0] = 1.0
-    tails[..., 1:-1] = link.tail(gaps[..., 1:-1])
-    bottom = link.cdf(gaps[..., 1])
+    gaps, tails, bottom = _tails(spec, mu, pi)
     # flat positions of threshold y - 1 and threshold y
-    at = np.arange(0, gaps.size, J + 2).reshape(pi.shape) + y
+    at = np.arange(0, gaps.size, gaps.shape[-1]).reshape(pi.shape) + y
     above = at + 1
     tail_lo = tails.take(at)
     p = np.where(y == 0, bottom, tail_lo - tails.take(above))
@@ -486,30 +527,40 @@ def _cells(
     return p, below, gaps.take(at), gaps.take(above)
 
 
-def _check_floor(cells: np.ndarray, what: str) -> None:
-    """The floor rule: raise if a cell probability is below
-    ``PROB_FLOOR_HARD``, warn if it is below ``PROB_FLOOR_WARN``."""
-    lowest = float(np.min(cells))
-    if lowest < PROB_FLOOR_HARD:
-        raise AssumptionViolationError(
-            f"{what} cell probability {lowest:.3e} below floor {PROB_FLOOR_HARD:.0e}"
-        )
-    if lowest < PROB_FLOOR_WARN:
+def _floor_rows(cells: np.ndarray, what: str) -> np.ndarray:
+    """The floor rule over the last axis of ``cells``: True for each row with
+    a cell probability below ``PROB_FLOOR_HARD``; warns if a row not flagged
+    has one below ``PROB_FLOOR_WARN``."""
+    lowest = np.min(cells, axis=-1)
+    broken = lowest < PROB_FLOOR_HARD
+    kept = lowest[~broken]
+    if kept.size and kept.min() < PROB_FLOOR_WARN:
         warnings.warn(
-            f"{what} cell probability {lowest:.3e} below {PROB_FLOOR_WARN:.0e}",
+            f"{what} cell probability {kept.min():.3e} below {PROB_FLOOR_WARN:.0e}",
             ProbabilityFloorWarning,
             stacklevel=3,
+        )
+    return broken
+
+
+def _check_floor(cells: np.ndarray, what: str) -> None:
+    """The floor rule on one set of cells: raise if one is below
+    ``PROB_FLOOR_HARD``, warn if one is below ``PROB_FLOOR_WARN``."""
+    if np.any(_floor_rows(cells.ravel(), what)):
+        raise AssumptionViolationError(
+            f"{what} cell probability {np.min(cells):.3e} below floor {PROB_FLOOR_HARD:.0e}"
         )
 
 
 def _law_arrays(spec: ModelSpec, mu: np.ndarray, pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(probs, cdf)`` of shape ``(len(pi), J + 1)``: :func:`_cells` over
-    every outcome ``0..J``."""
-    J = spec.support_size
-    probs, below, _, _ = _cells(spec, mu, pi[:, np.newaxis], np.arange(J + 1))
-    cdf = np.empty_like(probs)
-    cdf[:, :J] = below[:, 1:]
-    cdf[:, J] = 1.0
+    """``(probs, cdf)`` with a last axis over every outcome ``0..J``, taken
+    from slices of the padded tails of :func:`_tails` by the rule of
+    :func:`_cells`."""
+    _, tails, bottom = _tails(spec, mu, pi)
+    probs = tails[..., :-1] - tails[..., 1:]
+    probs[..., 0] = bottom
+    cdf = 1.0 - tails[..., 1:]
+    cdf[..., 0] = bottom
     return probs, cdf
 
 
@@ -533,7 +584,7 @@ def cond_law(spec: ModelSpec, theta: Theta, pi_t: float) -> CondLaw:
 
 
 def _index_kernel(
-    spec: ModelSpec, vec: np.ndarray, series: Series, curvature: bool = False
+    spec: ModelSpec, vec: np.ndarray, series, curvature: bool = False
 ) -> tuple[np.ndarray, ...]:
     """Index path and its gradient w.r.t. the index parameters at the natural vector ``vec``.
 
@@ -541,66 +592,82 @@ def _index_kernel(
     path.  Presample outcomes are zero and presample index lags equal the
     unconditional mean, the convention of :func:`simulate`.  The gradient
     columns follow the natural order ``(pi0, delta, alpha, beta, gamma)``;
-    thresholds do not enter the index.  Inputs are not validated.
+    thresholds do not enter the index.  Leading axes of ``vec`` (..., L) and
+    of ``series`` (a :class:`Series` or a :class:`_Batch`) are batch axes,
+    and each row is computed by the same operations whatever the batch.
+    Inputs are not validated.
 
-    Returns ``(pi, G)``, or with ``curvature`` ``(pi, G, M)``.  The second
+    Returns ``(pi, G)``, or with ``curvature`` ``(pi, G, M)``, with shapes
+    (..., T), (..., T, n_index) and (..., T, p_ar, n_index).  The second
     derivative of ``pi_t`` is nonzero only in the rows and columns of
-    ``alpha``, so ``M[t, j] = d G[t] / d alpha_{j+1}``, shape
-    ``(T, p_ar, n_index)``, holds all of it; ``M`` is ``None`` without index
-    autoregression.
+    ``alpha``, so ``M[t, j] = d G[t] / d alpha_{j+1}`` holds all of it; ``M``
+    is ``None`` without index autoregression.
     """
-    T = series.T
     y = series.y.astype(float)
     x = series.x
+    T = y.shape[-1]
     q, p, k = spec.q, spec.p_ar, spec.n_regressors
     ac = spec.alpha_slice
-    G = np.empty((T, spec.n_index))
-    G[:, 0] = 1.0
+    n = spec.n_index
+    G = np.empty(y.shape + (n,))
+    G[..., 0] = 1.0
     for i in range(1, q + 1):
-        G[:i, i] = 0.0
-        G[i:, i] = y[:-i]
-    G[:, ac] = 0.0
+        G[..., :i, i] = 0.0
+        G[..., i:, i] = y[..., :-i]
+    G[..., ac] = 0.0
     pos = ac.stop
     if k:
-        G[:, pos : pos + k] = x
+        G[..., pos : pos + k] = x
         pos += k
     if spec.interactions:
-        G[0, pos:] = 0.0
-        G[1:, pos:] = y[:-1, None] * x[1:]
-    pi = G @ vec[: spec.n_index]
+        G[..., 0, pos:] = 0.0
+        G[..., 1:, pos:] = y[..., :-1, None] * x[..., 1:, :]
+    pi = (G @ vec[..., :n, None])[..., 0]
     if not p:
         return (pi, G, None) if curvature else (pi, G)
 
     # index autoregression: add alpha_i * pi_{t-i} to the index, and carry
     # d pi_t / d theta (and on request d G_t / d alpha) through the same
-    # recursion
-    pi0, alpha = float(vec[0]), vec[ac].tolist()
-    s = sum(alpha)
-    g_pre = np.zeros(G.shape[1])
-    g_pre[0] = 1.0 / (1.0 - s)
-    g_pre[ac] = pi0 / (1.0 - s) ** 2
+    # recursion, one period at a time over the whole batch
+    pi0, alpha = vec[..., 0], vec[..., ac]
+    s = 0.0
+    for i in range(p):
+        s = s + alpha[..., i]
+    g_pre = np.zeros(y.shape[:-1] + (n,))
+    g_pre[..., 0] = 1.0 / (1.0 - s)
+    g_pre[..., ac] = (pi0 / (1.0 - s) ** 2)[..., None]
     pi_lags = [pi0 / (1.0 - s)] * p  # pi_{t-1}, ..., pi_{t-p}
     g_lags = [g_pre] * p
     if curvature:
-        M = np.empty((T, p, G.shape[1]))
-        m_pre = np.zeros((p, G.shape[1]))
-        m_pre[:, 0] = 1.0 / (1.0 - s) ** 2
-        m_pre[:, ac] = 2.0 * pi0 / (1.0 - s) ** 3
+        M = np.empty(y.shape + (p, n))
+        m_pre = np.zeros(y.shape[:-1] + (p, n))
+        m_pre[..., 0] = (1.0 / (1.0 - s) ** 2)[..., None]
+        m_pre[..., ac] = (2.0 * pi0 / (1.0 - s) ** 3)[..., None, None]
         m_lags = [m_pre] * p
-    for t, value in enumerate(pi.tolist()):
+    a = [alpha[..., i] for i in range(p)]
+    for t in range(T):
         if curvature:
             # d G_t / d alpha_j = G_{t-j} + sum_i alpha_i d G_{t-i} / d alpha_j,
             # plus G_{t-i}[alpha_j] in column alpha_i
-            stacked = np.array(g_lags)
-            M[t] = stacked + sum(a * m for a, m in zip(alpha, m_lags))
-            M[t, :, ac] += stacked[:, ac].T
-            m_lags = [M[t]] + m_lags[:-1]
-        G[t, ac] = pi_lags
-        G[t] += sum(a * g for a, g in zip(alpha, g_lags))
-        value += sum(a * lag for a, lag in zip(alpha, pi_lags))
-        pi[t] = value
+            stacked = np.stack(g_lags, axis=-2)
+            acc = 0.0
+            for a_i, m in zip(a, m_lags):
+                acc = acc + a_i[..., None, None] * m
+            M[..., t, :, :] = stacked + acc
+            M[..., t, :, ac] += np.swapaxes(stacked[..., ac], -1, -2)
+            m_lags = [M[..., t, :, :]] + m_lags[:-1]
+        G[..., t, ac] = np.stack(pi_lags, axis=-1)
+        acc = 0.0
+        for a_i, g in zip(a, g_lags):
+            acc = acc + a_i[..., None] * g
+        G[..., t, :] += acc
+        acc = 0.0
+        for a_i, lag in zip(a, pi_lags):
+            acc = acc + a_i * lag
+        value = pi[..., t] + acc
+        pi[..., t] = value
         pi_lags = [value] + pi_lags[:-1]
-        g_lags = [G[t]] + g_lags[:-1]
+        g_lags = [G[..., t, :]] + g_lags[:-1]
     return (pi, G, M) if curvature else (pi, G)
 
 
@@ -612,7 +679,7 @@ def index_path(spec: ModelSpec, theta: Theta, series: Series) -> np.ndarray:
     """
     theta.validate(spec)
     series.validate(spec)
-    return _index_kernel(spec, theta.to_vector(), series)[0]
+    return _index_kernel(spec, theta.to_vector()[np.newaxis], _Batch.of(series))[0][0]
 
 
 def law_path(spec: ModelSpec, theta: Theta, series: Series) -> tuple[np.ndarray, np.ndarray]:
@@ -688,28 +755,82 @@ def simulate(
     if x.shape != (T, spec.n_regressors):
         raise ValueError(f"x must have shape ({T}, {spec.n_regressors})")
 
-    mu = _thresholds(theta.mu)
-    eps = _latent_errors(spec.link, T, rng)
-    xb = x @ np.asarray(theta.beta)
-    if spec.q == 0 and spec.p_ar == 0:
-        return Series(y=np.searchsorted(mu, theta.pi0 + xb + eps), x=x)
+    y = _simulate(spec, theta.to_vector()[np.newaxis], x[np.newaxis], [rng])
+    return Series(y=y[0], x=x)
 
-    # one plain-float pass over the periods: Y_t feeds the index of t+1
-    mu = mu.tolist()
-    xg = (x @ np.asarray(theta.gamma)).tolist() if spec.interactions else None
-    pi_pre = theta.pi0 / (1.0 - sum(theta.alpha))  # the unconditional mean
-    y = [0] * T
-    pi = [0.0] * T
-    for t, (xb_t, eps_t) in enumerate(zip(xb.tolist(), eps.tolist())):
-        value = theta.pi0
-        for i, d in enumerate(theta.delta, start=1):
+
+def _simulate(spec: ModelSpec, vec: np.ndarray, x: np.ndarray, rngs) -> np.ndarray:
+    """Outcomes (K, T) of a batch: row ``k`` at the natural vector ``vec[k]``
+    on the regressors ``x[k]`` (K, T, k), with its latent errors drawn from
+    ``rngs[k]``.  Each row gets the float operations of a single series, in
+    the same order.  Inputs are not validated."""
+    K, T = x.shape[:2]
+    eps = np.array([_latent_errors(spec.link, T, rng) for rng in rngs]).reshape(K, T)
+    n, k, ac = spec.n_index, spec.n_regressors, spec.alpha_slice
+    J, q = spec.support_size, spec.q
+    mu = _thresholds(vec[:, n:])
+    pi0 = vec[:, 0]
+    xb = (x @ vec[:, ac.stop : ac.stop + k, np.newaxis])[..., 0]
+    xg = (x @ vec[:, ac.stop + k : n, np.newaxis])[..., 0] if spec.interactions else None
+    if spec.p_ar:
+        return _simulate_index_ar(spec, vec, mu, xb, xg, eps)
+
+    # Without index autoregression the index of period t depends on the past
+    # only through the lagged outcomes c = (y_{t-1}, ..., y_{t-q}) in
+    # {0..J}^q: take the outcome at every c at once, then walk that table
+    # from the presample zeros.  Row c of `lags` has index
+    # sum_i c_i (J+1)^(q-i).
+    lags = np.indices((J + 1,) * q).reshape(q, (J + 1) ** q).T
+    t = np.arange(T)[:, np.newaxis]
+    value = np.broadcast_to(pi0[:, np.newaxis, np.newaxis], (K, T, len(lags)))
+    for i in range(1, q + 1):
+        value = np.where(t >= i, value + vec[:, i, np.newaxis, np.newaxis] * lags[:, i - 1], value)
+    value = value + xb[..., np.newaxis]
+    if xg is not None:
+        value = np.where(t >= 1, value + lags[:, 0] * xg[..., np.newaxis], value)
+    latent = value + eps[..., np.newaxis]
+    table = np.count_nonzero(mu[:, np.newaxis, np.newaxis, :] < latent[..., np.newaxis], axis=-1)
+    if not q:
+        return table[..., 0]
+    y = np.empty((K, T), dtype=np.int64)
+    step = (J + 1) ** (q - 1)
+    for row, outcomes in zip(y, table.tolist()):
+        path, state = [], 0
+        for at_lags in outcomes:
+            path.append(at_lags[state])
+            state = path[-1] * step + state // (J + 1)
+        row[:] = path
+    return y
+
+
+def _simulate_index_ar(spec, vec, mu, xb, xg, eps) -> np.ndarray:
+    """The outcomes of :func:`_simulate` with index autoregression: one pass
+    over the periods, each period over the whole batch."""
+    T = xb.shape[1]
+    mu = list(mu.T)
+    delta, alpha = list(vec[:, 1 : spec.alpha_slice.start].T), list(vec[:, spec.alpha_slice].T)
+    xb, eps = list(xb.T), list(eps.T)
+    xg = None if xg is None else list(xg.T)
+    pi0 = vec[:, 0]
+    s = 0.0
+    for a in alpha:
+        s = s + a
+    pi_pre = pi0 / (1.0 - s)  # the unconditional mean
+    y, pi = [], []
+    for t in range(T):
+        value = pi0
+        for i, d in enumerate(delta, start=1):
             if t >= i:
-                value += d * y[t - i]
-        for i, a in enumerate(theta.alpha, start=1):
-            value += a * (pi[t - i] if t >= i else pi_pre)
-        value += xb_t
+                value = value + d * y[t - i]
+        for i, a in enumerate(alpha, start=1):
+            value = value + a * (pi[t - i] if t >= i else pi_pre)
+        value = value + xb[t]
         if xg is not None and t >= 1:
-            value += y[t - 1] * xg[t]
-        pi[t] = value
-        y[t] = bisect.bisect_left(mu, value + eps_t)
-    return Series(y=np.array(y), x=x)
+            value = value + y[t - 1] * xg[t]
+        pi.append(value)
+        latent = value + eps[t]
+        count = mu[0] < latent
+        for threshold in mu[1:]:
+            count = np.add(count, threshold < latent, dtype=np.int64)
+        y.append(count)
+    return np.array(y, dtype=np.int64).T.copy()

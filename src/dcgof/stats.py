@@ -37,7 +37,18 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import special
 
-from .model import AssumptionViolationError, ModelSpec, Series, Theta, law_path
+from .model import (
+    AssumptionViolationError,
+    ModelSpec,
+    Series,
+    Theta,
+    _Batch,
+    _dot,
+    _floor_rows,
+    _index_kernel,
+    _law_arrays,
+    _thresholds,
+)
 
 __all__ = [
     "StatKind",
@@ -153,28 +164,30 @@ def study_kinds(m: Sequence[int]) -> tuple[StatKind, ...]:
 DEFAULT_STUDY_KINDS: tuple[StatKind, ...] = study_kinds((1, 2, 25))
 
 
-def _check_u(u) -> np.ndarray:
+def _check_u(u, batch: bool = False) -> np.ndarray:
+    """Residuals as a float array: one series, or with ``batch`` also a
+    batch of series (K, T)."""
     u = np.asarray(u, dtype=float)
-    if u.ndim != 1:
+    if u.ndim != 1 and not (batch and u.ndim == 2):
         raise ValueError("residuals must be one-dimensional")
     return u
 
 
 def _process_pairs(u: np.ndarray, kind: StatKind) -> tuple[np.ndarray, np.ndarray | None, float]:
-    """Indicator coordinates and normalizer for a CvM/KS kind."""
-    T = u.shape[0]
+    """Indicator coordinates and normalizer for a CvM/KS kind, along the last axis."""
+    T = u.shape[-1]
     if kind.tag in ("CvM_p", "KS_p"):
         if kind.p == 1:
             if T < 3:
                 raise ValueError("need T >= 3")
-            return u[:-1], None, math.sqrt(T - 2)
+            return u[..., :-1], None, math.sqrt(T - 2)
         if T < 4:
             raise ValueError("need T >= 4")
-        return u[1 : T - 1], u[: T - 2], math.sqrt(T - 3)
+        return u[..., 1 : T - 1], u[..., : T - 2], math.sqrt(T - 3)
     j = kind.j
     if T < j + 2:
         raise ValueError(f"need T >= {j + 2} for lag {j}")
-    return u[j:], u[:-j], math.sqrt(T - j)
+    return u[..., j:], u[..., :-j], math.sqrt(T - j)
 
 
 # Points per tile of the dense comparisons in ``_dominance``.
@@ -190,75 +203,89 @@ _KS_TOP = 128
 _KS_BATCH = 1024
 
 
-def _cvm_1d(a: np.ndarray, denom: float) -> float:
+def _cvm_1d(a: np.ndarray, denom: float):
     # sum_{i,k} (1 - max(a_i, a_k)) = sum_i (1 - a_(i)) (2i - 1) over the
     # sorted values.  Completing the square with the other two terms gives
     # 1/12 + n sum_i (a_(i) - (2i - 1)/(2n))^2, a sum free of cancellation.
-    n = a.shape[0]
-    d = np.sort(a) - np.arange(1.0, 2.0 * n, 2.0) / (2.0 * n)
-    total = 1.0 / 12.0 + n * (d @ d)
-    return float(total / (denom * denom))
+    # Leading axes of ``a`` are batch axes, here and in the kernels below.
+    n = a.shape[-1]
+    d = np.sort(a, axis=-1) - np.arange(1.0, 2.0 * n, 2.0) / (2.0 * n)
+    total = 1.0 / 12.0 + n * _dot(d, d)
+    return total / (denom * denom)
 
 
 def _dominance(rank: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each point k, ``#{i < k : rank_i <= rank_k}`` and the sum of
-    ``w_i`` over ``i < k`` with ``rank_i > rank_k``.  Ranks lie in 1..n."""
-    n = rank.shape[0]
+    """For each point k of each row (K, n), ``#{i < k : rank_i <= rank_k}`` and
+    the sum of ``w_i`` over ``i < k`` with ``rank_i > rank_k``.  Ranks lie in
+    1..n."""
+    K, n = rank.shape
     # Dense comparisons within tiles of consecutive points.  The padding sits
     # after every real point of the last tile, so it is never counted.
     m = -(-n // _TILE) * _TILE
-    R = np.zeros(m, dtype=np.int64)
-    R[:n] = rank
-    W = np.zeros(m)
-    W[:n] = w
+    R = np.zeros((K, m), dtype=np.int64)
+    R[:, :n] = rank
+    W = np.zeros((K, m))
+    W[:, :n] = w
     R, W = R.reshape(-1, _TILE), W.reshape(-1, _TILE)
     le = R[:, :, None] <= R[:, None, :]
-    cnt = (le & _EARLIER).sum(axis=1).ravel()[:n]
-    sw = np.einsum("ti,tik->tk", W, ~le & _EARLIER).ravel()[:n]
+    cnt = (le & _EARLIER).sum(axis=1).reshape(K, m)[:, :n].ravel()
+    np.logical_not(le, out=le)
+    le &= _EARLIER
+    sw = np.einsum("ti,tik->tk", W, le).reshape(K, m)[:, :n].ravel()
+    del le
     # Merge levels: each point of an odd block of size s is compared with the
     # whole even block before it, by binary search in the keys
-    # (block, rank) sorted per level.  From the second level on, the keys in
-    # the previous level's order form two sorted runs per block, which the
-    # stable sort merges in linear time.
+    # (row, block, rank) sorted per level.  From the second level on, the
+    # keys in the previous level's order form two sorted runs per block,
+    # which the stable sort merges in linear time.  The rows lie side by
+    # side in one order; the cumulative sums of w are taken per row.
     pos = np.arange(n)
-    order = pos
+    order = np.arange(K * n)
+    w = w.ravel()
     span = n + 2
+    row = np.arange(K)[:, None] * ((n // _TILE + 1) * span)
     s = _TILE
     while s < n:
         blk = pos // s
-        key = blk * span + rank
+        key = (blk * span + rank + row).ravel()
         order = order[np.argsort(key[order], kind="stable")]
-        cw = np.concatenate(([0.0], np.cumsum(w[order])))
-        k = pos[s:][blk[s:] % 2 == 1]
-        start = (blk[k] - 1) * s
-        idx = np.searchsorted(key[order], key[k] - span, side="right")
+        cw = np.zeros((K, n + 1))
+        np.cumsum(w[order].reshape(K, n), axis=-1, out=cw[:, 1:])
+        k = (pos[s:][blk[s:] % 2 == 1] + np.arange(0, K * n, n)[:, None]).ravel()
+        start = (blk[k % n] - 1) * s
+        idx = np.searchsorted(key[order], key[k] - span, side="right") - k // n * n
         cnt[k] += idx - start
-        sw[k] += cw[start + s] - cw[idx]
+        cw = cw.ravel()
+        base = k // n * (n + 1)
+        sw[k] += cw[base + start + s] - cw[base + idx]
         s *= 2
-    return cnt, sw
+    return cnt.reshape(K, n), sw.reshape(K, n)
 
 
-def _cvm_2d(a: np.ndarray, b: np.ndarray, denom: float) -> float:
+def _cvm_2d(a: np.ndarray, b: np.ndarray, denom: float):
     # Pair (i, k) contributes (1 - max(a_i, a_k)) (1 - max(b_i, b_k)).  With
     # the points ordered by a, the pairs i < k contribute
     # (1 - a_k) [cnt_k (1 - b_k) + sw_k], with the dominance counts over b.
-    n = a.shape[0]
-    order = np.argsort(a, kind="stable")
-    a, b = a[order], b[order]
-    rank = np.searchsorted(np.sort(b), b, side="right")  # ties share a rank
+    lead, n = a.shape[:-1], a.shape[-1]
+    a, b = a.reshape(-1, n), b.reshape(-1, n)
+    order = np.argsort(a, axis=-1, kind="stable")
+    a, b = np.take_along_axis(a, order, -1), np.take_along_axis(b, order, -1)
+    # ties share a rank
+    rank = np.array([np.searchsorted(np.sort(row), row, side="right") for row in b])
     cnt, sw = _dominance(rank, 1.0 - b)
     qq = ((1.0 - a * a) / 2.0) * ((1.0 - b * b) / 2.0)
     terms = (1.0 - a) * (1.0 - b + 2.0 * (cnt * (1.0 - b) + sw)) - 2.0 * n * qq + n / 9.0
-    return float(terms.sum() / (denom * denom))
+    return (terms.sum(axis=-1) / (denom * denom)).reshape(lead)[()]
 
 
-def _ks_1d(a: np.ndarray, denom: float) -> float:
-    n = a.shape[0]
-    v = np.unique(a)
-    counts = np.searchsorted(np.sort(a), v, side="right")
-    at_jump = np.abs(counts - n * v)
-    before_jump = np.abs(np.concatenate(([0.0], counts[:-1].astype(float))) - n * v)
-    return float(max(at_jump.max(), before_jump.max()) / denom)
+def _ks_1d(a: np.ndarray, denom: float):
+    # The process jumps at each sorted value v_(i) from i - n v to i + 1 - n v
+    # (0-based i); across a run of ties the extremes are the run's first
+    # value before and its last value after, the only ones that count.
+    n = a.shape[-1]
+    nv = n * np.sort(a, axis=-1)
+    before = np.abs(np.arange(n) - nv).max(axis=-1)
+    return np.maximum(np.abs(np.arange(1, n + 1) - nv).max(axis=-1), before) / denom
 
 
 def _ks_2d(a: np.ndarray, b: np.ndarray, denom: float) -> float:
@@ -361,27 +388,41 @@ def _ks_2d(a: np.ndarray, b: np.ndarray, denom: float) -> float:
     return float(best / denom)
 
 
+def _cvm(u: np.ndarray, kind: StatKind):
+    a, b, denom = _process_pairs(u, kind)
+    return _cvm_1d(a, denom) if b is None else _cvm_2d(a, b, denom)
+
+
+def _ks(u: np.ndarray, kind: StatKind) -> np.ndarray:
+    """KS values of a batch ``u`` (K, T); the bivariate search runs per series."""
+    # the 2-D search's bounds need the grid coordinates to be monotone
+    if not (u.min() >= 0.0 and u.max() <= 1.0):
+        raise ValueError("KS residuals must lie in [0, 1]")
+    a, b, denom = _process_pairs(u, kind)
+    if b is None:
+        return _ks_1d(a, denom)
+    return np.array([_ks_2d(a_k, b_k, denom) for a_k, b_k in zip(a, b)])
+
+
+def _nonnegative(values: np.ndarray) -> np.ndarray:
+    """The rule of :class:`StatValue` on a batch of values."""
+    if not np.all(np.isfinite(values)) or np.any(values < -1e-12):
+        raise ValueError(f"statistic value must be finite and nonnegative, got {values}")
+    return np.maximum(values, 0.0)
+
+
 def cvm_stat(u, kind: StatKind) -> StatValue:
     """Cramer-von Mises statistic: exact closed form of the integrated square."""
     if kind.tag not in ("CvM_p", "CvM_2j"):
         raise ValueError(f"not a CvM kind: {kind}")
-    u = _check_u(u)
-    a, b, denom = _process_pairs(u, kind)
-    value = _cvm_1d(a, denom) if b is None else _cvm_2d(a, b, denom)
-    return StatValue(kind=kind, value=value)
+    return StatValue(kind=kind, value=_cvm(_check_u(u), kind))
 
 
 def ks_stat(u, kind: StatKind) -> StatValue:
     """Kolmogorov-Smirnov statistic: exact sup over the jump candidate set."""
     if kind.tag not in ("KS_p", "KS_2j"):
         raise ValueError(f"not a KS kind: {kind}")
-    u = _check_u(u)
-    a, b, denom = _process_pairs(u, kind)
-    # the 2-D search's bounds need the grid coordinates to be monotone
-    if not (u.min() >= 0.0 and u.max() <= 1.0):
-        raise ValueError("KS residuals must lie in [0, 1]")
-    value = _ks_1d(a, denom) if b is None else _ks_2d(a, b, denom)
-    return StatValue(kind=kind, value=value)
+    return StatValue(kind=kind, value=_ks(_check_u(u)[np.newaxis], kind)[0])
 
 
 def bartlett_weight(j: int, m: int) -> float:
@@ -413,40 +454,65 @@ def aggregate(
 
 
 def residuals_gaussian(u) -> np.ndarray:
-    """Normal quantiles of the PIT residuals."""
-    u = _check_u(u)
+    """Normal quantiles of the PIT residuals (one series or a batch)."""
+    u = _check_u(u, batch=True)
     if u.size and (u.min() <= 0.0 or u.max() >= 1.0):
         raise ValueError("residuals must lie strictly inside (0, 1)")
     return special.ndtri(u)
 
 
-def residuals_discrete(spec: ModelSpec, theta: Theta, series: Series) -> np.ndarray:
-    """Standardized discrete residuals ``(Y_t - E[Y_t]) / sd(Y_t)``."""
-    probs, _ = law_path(spec, theta, series)
+def _residuals_discrete(spec: ModelSpec, vec: np.ndarray, series) -> tuple[np.ndarray, np.ndarray]:
+    """Standardized discrete residuals of a batch at the natural vectors
+    ``vec`` (K, L), and the rows that break an assumption: a realized cell
+    below the probability floor or a zero conditional variance.  Inputs
+    are not validated."""
+    pi = _index_kernel(spec, vec, series)[0]
+    probs, _ = _law_arrays(spec, _thresholds(vec[..., spec.n_index :]), pi)
+    y = series.y
+    broken = _floor_rows(np.take_along_axis(probs, y[..., None], -1)[..., 0], "realized")
     support = np.arange(spec.support_size + 1, dtype=float)
     mean = probs @ support
-    var = np.einsum("tj,tj->t", probs, (support[None, :] - mean[:, None]) ** 2)
-    if var.min() <= 0.0:
-        raise AssumptionViolationError("zero conditional variance in discrete residuals")
-    return (series.y - mean) / np.sqrt(var)
+    var = np.einsum("...tj,...tj->...t", probs, (support - mean[..., None]) ** 2)
+    broken |= var.min(axis=-1) <= 0.0
+    return (y - mean) / np.sqrt(np.where(broken[..., None], 1.0, var)), broken
 
 
-def _acf2_sums(resid, m: int) -> tuple[int, list[float]]:
+def residuals_discrete(spec: ModelSpec, theta: Theta, series: Series) -> np.ndarray:
+    """Standardized discrete residuals ``(Y_t - E[Y_t]) / sd(Y_t)``.
+
+    Raises
+    ------
+    AssumptionViolationError
+        If a realized cell probability falls below the hard floor (a warning
+        below the warning floor), or a conditional variance is zero.
+    """
+    theta.validate(spec)
+    series.validate(spec)
+    e, broken = _residuals_discrete(spec, theta.to_vector()[None], _Batch.of(series))
+    if broken[0]:
+        raise AssumptionViolationError(
+            "realized cell probability below floor or zero conditional variance "
+            "in discrete residuals"
+        )
+    return e[0]
+
+
+def _acf2_sums(resid, m: int) -> tuple[int, list]:
     """Length ``T`` and the running sums ``sum_{j<=k} acf(j)^2``, k = 1..m,
-    of the mean-centered residuals."""
+    of the mean-centered residuals (along the last axis)."""
     x = np.asarray(resid, dtype=float)
-    T = x.shape[0]
+    T = x.shape[-1]
     if T <= m + 1:
         raise ValueError(f"need T > m + 1 = {m + 1}, got {T}")
-    xc = x - x.mean()
-    denom = float(xc @ xc)
-    if denom <= 0.0:
+    xc = x - x.mean(axis=-1, keepdims=True)
+    denom = _dot(xc, xc)
+    if np.any(denom <= 0.0):
         raise ValueError("residual series has zero variance")
     sums = []
     acf2 = 0.0
     for j in range(1, m + 1):
-        rho = float(xc[j:] @ xc[:-j]) / denom
-        acf2 += rho * rho
+        rho = _dot(xc[..., j:], xc[..., :-j]) / denom
+        acf2 = acf2 + rho * rho
         sums.append(acf2)
     return T, sums
 
@@ -456,26 +522,31 @@ def box_pierce(resid, m: int, kind: StatKind | None = None) -> StatValue:
     m = int(m)
     if m < 1:
         raise ValueError("m must be >= 1")
-    T, sums = _acf2_sums(resid, m)
+    T, sums = _acf2_sums(_check_u(resid), m)
     if kind is None:
         kind = StatKind(tag="BPU_m", m=m)
     return StatValue(kind=kind, value=T * sums[-1])
 
 
-def jarque_bera(values) -> StatValue:
-    """Jarque-Bera normality statistic from moment skewness and kurtosis."""
-    x = np.asarray(values, dtype=float)
-    T = x.shape[0]
+def _jarque_bera(x: np.ndarray):
+    """Jarque-Bera statistic along the last axis."""
+    T = x.shape[-1]
     if T < 8:
         raise ValueError("need T >= 8")
-    xc = x - x.mean()
-    m2 = float(np.mean(xc * xc))
-    if m2 <= 0.0:
+    xc = x - x.mean(axis=-1, keepdims=True)
+    m2 = np.mean(xc * xc, axis=-1)
+    if np.any(m2 <= 0.0):
         raise ValueError("series has zero variance")
-    skew = float(np.mean(xc**3)) / m2**1.5
-    kurt = float(np.mean(xc**4)) / (m2 * m2)
-    value = T / 6.0 * (skew * skew + (kurt - 3.0) ** 2 / 4.0)
-    return StatValue(kind=StatKind(tag="JB"), value=value)
+    # Python's pow, not numpy's: the two differ in the last bit
+    m2_15 = np.reshape([v**1.5 for v in np.ravel(m2).tolist()], m2.shape)
+    skew = np.mean(xc**3, axis=-1) / m2_15
+    kurt = np.mean(xc**4, axis=-1) / (m2 * m2)
+    return T / 6.0 * (skew * skew + (kurt - 3.0) ** 2 / 4.0)
+
+
+def jarque_bera(values) -> StatValue:
+    """Jarque-Bera normality statistic from moment skewness and kurtosis."""
+    return StatValue(kind=StatKind(tag="JB"), value=_jarque_bera(_check_u(values)))
 
 
 def v2_limit_cov(r: tuple[float, float], s: tuple[float, float]) -> float:
@@ -495,17 +566,23 @@ def v2_limit_cov(r: tuple[float, float], s: tuple[float, float]) -> float:
 
 def evaluate_statistics(
     kinds: Sequence[StatKind], u, e=None
-) -> dict[str, float]:
+) -> dict:
     """Evaluate the requested statistics on PIT residuals ``u`` (and discrete
-    residuals ``e`` where needed).  Returns ``{name: value}``."""
-    u = _check_u(u)
-    out: dict[str, float] = {}
+    residuals ``e`` where needed).  Returns ``{name: value}``.
+
+    ``u`` is one series (T,), with float values, or a batch (K, T), with an
+    array (K,) of values per name.  A batch runs the same operations on each
+    row as a series alone, so a row's values do not depend on the batch.
+    """
+    u = _check_u(u, batch=True)
+    U = u.reshape(-1, u.shape[-1])
+    out: dict = {}
     gauss: np.ndarray | None = None
 
     def gaussian() -> np.ndarray:
         nonlocal gauss
         if gauss is None:
-            gauss = residuals_gaussian(u)
+            gauss = residuals_gaussian(U)
         return gauss
 
     # One autocorrelation pass per residual series, up to its largest lag
@@ -513,37 +590,46 @@ def evaluate_statistics(
     for kind in kinds:
         if kind.tag in ("BPU_m", "BPN_m", "BPD_m"):
             lags[kind.tag] = max(lags.get(kind.tag, 0), kind.m)
-    acf2: dict[str, tuple[int, list[float]]] = {}
+    acf2: dict[str, tuple[int, list]] = {}
 
-    def box_pierce_of(kind: StatKind) -> float:
+    def box_pierce_of(kind: StatKind) -> np.ndarray:
         if kind.tag not in acf2:
             if kind.tag == "BPU_m":
-                x = u
+                x = U
             elif kind.tag == "BPN_m":
                 x = gaussian()
             elif e is None:
                 raise ValueError("discrete residuals required for BPD statistics")
             else:
-                x = e
+                x = np.asarray(e, dtype=float).reshape(U.shape)
             acf2[kind.tag] = _acf2_sums(x, lags[kind.tag])
         T, sums = acf2[kind.tag]
-        return StatValue(kind=kind, value=T * sums[kind.m - 1]).value
+        return T * sums[kind.m - 1]
+
+    def aggregate_of(kind: StatKind, family: str, field: str) -> np.ndarray:
+        # the Bartlett-weighted sum of aggregate(), term by term
+        total = 0.0
+        for j in range(1, kind.m + 1):
+            value = _nonnegative(_cvm(U, StatKind(tag=family, **{field: j})))
+            total = total + bartlett_weight(j, kind.m) * value
+        return total
 
     for kind in kinds:
         if kind.tag in ("CvM_p", "CvM_2j"):
-            out[kind.name] = cvm_stat(u, kind).value
+            value = _cvm(U, kind)
         elif kind.tag in ("KS_p", "KS_2j"):
-            out[kind.name] = ks_stat(u, kind).value
+            value = _ks(U, kind)
         elif kind.tag in ("BPU_m", "BPN_m", "BPD_m"):
-            out[kind.name] = box_pierce_of(kind)
+            value = box_pierce_of(kind)
         elif kind.tag == "JB":
-            out[kind.name] = jarque_bera(gaussian()).value
+            value = _jarque_bera(gaussian())
         elif kind.tag == "ADP":
-            vals = [cvm_stat(u, StatKind(tag="CvM_p", p=p)) for p in range(1, kind.m + 1)]
-            out[kind.name] = aggregate(vals, m=kind.m).value
+            value = aggregate_of(kind, "CvM_p", "p")
         elif kind.tag == "ADJ":
-            vals = [cvm_stat(u, StatKind(tag="CvM_2j", j=j)) for j in range(1, kind.m + 1)]
-            out[kind.name] = aggregate(vals, m=kind.m).value
+            value = aggregate_of(kind, "CvM_2j", "j")
         else:  # pragma: no cover
             raise ValueError(f"unhandled kind {kind}")
+        out[kind.name] = _nonnegative(value)
+    if u.ndim == 1:
+        return {name: float(value[0]) for name, value in out.items()}
     return out

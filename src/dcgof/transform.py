@@ -25,7 +25,19 @@ from typing import Callable
 
 import numpy as np
 
-from .model import CondLaw, ModelSpec, Series, Theta, _cells, _check_floor, _thresholds, index_path
+from .model import (
+    PROB_FLOOR_HARD,
+    AssumptionViolationError,
+    CondLaw,
+    ModelSpec,
+    Series,
+    Theta,
+    _Batch,
+    _cells,
+    _floor_rows,
+    _index_kernel,
+    _thresholds,
+)
 from .rng import substream
 
 __all__ = [
@@ -141,6 +153,19 @@ def cont_quantile(law: CondLaw, r: float) -> float:
     return k + (r - base) / float(probs[k + 1])
 
 
+def _pit(
+    spec: ModelSpec, vec: np.ndarray, series, fz: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Randomized PIT of a batch at the natural vectors ``vec`` (K, L) with
+    applied noise ``fz`` (K, T): the residuals and the rows whose realized
+    cells break the probability floor (see ``dcgof.model._floor_rows``).
+    Inputs are not validated."""
+    pi = _index_kernel(spec, vec, series)[0]
+    p, below, _, _ = _cells(spec, _thresholds(vec[..., spec.n_index :]), pi, series.y)
+    broken = _floor_rows(p, "realized")
+    return np.clip(below + fz * p, U_CLAMP, 1.0 - U_CLAMP), broken
+
+
 def randomized_pit(
     spec: ModelSpec, theta: Theta, series: Series, noise: NoiseStream
 ) -> UniformResiduals:
@@ -159,12 +184,13 @@ def randomized_pit(
     """
     if noise.z.shape[0] != series.T:
         raise ValueError(f"noise length {noise.z.shape[0]} != series length {series.T}")
-    pi = index_path(spec, theta, series)
-    p, below, _, _ = _cells(spec, _thresholds(theta.mu), pi, series.y)
-    _check_floor(p, "realized")
-    u = below + noise.applied() * p
-    u = np.clip(u, U_CLAMP, 1.0 - U_CLAMP)
-    return UniformResiduals(u=u, theta_used=theta, noise=noise)
+    theta.validate(spec)
+    series.validate(spec)
+    u, broken = _pit(spec, theta.to_vector()[np.newaxis], _Batch.of(series),
+                     noise.applied()[np.newaxis])
+    if broken[0]:
+        raise AssumptionViolationError(f"realized cell probability below floor {PROB_FLOOR_HARD:.0e}")
+    return UniformResiduals(u=u[0], theta_used=theta, noise=noise)
 
 
 def discrepancy(

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dcgof import boot
+from dcgof import boot, estimate, model, transform
 from dcgof.boot import (
     BootstrapConfig,
     UnreliableBootstrapError,
@@ -16,20 +18,22 @@ from dcgof.boot import (
 )
 from dcgof.model import LinkKind, ModelSpec, Series, Theta, simulate, simulate_x_ar1
 from dcgof.rng import substream
-from dcgof.stats import StatKind, evaluate_statistics, residuals_discrete
+from dcgof.stats import DEFAULT_STUDY_KINDS, StatKind, evaluate_statistics, residuals_discrete
 from dcgof.transform import NoiseStream, randomized_pit
 
 STATIC = ModelSpec(link="probit", n_regressors=1)
 SMALL_STATS = tuple(StatKind.from_name(n) for n in ("CvM0", "KS0", "CvM1", "BPN_1", "BPD_1", "JB"))
 
 
-def every_tenth_call_raises():
+def every_call_after_the_first_raises():
+    # statistics run once per chunk of replicates: the first call (the
+    # observed data, or a chunk's data sets) succeeds, the later ones raise
     calls = 0
 
     def evaluate(kinds, u, e=None):
         nonlocal calls
         calls += 1
-        if calls % 10 == 0:
+        if calls > 1:
             raise ValueError("injected fault")
         return evaluate_statistics(kinds, u, e)
 
@@ -136,7 +140,7 @@ class TestBootstrapTest:
     def test_programming_errors_propagate(self, monkeypatch):
         # only model failures count as failed replicates; a bug in a
         # statistic must not just lower the replicate count
-        monkeypatch.setattr(boot, "evaluate_statistics", every_tenth_call_raises())
+        monkeypatch.setattr(boot, "evaluate_statistics", every_call_after_the_first_raises())
         config = BootstrapConfig(B=39, master_seed=11, stats=SMALL_STATS)
         with pytest.raises(ValueError):
             bootstrap_test(STATIC, null_series(7), config)
@@ -147,27 +151,164 @@ class TestWarmStartedRefits:
         # bootstrap draws refit from the parameter they were simulated from;
         # the observed-data fit and the Monte Carlo data fit start cold
         starts, fits = [], []
-        fit_mle = boot.fit_mle
+        fit_mle, batch_fit = boot.fit_mle, boot._fit
 
         def recording_fit(spec, series, init=None):
             starts.append(init)
-            fits.append(fit_mle(spec, series, init=init))
+            return fit_mle(spec, series, init=init)
+
+        def recording_batch_fit(spec, series, init):
+            starts.append(init)
+            fits.append(batch_fit(spec, series, init))
             return fits[-1]
 
         monkeypatch.setattr(boot, "fit_mle", recording_fit)
+        monkeypatch.setattr(boot, "_fit", recording_batch_fit)
         config = BootstrapConfig(B=19, master_seed=2, stats=(StatKind.from_name("CvM0"),))
         report = bootstrap_test(STATIC, null_series(4), config)
         assert starts[0] is None
-        assert len(starts) == 1 + config.B
-        assert all(init == report.theta_hat for init in starts[1:])
+        draws = np.concatenate(starts[1:])
+        assert draws.shape == (config.B, STATIC.n_params)
+        assert np.all(draws == report.theta_hat.to_vector())
 
         starts.clear()
         fits.clear()
         scenario = scenario_registry()[1]
-        rep = boot._warp_replication(scenario, 100, (StatKind.from_name("CvM0"),), 5, 0)
-        assert rep is not None
+        reps = boot._warp_replications(scenario, 100, (StatKind.from_name("CvM0"),), 5, 0, 1)
+        assert reps[0][0] == 0
         assert len(starts) == 2 and starts[0] is None
-        assert starts[1] == fits[0].theta_hat and starts[1] != scenario.dgp_theta
+        assert np.all(starts[1] == fits[0].vec)
+        assert np.any(starts[1] != scenario.dgp_theta.to_vector())
+
+
+@st.composite
+def replicate_chunks(draw):
+    """A model (links x J 1-3 x q 0-2 x p_ar 0-2 x interactions), a chunk of
+    1-5 rows with their own parameters and regressors, and a row of it."""
+    link = draw(st.sampled_from(["probit", "logistic", "chisq1"]))
+    J, q, p = draw(st.integers(1, 3)), draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    interactions = q >= 1 and draw(st.booleans())
+    spec = ModelSpec(link=link, support_size=J, q=q, p_ar=p, n_regressors=1,
+                     interactions=interactions, ordered=J >= 2)
+    K = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = 2.5 if link == "chisq1" else -0.5
+    thetas = [
+        Theta(
+            pi0=0.0 if J >= 2 else (-base if link == "chisq1" else rng.uniform(-0.3, 0.3)),
+            delta=tuple(rng.uniform(-0.4, 0.4, q)),
+            alpha=tuple(rng.uniform(-0.3, 0.3, p)),
+            beta=(rng.uniform(0.3, 1.0),),
+            gamma=(rng.uniform(-0.5, 0.5),) if interactions else (),
+            mu=tuple(base + np.cumsum(rng.uniform(0.5, 1.0, J)) - 0.5) if J >= 2 else (),
+        )
+        for _ in range(K)
+    ]
+    T = draw(st.integers(30, 80))
+    x = rng.standard_normal((K, T, 1))
+    return spec, np.array([t.to_vector() for t in thetas]), x, draw(st.integers(0, K - 1))
+
+
+def assert_same(a, b):
+    np.testing.assert_array_equal(a, b, strict=True)
+
+
+class TestBatchInvariance:
+    KINDS = DEFAULT_STUDY_KINDS + tuple(StatKind.from_name(n) for n in ("KSp2", "ADP", "ADJ"))
+
+    @pytest.mark.filterwarnings("ignore::dcgof.model.ProbabilityFloorWarning")
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @given(replicate_chunks())
+    @settings(max_examples=30, deadline=None)
+    def test_row_equals_its_batch_of_one(self, case):
+        # each stage of the replicate step gives a row the same numbers in a
+        # chunk as alone: draws, fits (cold and warm), PIT, statistics
+        spec, vecs, x, i = case
+        K, T = x.shape[:2]
+        one = slice(i, i + 1)
+        rngs = [substream(1, "inv", k) for k in range(K)]
+        y = model._simulate(spec, vecs, x, rngs)
+        assert_same(y[one], model._simulate(spec, vecs[one], x[one], [substream(1, "inv", i)]))
+        batch = model._Batch(y, x)
+        for init in (None, vecs):
+            fits = estimate._fit(spec, batch, init)
+            alone = estimate._fit(spec, batch.take(one), None if init is None else init[one])
+            for field in ("vec", "ll", "score_norm", "S", "iterations", "cause"):
+                assert_same(getattr(fits, field)[one], getattr(alone, field))
+            assert fits.trace[i] == alone.trace[0]
+        z = substream(2, "inv").random((K, T))
+        u, broken = transform._pit(spec, vecs, batch, z)
+        u_one, broken_one = transform._pit(spec, vecs[one], batch.take(one), z[one])
+        assert_same(u[one], u_one)
+        assert_same(broken[one], broken_one)
+        e, _ = boot._residuals_discrete(spec, vecs, batch)
+        values = evaluate_statistics(self.KINDS, u, e)
+        for name, value in evaluate_statistics(self.KINDS, u[i], e[i]).items():
+            assert values[name][i] == value, name
+        # the whole step, as the Monte Carlo data step runs it
+        keys = [("inv-sim", k) for k in range(K)]
+        noise = [("inv-noise", k) for k in range(K)]
+        chunk = boot._replicate(spec, vecs, x, spec, None, self.KINDS, 3, keys, noise)
+        single = boot._replicate(spec, vecs[one], x[one], spec, None, self.KINDS, 3,
+                                 keys[one], noise[one])
+        assert_same(chunk[0][one], single[0])
+        assert_same(chunk[2][one], single[2])
+        for name in chunk[1]:
+            assert_same(chunk[1][name][one], single[1][name])
+
+    @given(st.integers(2, 5), st.integers(66, 700), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_statistics_of_a_row_equal_its_own(self, K, T, seed, ties):
+        # long enough for the merge levels of the CvM dominance counts
+        rng = np.random.default_rng(seed)
+        u = rng.uniform(0.001, 0.999, (K, T))
+        if ties:
+            u = np.round(u, 2).clip(0.001, 0.999)
+        e = rng.standard_normal((K, T))
+        values = evaluate_statistics(self.KINDS, u, e)
+        for i in range(K):
+            for name, value in evaluate_statistics(self.KINDS, u[i], e[i]).items():
+                assert values[name][i] == value, (i, name)
+
+    def test_singular_member_is_damped_alone(self):
+        # one series of the chunk has an all-zero regressor, so its Hessian
+        # is singular; the batched solve falls back to that row alone
+        spec = ModelSpec(link="probit", q=1, n_regressors=1)
+        truth = Theta(pi0=0.1, delta=(0.6,), beta=(1.0,))
+        rng = substream(4, "singular")
+        x = rng.standard_normal((4, 120, 1))
+        x[2] = 0.0
+        y = model._simulate(spec, np.tile(truth.to_vector(), (4, 1)), x,
+                            [substream(5, "singular", k) for k in range(4)])
+        batch = model._Batch(y, x)
+        with pytest.raises(np.linalg.LinAlgError):
+            _, _, H = estimate._loglik_pass(spec, np.zeros((4, 3)), batch, 2)
+            np.linalg.solve(-H, np.ones((4, 3, 1)))
+        fits = estimate._fit(spec, batch, None)
+        for k in range(4):
+            alone = estimate._fit(spec, batch.take(slice(k, k + 1)), None)
+            assert_same(fits.vec[k : k + 1], alone.vec)
+            assert_same(fits.iterations[k : k + 1], alone.iterations)
+        assert np.all(fits.cause == estimate.Cause.CONVERGED)
+        assert fits.vec[2, 2] == 0.0  # no information on the zero regressor
+
+    def test_ascent_direction_per_row(self):
+        # a singular and a non-finite Hessian in a stack: the singular row
+        # takes the damped direction, the regular ones the plain Newton
+        # step, and the non-finite row (no direction, as for a single fit)
+        # changes neither
+        rng = np.random.default_rng(0)
+        B = rng.standard_normal((4, 3, 3))
+        H = -(B @ np.swapaxes(B, 1, 2) + np.eye(3))
+        H[1] = 0.0
+        H[3, 0, 0] = np.nan
+        g = rng.standard_normal((4, 3))
+        d = estimate._ascent_direction(H, g)
+        for k in range(4):
+            assert_same(d[k], estimate._ascent_direction(H[k : k + 1], g[k : k + 1])[0])
+        for k in (0, 2):
+            assert_same(d[k], np.linalg.solve(-H[k], g[k]))
+        assert np.all(np.isfinite(d[:3])) and np.all(np.sum(d[:3] * g[:3], axis=1) > 0.0)
 
 
 class TestScenarioRegistry:
@@ -218,6 +359,15 @@ class TestRunScenario:
         assert np.array_equal(a.rates, b.rates)
         assert a.to_json_dict() == b.to_json_dict()
 
+    @pytest.mark.filterwarnings("ignore::dcgof.model.ProbabilityFloorWarning")
+    @pytest.mark.parametrize("scenario", scenario_registry(), ids=lambda s: str(s.id))
+    def test_thread_invariant_in_every_scenario(self, scenario):
+        # threads=2 splits the replications into other chunks than threads=1
+        a = run_scenario(scenario, T=80, R=50, master_seed=16, threads=1)
+        b = run_scenario(scenario, T=80, R=50, master_seed=16, threads=2)
+        assert np.array_equal(a.rates, b.rates)
+        assert a.to_json_dict() == b.to_json_dict() and a.failures == b.failures
+
     def test_r_minimum(self):
         registry = {s.id: s for s in scenario_registry()}
         with pytest.raises(ValueError):
@@ -232,7 +382,7 @@ class TestRunScenario:
             assert 2.0 <= tab.rate(0.05, name) <= 9.0
 
     def test_programming_errors_propagate(self, monkeypatch):
-        monkeypatch.setattr(boot, "evaluate_statistics", every_tenth_call_raises())
+        monkeypatch.setattr(boot, "evaluate_statistics", every_call_after_the_first_raises())
         scenario = {s.id: s for s in scenario_registry()}[1]
         with pytest.raises(ValueError):
             run_scenario(scenario, T=60, R=50, master_seed=13, stats=SMALL_STATS, threads=1)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -231,6 +232,25 @@ class TestCmdMc:
         for level_cells in rates.values():
             for value in level_cells.values():
                 assert 0.0 <= value <= 100.0
+
+    @pytest.mark.filterwarnings("ignore::dcgof.model.ProbabilityFloorWarning")
+    def test_progress_line_names_failure_causes(self, tmp_path, capsys):
+        # scenario 3 at T=60, seed 2 loses two replications to the floor
+        # rule and scenario 3 at seed 1 one to separation; the causes go to
+        # stderr, the output files do not change
+        for seed, causes in ((2, {"probability floor": 2}), (1, {"separation": 1})):
+            out = tmp_path / f"o{seed}"
+            assert main(["mc", "--scenarios", "3", "--T", "60", "--R", "50", "--seed", str(seed),
+                         "--stats", "CvM0", "--out", str(out)]) == EXIT_OK
+            line = capsys.readouterr().err.strip().splitlines()[-1]
+            match = re.fullmatch(r"scenario 3 T=60: (\d+) of 50 replications "
+                                 r"\(failed: (.*)\) \[[0-9.]+s\]", line)
+            assert match, line
+            named = {c: int(n) for n, c in (part.split(" ", 1) for part in match[2].split(", "))}
+            assert named == causes
+            assert int(match[1]) == 50 - sum(causes.values())
+            tables = json.loads((out / "rejections.json").read_text())["tables"]
+            assert tables[0]["R_effective"] == int(match[1]) and "failures" not in tables[0]
 
     def test_unknown_scenario_is_parse_error(self, tmp_path):
         code = main(["mc", "--scenarios", "12", "--T", "60", "--R", "50",

@@ -421,6 +421,7 @@ class TestFitMle:
 
 
 class TestInputChecks:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("link, J, seed", [("probit", 3, 268), ("chisq1", 2, 5)])
     def test_degenerate_trial_step_is_a_rejected_step(self, link, J, seed):
         # warm-started short-series ordered fits, as a bootstrap refit runs
