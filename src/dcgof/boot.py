@@ -11,11 +11,12 @@ distribution of each statistic.
 
 Both run one batched step, ``_replicate``, over a chunk of keys at a time:
 simulate every key from its own RNG substream and stack the draws, refit
-them in one Newton loop (``dcgof.estimate._fit``), then take the randomized
-PIT, the discrete residuals and the statistics over the whole chunk.  A
-replicate that fails is marked with its cause code
-(``dcgof.estimate.Cause``), not raised; only model failures (fit errors,
-unconverged fits, the probability floor) count, and any other exception
+them in one Newton loop (``dcgof.estimate._fit``), then take the statistics
+of the chunk, as of the observed data, with ``_statistics`` from one
+evaluation of the fitted laws (``dcgof.model._fitted_law``).  A replicate
+that fails is marked with its cause code (``dcgof.estimate.Cause``), not
+raised; only model failures (fit errors, unconverged fits, the probability
+floor, a zero conditional variance) count, and any other exception
 propagates.  ``_map`` cuts the keys into near-equal contiguous chunks, at
 least one per worker process and none above ``CHUNK_POINTS`` points
 (replicates times periods), which keeps memory O(chunk * T * L).
@@ -42,19 +43,15 @@ from .model import (
     Series,
     Theta,
     _Batch,
+    _FittedLaw,
+    _fitted_law,
     _simulate,
     simulate,
     simulate_x_ar1,
 )
 from .rng import substream
-from .stats import (
-    DEFAULT_STUDY_KINDS,
-    StatKind,
-    _residuals_discrete,
-    evaluate_statistics,
-    residuals_discrete,
-)
-from .transform import NoiseStream, _pit, randomized_pit
+from .stats import DEFAULT_STUDY_KINDS, StatKind, evaluate_statistics
+from .transform import NoiseStream
 
 __all__ = [
     "BootstrapConfig",
@@ -84,6 +81,7 @@ FAILURE_LABELS = {
     Cause.EMPTY_MIDDLE: "threshold collapse",
     Cause.GAP_COLLAPSE: "threshold collapse",
     Cause.FLOOR: "probability floor",
+    Cause.ZERO_VARIANCE: "zero variance",
 }
 
 
@@ -168,16 +166,18 @@ def _needs_discrete(kinds) -> bool:
     return any(k.tag == "BPD_m" for k in kinds)
 
 
-def _stats_at(
-    spec: ModelSpec,
-    theta: Theta,
-    series: Series,
-    noise: NoiseStream,
-    kinds,
-) -> dict[str, float]:
-    u = randomized_pit(spec, theta, series, noise)
-    e = residuals_discrete(spec, theta, series) if _needs_discrete(kinds) else None
-    return evaluate_statistics(kinds, u.u, e)
+def _statistics(spec: ModelSpec, vec, series, fz, kinds) -> tuple[dict[str, np.ndarray], _FittedLaw]:
+    """The statistics ``{name: (K,)}`` of the fitted rows ``vec`` (K, L) on
+    ``series``, under the randomized PIT with applied noise ``fz`` (K, T),
+    and the fitted law they come from; rows it flags get NaN."""
+    law = _fitted_law(spec, vec, series, fz, _needs_discrete(kinds))
+    keep = ~(law.floor | law.zero_var)
+    stats = {kind.name: np.full(keep.shape, np.nan) for kind in kinds}
+    if np.any(keep):
+        values = evaluate_statistics(kinds, law.u[keep], None if law.e is None else law.e[keep])
+        for name, column in values.items():
+            stats[name][keep] = column
+    return stats, law
 
 
 def _replicate(
@@ -204,7 +204,7 @@ def _replicate(
     Returns the estimates (K, L), the statistics ``{name: (K,)}`` (NaN on
     failed rows) and each row's :class:`dcgof.estimate.Cause`.  A row fails
     when its model cannot be fitted (a fit error or an unconverged fit) or
-    evaluated (the probability floor); any other exception propagates.
+    evaluated (the floor or zero-variance rule); any other exception propagates.
     """
     K, T = x.shape[:2]
     rngs = [substream(master_seed, *key) for key in sim_keys]
@@ -213,19 +213,11 @@ def _replicate(
     cause = fit.cause
     stats = {kind.name: np.full(K, np.nan) for kind in kinds}
     ok = np.flatnonzero(cause == Cause.CONVERGED)
-    if not ok.size:
-        return fit.vec, stats, cause
-    star, vec = star.take(ok), fit.vec[ok]
-    fz = np.array([NoiseStream.from_seed(T, master_seed, *noise_keys[i]).applied() for i in ok])
-    u, broken = _pit(fit_spec, vec, star, fz)
-    e = None
-    if _needs_discrete(kinds):
-        e, broken_e = _residuals_discrete(fit_spec, vec, star)
-        broken |= broken_e
-    cause[ok[broken]] = Cause.FLOOR
-    keep, ok = ~broken, ok[~broken]
     if ok.size:
-        values = evaluate_statistics(kinds, u[keep], None if e is None else e[keep])
+        fz = np.array([NoiseStream.from_seed(T, master_seed, *noise_keys[i]).applied() for i in ok])
+        values, law = _statistics(fit_spec, fit.vec[ok], star.take(ok), fz, kinds)
+        cause[ok] = np.select([law.floor, law.zero_var], [Cause.FLOOR, Cause.ZERO_VARIANCE],
+                              Cause.CONVERGED)
         for name, column in values.items():
             stats[name][ok] = column
     return fit.vec, stats, cause
@@ -285,6 +277,8 @@ def bootstrap_test(
     ------
     NonConvergenceError
         If the fit on the observed data fails.
+    AssumptionViolationError
+        If the observed data's fitted law breaks the floor or zero-variance rule.
     UnreliableBootstrapError
         If more than 20% of bootstrap fits fail.
     """
@@ -293,8 +287,11 @@ def bootstrap_test(
         raise NonConvergenceError("fit on observed data did not converge", fit.theta_hat)
     master = config.master_seed
     kinds = config.stats
-    noise0 = NoiseStream.from_seed(series.T, master, "data")
-    observed = _stats_at(spec, fit.theta_hat, series, noise0, kinds)
+    fz = NoiseStream.from_seed(series.T, master, "data").applied()
+    values, law = _statistics(spec, fit.theta_hat.to_vector()[np.newaxis], _Batch.of(series),
+                              fz[np.newaxis], kinds)
+    law.check()
+    observed = {name: float(column[0]) for name, column in values.items()}
 
     args = (spec, fit.theta_hat.to_vector(), series.x, kinds, master)
     kept = [stats for cause, stats in _map(_bootstrap_chunk, args, config.B, series.T, threads)

@@ -170,8 +170,8 @@ def _loglik_pass(
     spec: ModelSpec, vec: np.ndarray, series, order: int
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """One pass at the natural vector ``vec`` over the index kernel and the
-    realized cells, which come from :func:`dcgof.model._cells` like those of
-    the PIT and the laws.
+    realized cells from :func:`dcgof.model._cells`, float for float the
+    cells of the laws and the PIT.
 
     Leading axes of ``vec`` (..., L) and ``series`` (a ``Series`` or a
     ``dcgof.model._Batch``) are batch axes.  Returns ``(ll, S, H)``: the log
@@ -190,7 +190,7 @@ def _loglik_pass(
     i0 = _window_start(spec)
     kernel = _index_kernel(spec, vec, series, curvature=order == 2)
     pi, G, y = kernel[0][..., i0:], kernel[1][..., i0:, :], series.y[..., i0:]
-    p, _, lo, hi = _cells(spec, _thresholds(vec[..., spec.n_index :]), pi, y)
+    p, lo, hi = _cells(spec, _thresholds(vec[..., spec.n_index :]), pi, y)
     below_floor = np.min(p, axis=-1) < PROB_FLOOR_HARD
     p = np.maximum(p, PROB_FLOOR_HARD)
     ll = np.where(below_floor, -np.inf, np.sum(np.log(p), axis=-1))
@@ -326,9 +326,9 @@ class Cause(enum.IntEnum):
 
     ``CONVERGED`` and ``UNCONVERGED`` fits return (``fit_mle`` reports
     ``converged=False`` for the latter); the other fit causes are the
-    exceptions of :data:`_ERRORS`.  ``FLOOR`` is a replicate whose
-    randomized PIT or discrete residuals break the probability floor (or
-    have zero conditional variance), an ``AssumptionViolationError``.
+    exceptions of :data:`_ERRORS`.  ``FLOOR`` and ``ZERO_VARIANCE`` are
+    replicates whose fitted law breaks the probability floor or has a zero
+    conditional variance, an ``AssumptionViolationError`` on one series.
     """
 
     CONVERGED = 0
@@ -339,6 +339,7 @@ class Cause(enum.IntEnum):
     EMPTY_MIDDLE = 5
     GAP_COLLAPSE = 6
     FLOOR = 7
+    ZERO_VARIANCE = 8
 
 
 _ERRORS = {

@@ -18,10 +18,11 @@ This module defines the model description types, evaluates conditional
 probabilities, and simulates series (including the AR(1) exogenous regressor
 used by the Monte Carlo study).  Cell probabilities are evaluated in one
 place, the padded tails of ``_tails``, from which ``_cells`` takes the
-realized cells of the likelihood and the randomized PIT and ``_law_arrays``
-the laws; one floor rule, ``_floor_rows``, flags rows below
-``PROB_FLOOR_HARD`` and warns below ``PROB_FLOOR_WARN`` (``_check_floor``
-raises for a single law).
+realized cells of the likelihood and ``_law_arrays`` the laws; one floor
+rule, ``_floor_rows``, flags rows below ``PROB_FLOOR_HARD`` and warns below
+``PROB_FLOOR_WARN``.  ``_fitted_law`` evaluates a fitted law once per path
+for the randomized PIT, the discrete residuals and both rules (wrapped by
+``law_path``, ``randomized_pit`` and ``residuals_discrete``).
 
 Inputs are checked once, at the boundary: public functions check their
 arguments (``Theta.validate``, ``Series``, the link functions' finite
@@ -55,6 +56,7 @@ __all__ = [
     "CondLaw",
     "PROB_FLOOR_HARD",
     "PROB_FLOOR_WARN",
+    "U_CLAMP",
     "link_cdf",
     "link_tail",
     "link_pdf",
@@ -67,9 +69,11 @@ __all__ = [
 
 # Cell probabilities of the hypothesized family must stay above this floor:
 # below PROB_FLOOR_HARD the log likelihood is -inf and the laws and the PIT
-# raise (_check_floor); below PROB_FLOOR_WARN they warn.
+# raise; below PROB_FLOOR_WARN they warn.
 PROB_FLOOR_HARD = 1e-12
 PROB_FLOOR_WARN = 1e-8
+# PIT residuals are clamped inside (0, 1) so normal quantiles stay finite.
+U_CLAMP = 1e-15
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -500,16 +504,16 @@ def _tails(
 def _cells(
     spec: ModelSpec, mu: np.ndarray, pi: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, ...]:
-    """Cell probability ``P(Y = y | pi)`` and cdf below it ``F(y - 1 | pi)``
-    under the thresholds ``mu`` (from :func:`_thresholds`).
+    """Cell probability ``P(Y = y | pi)`` under the thresholds ``mu`` (from
+    :func:`_thresholds`), for the likelihood.
 
     This and :func:`_law_arrays` are the only evaluations of cell
-    probabilities, both from the padded tails of :func:`_tails`: the
-    likelihood and the randomized PIT take the realized cells from here, the
-    laws take every cell.  ``y`` has the shape of ``pi``.  Returns ``(p,
-    below, lo, hi)`` with the threshold gaps ``lo = mu_{y-1} - pi`` and ``hi =
-    mu_y - pi``, set to zero where the threshold is infinite (``y = 0`` and
-    ``y = J``).
+    probabilities, both from the padded tails of :func:`_tails`, by the same
+    float operations: the likelihood takes the realized cells from here, the
+    laws (and so the randomized PIT) take every cell.  ``y`` has the shape
+    of ``pi``.  Returns ``(p, lo, hi)`` with the threshold gaps ``lo =
+    mu_{y-1} - pi`` and ``hi = mu_y - pi``, set to zero where the threshold
+    is infinite (``y = 0`` and ``y = J``).
 
     Cells above the bottom come from the upper tails, so the top category
     never suffers cancellation and the binary identity ``P(Y=1) = F(pi)`` is
@@ -521,10 +525,8 @@ def _cells(
     # flat positions of threshold y - 1 and threshold y
     at = np.arange(0, gaps.size, gaps.shape[-1]).reshape(pi.shape) + y
     above = at + 1
-    tail_lo = tails.take(at)
-    p = np.where(y == 0, bottom, tail_lo - tails.take(above))
-    below = np.where(y == 1, bottom, 1.0 - tail_lo)
-    return p, below, gaps.take(at), gaps.take(above)
+    p = np.where(y == 0, bottom, tails.take(at) - tails.take(above))
+    return p, gaps.take(at), gaps.take(above)
 
 
 def _floor_rows(cells: np.ndarray, what: str) -> np.ndarray:
@@ -543,19 +545,10 @@ def _floor_rows(cells: np.ndarray, what: str) -> np.ndarray:
     return broken
 
 
-def _check_floor(cells: np.ndarray, what: str) -> None:
-    """The floor rule on one set of cells: raise if one is below
-    ``PROB_FLOOR_HARD``, warn if one is below ``PROB_FLOOR_WARN``."""
-    if np.any(_floor_rows(cells.ravel(), what)):
-        raise AssumptionViolationError(
-            f"{what} cell probability {np.min(cells):.3e} below floor {PROB_FLOOR_HARD:.0e}"
-        )
-
-
 def _law_arrays(spec: ModelSpec, mu: np.ndarray, pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(probs, cdf)`` with a last axis over every outcome ``0..J``, taken
-    from slices of the padded tails of :func:`_tails` by the rule of
-    :func:`_cells`."""
+    from slices of the padded tails of :func:`_tails` as :func:`_cells`
+    takes them."""
     _, tails, bottom = _tails(spec, mu, pi)
     probs = tails[..., :-1] - tails[..., 1:]
     probs[..., 0] = bottom
@@ -579,7 +572,10 @@ def cond_law(spec: ModelSpec, theta: Theta, pi_t: float) -> CondLaw:
     if not math.isfinite(pi_t):
         raise ValueError("pi_t must be finite")
     probs, cdf = _law_arrays(spec, _thresholds(theta.mu), np.array([pi_t]))
-    _check_floor(probs, "conditional")
+    if _floor_rows(probs, "conditional")[0]:
+        raise AssumptionViolationError(
+            f"conditional cell probability {np.min(probs):.3e} below floor {PROB_FLOOR_HARD:.0e}"
+        )
     return CondLaw(probs=probs[0], cdf=cdf[0])
 
 
@@ -682,6 +678,56 @@ def index_path(spec: ModelSpec, theta: Theta, series: Series) -> np.ndarray:
     return _index_kernel(spec, theta.to_vector()[np.newaxis], _Batch.of(series))[0][0]
 
 
+class _FittedLaw(NamedTuple):
+    """The output of :func:`_fitted_law`: the laws (..., T, J+1), the PIT and
+    discrete residuals (..., T) or None, and the rows (...,) flagged by the
+    floor rule and the zero-variance rule (evaluated only with ``e``)."""
+
+    probs: np.ndarray
+    cdf: np.ndarray
+    u: np.ndarray | None
+    e: np.ndarray | None
+    floor: np.ndarray
+    zero_var: np.ndarray
+
+    def check(self) -> None:
+        """Raise ``AssumptionViolationError`` if a row is flagged."""
+        if np.any(self.floor):
+            raise AssumptionViolationError(
+                f"realized cell probability below floor {PROB_FLOOR_HARD:.0e}"
+            )
+        if np.any(self.zero_var):
+            raise AssumptionViolationError("zero conditional variance in discrete residuals")
+
+
+def _fitted_law(spec: ModelSpec, vec: np.ndarray, series, fz=None, discrete=False) -> _FittedLaw:
+    """One evaluation of the law along each path of a batch, at the natural
+    vectors ``vec`` (K, L) and for every period from t = 0 (the presample
+    convention).  It gives the floor rule on the realized cells (one
+    warning per call); the randomized PIT ``F(y_t - 1) + fz_t P(y_t)`` when
+    the applied noise ``fz`` (K, T) is given; and, with ``discrete``, the
+    residuals ``(Y_t - E[Y_t]) / sd(Y_t)`` and the zero-variance rule.  The
+    cells are the likelihood's, float for float.  Each row is computed as
+    alone; inputs are not validated."""
+    pi = _index_kernel(spec, vec, series)[0]
+    probs, cdf = _law_arrays(spec, _thresholds(vec[..., spec.n_index :]), pi)
+    y = series.y
+    p = np.take_along_axis(probs, y[..., np.newaxis], -1)[..., 0]
+    floor = _floor_rows(p, "realized")
+    u = e = None
+    zero_var = np.zeros_like(floor)
+    if fz is not None:
+        below = np.take_along_axis(cdf, np.maximum(y - 1, 0)[..., np.newaxis], -1)[..., 0]
+        u = np.clip(np.where(y == 0, 0.0, below) + fz * p, U_CLAMP, 1.0 - U_CLAMP)
+    if discrete:
+        support = np.arange(spec.support_size + 1, dtype=float)
+        mean = probs @ support
+        var = np.einsum("...tj,...tj->...t", probs, (support - mean[..., np.newaxis]) ** 2)
+        zero_var = var.min(axis=-1) <= 0.0
+        e = (y - mean) / np.sqrt(np.where((floor | zero_var)[..., np.newaxis], 1.0, var))
+    return _FittedLaw(probs, cdf, u, e, floor, zero_var)
+
+
 def law_path(spec: ModelSpec, theta: Theta, series: Series) -> tuple[np.ndarray, np.ndarray]:
     """Conditional law at every period: ``(probs, cdf)`` with shape (T, J+1).
 
@@ -689,10 +735,11 @@ def law_path(spec: ModelSpec, theta: Theta, series: Series) -> tuple[np.ndarray,
     probabilities the transforms divide by or take logs of; unrealized cells
     may be arbitrarily small without harm here.
     """
-    pi = index_path(spec, theta, series)
-    probs, cdf = _law_arrays(spec, _thresholds(theta.mu), pi)
-    _check_floor(probs[np.arange(series.T), series.y], "realized")
-    return probs, cdf
+    theta.validate(spec)
+    series.validate(spec)
+    law = _fitted_law(spec, theta.to_vector()[np.newaxis], _Batch.of(series))
+    law.check()
+    return law.probs[0], law.cdf[0]
 
 
 def simulate_x_ar1(alpha1: float, T: int, rng: np.random.Generator) -> np.ndarray:

@@ -37,18 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import special
 
-from .model import (
-    AssumptionViolationError,
-    ModelSpec,
-    Series,
-    Theta,
-    _Batch,
-    _dot,
-    _floor_rows,
-    _index_kernel,
-    _law_arrays,
-    _thresholds,
-)
+from .model import ModelSpec, Series, Theta, _Batch, _dot, _fitted_law
 
 __all__ = [
     "StatKind",
@@ -461,40 +450,23 @@ def residuals_gaussian(u) -> np.ndarray:
     return special.ndtri(u)
 
 
-def _residuals_discrete(spec: ModelSpec, vec: np.ndarray, series) -> tuple[np.ndarray, np.ndarray]:
-    """Standardized discrete residuals of a batch at the natural vectors
-    ``vec`` (K, L), and the rows that break an assumption: a realized cell
-    below the probability floor or a zero conditional variance.  Inputs
-    are not validated."""
-    pi = _index_kernel(spec, vec, series)[0]
-    probs, _ = _law_arrays(spec, _thresholds(vec[..., spec.n_index :]), pi)
-    y = series.y
-    broken = _floor_rows(np.take_along_axis(probs, y[..., None], -1)[..., 0], "realized")
-    support = np.arange(spec.support_size + 1, dtype=float)
-    mean = probs @ support
-    var = np.einsum("...tj,...tj->...t", probs, (support - mean[..., None]) ** 2)
-    broken |= var.min(axis=-1) <= 0.0
-    return (y - mean) / np.sqrt(np.where(broken[..., None], 1.0, var)), broken
-
-
 def residuals_discrete(spec: ModelSpec, theta: Theta, series: Series) -> np.ndarray:
     """Standardized discrete residuals ``(Y_t - E[Y_t]) / sd(Y_t)``.
+
+    From the evaluation of the law the PIT uses, at every period from t = 0.
 
     Raises
     ------
     AssumptionViolationError
         If a realized cell probability falls below the hard floor (a warning
-        below the warning floor), or a conditional variance is zero.
+        below the warning floor), or, with its own message, if a conditional
+        variance is zero.
     """
     theta.validate(spec)
     series.validate(spec)
-    e, broken = _residuals_discrete(spec, theta.to_vector()[None], _Batch.of(series))
-    if broken[0]:
-        raise AssumptionViolationError(
-            "realized cell probability below floor or zero conditional variance "
-            "in discrete residuals"
-        )
-    return e[0]
+    law = _fitted_law(spec, theta.to_vector()[np.newaxis], _Batch.of(series), discrete=True)
+    law.check()
+    return law.e[0]
 
 
 def _acf2_sums(resid, m: int) -> tuple[int, list]:

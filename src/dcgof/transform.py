@@ -11,6 +11,10 @@ are iid uniform under a correctly specified model, regardless of the noise
 distribution used (realizations are identical once the noise streams are
 matched through ``Fz``).
 
+The randomized PIT of a fitted series is taken from the one evaluation of
+its fitted law, ``dcgof.model._fitted_law``, which also gives the discrete
+residuals; :func:`randomized_pit` is its public wrapper.
+
 The discrepancy ``d(G, F, r)`` measures, at uniform quantile ``r``, the gap
 between a law ``G`` pushed through ``F``'s continued transform and the
 uniform benchmark.  Three algebraically equivalent evaluation paths are
@@ -25,19 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import (
-    PROB_FLOOR_HARD,
-    AssumptionViolationError,
-    CondLaw,
-    ModelSpec,
-    Series,
-    Theta,
-    _Batch,
-    _cells,
-    _floor_rows,
-    _index_kernel,
-    _thresholds,
-)
+from .model import U_CLAMP, CondLaw, ModelSpec, Series, Theta, _Batch, _fitted_law
 from .rng import substream
 
 __all__ = [
@@ -49,9 +41,6 @@ __all__ = [
     "randomized_pit",
     "discrepancy",
 ]
-
-# Residuals are clamped inside (0, 1) so downstream normal quantiles stay finite.
-U_CLAMP = 1e-15
 
 
 @dataclass(frozen=True)
@@ -133,7 +122,8 @@ def cont_cdf(law: CondLaw, y_dag: float) -> float:
         return float(cdf[J])
     frac = y - k
     base = 0.0 if k < 0 else float(cdf[k])
-    return base + frac * float(probs[k + 1])
+    # capped at F(k + 1), which rounding just below k + 1 could exceed
+    return min(base + frac * float(probs[k + 1]), float(cdf[k + 1]))
 
 
 def cont_quantile(law: CondLaw, r: float) -> float:
@@ -150,20 +140,8 @@ def cont_quantile(law: CondLaw, r: float) -> float:
     # largest integer k in {-1..J-1} with F(k) <= r
     k = int(np.searchsorted(cdf[:J], r, side="right")) - 1
     base = 0.0 if k < 0 else float(cdf[k])
-    return k + (r - base) / float(probs[k + 1])
-
-
-def _pit(
-    spec: ModelSpec, vec: np.ndarray, series, fz: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Randomized PIT of a batch at the natural vectors ``vec`` (K, L) with
-    applied noise ``fz`` (K, T): the residuals and the rows whose realized
-    cells break the probability floor (see ``dcgof.model._floor_rows``).
-    Inputs are not validated."""
-    pi = _index_kernel(spec, vec, series)[0]
-    p, below, _, _ = _cells(spec, _thresholds(vec[..., spec.n_index :]), pi, series.y)
-    broken = _floor_rows(p, "realized")
-    return np.clip(below + fz * p, U_CLAMP, 1.0 - U_CLAMP), broken
+    # capped at k + 1, which rounding just below F(k + 1) could exceed
+    return min(k + (r - base) / float(probs[k + 1]), k + 1.0)
 
 
 def randomized_pit(
@@ -172,9 +150,9 @@ def randomized_pit(
     """Randomized PIT residuals ``U_t`` under the truncated history.
 
     ``U_t = F(y_t - 1) + Fz(z_t) * P(y_t)`` evaluated at the conditional law
-    of period ``t``, with both cells from the same evaluation the likelihood
-    maximizes; the output is identical for any noise distribution once
-    streams are matched through ``Fz``.
+    of period ``t``, for every period from t = 0, with both cells computed
+    as the likelihood computes them; the output is identical for any noise
+    distribution once streams are matched through ``Fz``.
 
     Raises
     ------
@@ -186,11 +164,10 @@ def randomized_pit(
         raise ValueError(f"noise length {noise.z.shape[0]} != series length {series.T}")
     theta.validate(spec)
     series.validate(spec)
-    u, broken = _pit(spec, theta.to_vector()[np.newaxis], _Batch.of(series),
-                     noise.applied()[np.newaxis])
-    if broken[0]:
-        raise AssumptionViolationError(f"realized cell probability below floor {PROB_FLOOR_HARD:.0e}")
-    return UniformResiduals(u=u[0], theta_used=theta, noise=noise)
+    law = _fitted_law(spec, theta.to_vector()[np.newaxis], _Batch.of(series),
+                      noise.applied()[np.newaxis])
+    law.check()
+    return UniformResiduals(u=law.u[0], theta_used=theta, noise=noise)
 
 
 def discrepancy(

@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcgof import boot, estimate, model, transform
+from dcgof import boot, estimate, model
 from dcgof.boot import (
     BootstrapConfig,
     UnreliableBootstrapError,
@@ -19,7 +20,7 @@ from dcgof.boot import (
 from dcgof.model import LinkKind, ModelSpec, Series, Theta, simulate, simulate_x_ar1
 from dcgof.rng import substream
 from dcgof.stats import DEFAULT_STUDY_KINDS, StatKind, evaluate_statistics, residuals_discrete
-from dcgof.transform import NoiseStream, randomized_pit
+from dcgof.transform import U_CLAMP, NoiseStream, randomized_pit
 
 STATIC = ModelSpec(link="probit", n_regressors=1)
 SMALL_STATS = tuple(StatKind.from_name(n) for n in ("CvM0", "KS0", "CvM1", "BPN_1", "BPD_1", "JB"))
@@ -181,6 +182,84 @@ class TestWarmStartedRefits:
         assert np.any(starts[1] != scenario.dgp_theta.to_vector())
 
 
+class TestOneLawEvaluation:
+    def test_once_per_chunk_after_the_fit(self, monkeypatch):
+        # after each fit (the observed data's, then each chunk's), the index
+        # path and the tails of the law are evaluated once: the PIT, the
+        # discrete residuals and the floor rules share that evaluation
+        events = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                events.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def fitting(fn):
+            def wrapper(*args, **kwargs):
+                start = len(events)
+                result = fn(*args, **kwargs)
+                del events[start:]  # the fit's own evaluations
+                events.append("fit")
+                return result
+            return wrapper
+
+        for name in ("_index_kernel", "_tails"):
+            monkeypatch.setattr(model, name, counting(name, getattr(model, name)))
+        monkeypatch.setattr(boot, "fit_mle", fitting(boot.fit_mle))
+        monkeypatch.setattr(boot, "_fit", fitting(boot._fit))
+        once = ["fit", "_index_kernel", "_tails"]
+
+        config = BootstrapConfig(B=19, master_seed=1, stats=DEFAULT_STUDY_KINDS)
+        bootstrap_test(STATIC, null_series(3, T=300), config)
+        chunks = len(boot._chunks(config.B, 300, 1))
+        assert chunks >= 2
+        assert events == once * (1 + chunks)
+
+        events.clear()
+        scenario = scenario_registry()[1]
+        run_scenario(scenario, 300, 50, master_seed=2, stats=DEFAULT_STUDY_KINDS)
+        # a data step and a draw step per chunk of replications
+        assert events == once * 2 * len(boot._chunks(50, 300, 1))
+
+    def test_one_floor_warning_per_replicate(self):
+        # replication 156 of scenario 3 at T=100, seed 3, has a realized cell
+        # of 1.5e-10: its PIT and its discrete residuals come from one
+        # evaluation of the law, so it warns once
+        scenario = scenario_registry()[2]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            reps = boot._warp_replications(scenario, 100, DEFAULT_STUDY_KINDS, 3, 156, 157)
+        assert reps[0][0] == estimate.Cause.CONVERGED
+        assert [str(w.message) for w in caught] == [
+            "realized cell probability 1.506e-10 below 1e-08"
+        ]
+        assert caught[0].category is model.ProbabilityFloorWarning
+
+    def test_zero_variance_has_its_own_cause(self):
+        # a static probit fitted to a series with a period at index 40:
+        # P(Y = 0) underflows to 0 there, so the conditional variance is 0,
+        # while every realized cell is 1 or above 0.1
+        vec = Theta(pi0=0.0, beta=(1.0,)).to_vector()[np.newaxis]
+        x = np.array([0.3, -0.2, 40.0, 0.1, -1.0, 0.5]).reshape(1, 6, 1)
+        series = model._Batch(np.array([[1, 0, 1, 0, 0, 1]]), x)
+        fz = np.full((1, 6), 0.5)
+        stats, law = boot._statistics(STATIC, vec, series, fz, SMALL_STATS)
+        assert not law.floor[0] and law.zero_var[0]
+        assert all(np.isnan(value[0]) for value in stats.values())
+        stats, law = boot._statistics(STATIC, vec, series, fz, SMALL_STATS[:3])
+        assert not law.zero_var[0] and np.isfinite(stats["CvM0"][0])
+
+    @pytest.mark.filterwarnings("ignore::dcgof.model.ProbabilityFloorWarning")
+    def test_failure_causes_of_saturated_fits(self):
+        # scenario 3 at T=100, seed 3: 13 of its 14 replications that fail
+        # after the fit have every realized cell above 1e-4 but a period
+        # with zero conditional variance
+        table = run_scenario(scenario_registry()[2], 100, 200, master_seed=3)
+        assert table.failures == {"probability floor": 1, "separation": 1, "zero variance": 13}
+        assert table.R_effective == 185
+
+
 @st.composite
 def replicate_chunks(draw):
     """A model (links x J 1-3 x q 0-2 x p_ar 0-2 x interactions), a chunk of
@@ -236,14 +315,22 @@ class TestBatchInvariance:
             for field in ("vec", "ll", "score_norm", "S", "iterations", "cause"):
                 assert_same(getattr(fits, field)[one], getattr(alone, field))
             assert fits.trace[i] == alone.trace[0]
+        # one evaluation of the fitted law, with and without the discrete
+        # residuals; its PIT is the one of the likelihood's cells
         z = substream(2, "inv").random((K, T))
-        u, broken = transform._pit(spec, vecs, batch, z)
-        u_one, broken_one = transform._pit(spec, vecs[one], batch.take(one), z[one])
-        assert_same(u[one], u_one)
-        assert_same(broken[one], broken_one)
-        e, _ = boot._residuals_discrete(spec, vecs, batch)
-        values = evaluate_statistics(self.KINDS, u, e)
-        for name, value in evaluate_statistics(self.KINDS, u[i], e[i]).items():
+        pi = model._index_kernel(spec, vecs, batch)[0]
+        p = model._cells(spec, model._thresholds(vecs[:, spec.n_index :]), pi, y)[0]
+        for discrete in (False, True):
+            law = model._fitted_law(spec, vecs, batch, z, discrete)
+            alone = model._fitted_law(spec, vecs[one], batch.take(one), z[one], discrete)
+            below = np.take_along_axis(law.cdf, np.maximum(y - 1, 0)[..., None], -1)[..., 0]
+            assert_same(law.u, np.clip(np.where(y > 0, below, 0.0) + z * p, U_CLAMP, 1 - U_CLAMP))
+            assert (law.e is None) == (not discrete)
+            for field in model._FittedLaw._fields:
+                if getattr(law, field) is not None:
+                    assert_same(getattr(law, field)[one], getattr(alone, field))
+        values = evaluate_statistics(self.KINDS, law.u, law.e)
+        for name, value in evaluate_statistics(self.KINDS, law.u[i], law.e[i]).items():
             assert values[name][i] == value, name
         # the whole step, as the Monte Carlo data step runs it
         keys = [("inv-sim", k) for k in range(K)]

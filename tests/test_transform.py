@@ -82,6 +82,22 @@ class TestContQuantile:
         assert cont_quantile(BINARY_03, 0.0) == -1.0
         assert cont_quantile(BINARY_03, 1.0) == 1.0
 
+    def test_round_trips_just_below_the_top(self):
+        # F(3) + frac * P(4) rounds to 1 + 2^-52 here without the cap
+        hexes = ("0x1.4d8a7b676bd94p-3", "0x1.d40784296bb86p-3", "0x1.c4e47682d6344p-3",
+                 "0x1.72bd907af68cep-3", "0x1.a6cbf9715bad9p-3")
+        law = law_from_probs([float.fromhex(h) for h in hexes])
+        y = np.nextafter(4.0, 0.0)
+        assert cont_cdf(law, y) <= 1.0
+        assert cont_quantile(law, cont_cdf(law, y)) == pytest.approx(y, abs=1e-12)
+        # 3 + (r - F(2)) / P(3) rounds to 3 + 2^-51 here without the cap
+        hexes = ("0x1.5783fffe42d89p-2", "0x1.e1e40bbe3a428p-4", "0x1.af456037f79a2p-2",
+                 "0x1.017b39b46df92p-3")
+        law = law_from_probs([float.fromhex(h) for h in hexes])
+        r = np.nextafter(1.0, 0.0)
+        assert cont_quantile(law, r) <= 3.0
+        assert cont_cdf(law, cont_quantile(law, r)) == pytest.approx(r, abs=1e-12)
+
     def test_lands_on_integer_at_cdf_values(self):
         law = law_from_probs([0.2, 0.5, 0.3])
         assert cont_quantile(law, 0.2) == 0.0
@@ -194,6 +210,18 @@ class TestFloorRule:
             e = residuals_discrete(self.SPEC, self.THETA, series)
         assert np.all(np.isfinite(e))
         assert np.isfinite(loglik(self.SPEC, self.THETA, series))
+
+    def test_zero_conditional_variance_has_its_own_error(self):
+        # at index 40, P(Y = 0) underflows to 0: the realized cell P(Y = 1)
+        # is 1, so the PIT is fine, but the conditional variance is 0
+        series = Series(y=np.array([1, 0, 1, 0, 0, 1]),
+                        x=np.array([[0.3], [-0.2], [40.0], [0.1], [-1.0], [0.5]]))
+        noise = NoiseStream(z=np.full(series.T, 0.5))
+        u = randomized_pit(self.SPEC, self.THETA, series, noise).u
+        assert np.all((u > 0.0) & (u < 1.0))
+        with pytest.raises(AssumptionViolationError, match="zero conditional variance") as info:
+            residuals_discrete(self.SPEC, self.THETA, series)
+        assert "floor" not in str(info.value)
 
     def test_above_warning_floor_is_silent(self):
         series = self.series_with_bottom_cell_at(5.0)  # Phi(-5) = 2.9e-7
