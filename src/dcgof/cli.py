@@ -1,7 +1,7 @@
 """Command-line surface: fit models, run adequacy tests, run the study.
 
-Exit codes: 0 success, 1 input/parse error, 2 model fit failure,
-3 unreliable bootstrap, 10 internal error.
+Exit codes: 0 success, 1 input/parse error (usage errors included),
+2 model fit failure, 3 unreliable bootstrap, 10 internal error.
 """
 
 from __future__ import annotations
@@ -282,73 +282,99 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(",") if v.strip())
 
 
+def _name_list(text: str) -> tuple[str, ...]:
+    return tuple(v.strip() for v in text.split(",") if v.strip())
+
+
+# Options whose text is a comma list, and its conversion
+_LISTS = {"levels": _float_list, "stats": _name_list, "m": _int_list, "scenarios": _scenario_ids,
+          "T": _int_list}
+_SWITCHES = ("interactions", "ordered")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a :class:`ParseError` (exit 1), not by exit 2."""
+
+    def error(self, message: str):
+        raise ParseError(message)
+
+
+def _option_parser() -> argparse.ArgumentParser:
+    """The options of every command; a config file's keys go through it too."""
+    p = _Parser(add_help=False)
+    p.add_argument("--config", default=None, help="JSON config file; flags override its keys")
+    p.add_argument("--input", default=None, help="CSV input with columns y, x1..xk")
+    p.add_argument("--out", default=None, help="output directory")
+    p.add_argument("--model-file", default=None, help="model JSON file instead of flags")
+    p.add_argument("--link", default=None, choices=["probit", "logit", "chisq1"])
+    p.add_argument("--ylags", type=int, default=None, help="number of outcome lags q")
+    p.add_argument("--interactions", action="store_true", default=None)
+    p.add_argument("--J", type=int, default=None, dest="support_size",
+                   help="support size (outcomes in 0..J)")
+    p.add_argument("--ordered", action="store_true", default=None)
+    p.add_argument("--B", type=int, default=None, help="bootstrap replications")
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--levels", type=str, default=None, help="comma list, e.g. 0.1,0.05,0.01")
+    p.add_argument("--stats", type=str, default=None, help="comma list of statistic names")
+    p.add_argument("--m", type=str, default=None, help="comma list of Box-Pierce lags")
+    p.add_argument("--scenarios", type=str, default=None, help="comma list of scenario ids, or all")
+    p.add_argument("--T", type=str, default=None, help="comma list of sample sizes")
+    p.add_argument("--R", type=int, default=None, help="Monte Carlo replications")
+    p.add_argument("--threads", type=int, default=None)
+    return p
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dcgof",
         description="Adequacy tests for the conditional distribution of dynamic discrete choice models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    options = _option_parser()
     for name in ("fit", "test", "mc"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="JSON config file; flags override its keys")
-        p.add_argument("--input", default=None, help="CSV input with columns y, x1..xk")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--model-file", default=None, help="model JSON file instead of flags")
-        p.add_argument("--link", default=None, choices=["probit", "logit", "chisq1"])
-        p.add_argument("--ylags", type=int, default=None, help="number of outcome lags q")
-        p.add_argument("--interactions", action="store_true", default=None)
-        p.add_argument("--J", type=int, default=None, dest="support_size",
-                       help="support size (outcomes in 0..J)")
-        p.add_argument("--ordered", action="store_true", default=None)
-        p.add_argument("--B", type=int, default=None, help="bootstrap replications")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--levels", type=str, default=None, help="comma list, e.g. 0.1,0.05,0.01")
-        p.add_argument("--stats", type=str, default=None, help="comma list of statistic names")
-        p.add_argument("--m", type=str, default=None, help="comma list of Box-Pierce lags")
-        p.add_argument("--scenarios", type=str, default=None, help="comma list of scenario ids, or all")
-        p.add_argument("--T", type=str, default=None, help="comma list of sample sizes")
-        p.add_argument("--R", type=int, default=None, help="Monte Carlo replications")
-        p.add_argument("--threads", type=int, default=None)
+        sub.add_parser(name, parents=[options])
     return parser
 
 
+def _config_argv(conf) -> list[str]:
+    """The flags a config file stands for: a key takes its flag's text, a
+    list the comma list of its items, and a switch only true or false."""
+    if not isinstance(conf, dict):
+        raise ParseError("a config file holds one JSON object")
+    argv = []
+    for key, value in conf.items():
+        if (key in _SWITCHES) != isinstance(value, bool):
+            want = "true or false" if key in _SWITCHES else "the text of its flag"
+            raise ParseError(f"key {key!r} takes {want}, got {json.dumps(value)}")
+        flag = "--" + key.replace("_", "-")
+        if isinstance(value, bool):
+            argv += [flag] if value else []
+        elif isinstance(value, list):
+            argv.append(f"{flag}={','.join(map(str, value))}")
+        else:
+            argv.append(f"{flag}={value}")
+    return argv
+
+
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    file_conf: dict = {}
+    given = {name: value for name, value in vars(args).items() if value is not None}
     if args.config:
         try:
             with open(args.config) as fh:
                 file_conf = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ParseError(f"cannot read config {args.config}: {exc}") from exc
-    config = RunConfig(command=args.command)
-
-    def pick(flag_name, conf_key, default, convert=lambda v: v):
-        flag = getattr(args, flag_name, None)
-        if flag is not None:
-            return convert(flag) if isinstance(flag, str) else flag
-        if conf_key in file_conf:
-            raw = file_conf[conf_key]
-            return convert(raw) if isinstance(raw, str) else raw
-        return default
-
-    config.input = pick("input", "input", None)
-    config.out = pick("out", "out", ".")
-    config.model_file = pick("model_file", "model_file", None)
-    config.link = pick("link", "link", "probit")
-    config.ylags = int(pick("ylags", "ylags", 0))
-    config.interactions = bool(pick("interactions", "interactions", False))
-    config.support_size = int(pick("support_size", "J", 1))
-    config.ordered = bool(pick("ordered", "ordered", False))
-    config.B = int(pick("B", "B", 199))
-    config.seed = int(pick("seed", "seed", 0))
-    config.levels = tuple(pick("levels", "levels", DEFAULT_LEVELS, _float_list))
-    stats = pick("stats", "stats", None, lambda s: tuple(v.strip() for v in s.split(",") if v.strip()))
-    config.stats = tuple(stats) if stats else None
-    config.m = tuple(int(v) for v in pick("m", "m", (1, 2, 25), _int_list))
-    config.scenarios = tuple(int(v) for v in pick("scenarios", "scenarios", (), _scenario_ids))
-    config.T = tuple(int(v) for v in pick("T", "T", (), _int_list))
-    config.R = int(pick("R", "R", 0))
-    config.threads = int(pick("threads", "threads", 1))
+        try:
+            file_args = _option_parser().parse_args(_config_argv(file_conf))
+        except ParseError as exc:
+            raise ParseError(f"config {args.config}: {exc}") from None
+        # flags override the file's keys
+        given = {**{k: v for k, v in vars(file_args).items() if v is not None}, **given}
+    given.pop("config", None)
+    for name, convert in _LISTS.items():
+        if name in given:
+            given[name] = convert(given[name])
+    config = RunConfig(**given)
     for level in config.levels:
         if not 0.0 < level < 1.0:
             raise ParseError(f"level {level} outside (0, 1)")
@@ -358,10 +384,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = _resolve_config(args)
+        config = _resolve_config(_build_parser().parse_args(argv))
         if config.command == "fit":
             return cmd_fit(config)
         if config.command == "test":

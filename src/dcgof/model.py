@@ -104,6 +104,16 @@ def _as_link(link: LinkKind | str) -> LinkKind:
     return LinkKind(link)
 
 
+def _json_field(data: dict, key: str, default, *kinds: type):
+    """``data[key]``, or ``default`` if absent, which must be a JSON value of
+    one of ``kinds``: true and false are not numbers, and 1.5 is no int."""
+    value = data.get(key, default)
+    if type(value) not in kinds:
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise ValueError(f"{key!r} must be a JSON {names}, got {value!r}")
+    return value
+
+
 def _chisq1_half(x: np.ndarray) -> np.ndarray:
     """``max(v, 0) / 2`` with ``v = sqrt(2) x + 1``: 0 left of the support,
     where ``gammainc(1/2, 0) = 0`` and ``gammaincc(1/2, 0) = 1`` exactly."""
@@ -276,14 +286,16 @@ class ModelSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ModelSpec":
+        if not isinstance(data, dict):
+            raise ValueError(f"a model must be a JSON object, got {data!r}")
         return cls(
             link=LinkKind(data["link"]),
-            support_size=int(data.get("support_size", 1)),
-            q=int(data.get("q", 0)),
-            p_ar=int(data.get("p_ar", 0)),
-            n_regressors=int(data.get("n_regressors", 0)),
-            interactions=bool(data.get("interactions", False)),
-            ordered=bool(data.get("ordered", False)),
+            support_size=_json_field(data, "support_size", 1, int),
+            q=_json_field(data, "q", 0, int),
+            p_ar=_json_field(data, "p_ar", 0, int),
+            n_regressors=_json_field(data, "n_regressors", 0, int),
+            interactions=_json_field(data, "interactions", False, bool),
+            ordered=_json_field(data, "ordered", False, bool),
         )
 
     def dumps(self) -> str:
@@ -359,14 +371,14 @@ class Theta:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Theta":
-        return cls(
-            pi0=float(data.get("pi0", 0.0)),
-            delta=tuple(data.get("delta", ())),
-            alpha=tuple(data.get("alpha", ())),
-            beta=tuple(data.get("beta", ())),
-            gamma=tuple(data.get("gamma", ())),
-            mu=tuple(data.get("mu", ())),
-        )
+        if not isinstance(data, dict):
+            raise ValueError(f"parameters must be a JSON object, got {data!r}")
+        names = ("delta", "alpha", "beta", "gamma", "mu")
+        lists = {name: _json_field(data, name, [], list) for name in names}
+        for name, values in lists.items():
+            if any(type(v) not in (int, float) for v in values):
+                raise ValueError(f"{name!r} must be a JSON list of numbers, got {values!r}")
+        return cls(pi0=_json_field(data, "pi0", 0.0, int, float), **lists)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)

@@ -10,8 +10,9 @@ uniform marginals:
 Cramer-von Mises functionals integrate the squared process over the unit
 cube.  Their closed forms are built from
 ``int_0^1 1{a<=r} 1{b<=r} dr = 1 - max(a, b)``, summed over all pairs of
-points; after sorting, the pair sums take O(T log T) time and O(T) memory
-(a rank formula in one dimension, a dominance count in two).
+points; from one sort of each residual series, which every CvM and KS
+functional reads, the pair sums take O(T log T) time and O(T) memory (a
+rank formula in one dimension, a dominance count in two).
 Kolmogorov-Smirnov functionals take the sup of the absolute process, which is
 attained on the finite candidate set of jump points and their one-sided
 limits (a tensor grid in the bivariate case), because the process is
@@ -29,6 +30,7 @@ function of its inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -162,21 +164,34 @@ def _check_u(u, batch: bool = False) -> np.ndarray:
     return u
 
 
-def _process_pairs(u: np.ndarray, kind: StatKind) -> tuple[np.ndarray, np.ndarray | None, float]:
-    """Indicator coordinates and normalizer for a CvM/KS kind, along the last axis."""
-    T = u.shape[-1]
-    if kind.tag in ("CvM_p", "KS_p"):
-        if kind.p == 1:
-            if T < 3:
-                raise ValueError("need T >= 3")
-            return u[..., :-1], None, math.sqrt(T - 2)
-        if T < 4:
-            raise ValueError("need T >= 4")
-        return u[..., 1 : T - 1], u[..., : T - 2], math.sqrt(T - 3)
-    j = kind.j
-    if T < j + 2:
-        raise ValueError(f"need T >= {j + 2} for lag {j}")
-    return u[..., j:], u[..., :-j], math.sqrt(T - j)
+def _process_pairs(T: int, kind: StatKind) -> tuple[int, int | None, int, float]:
+    """Index ranges and normalizer of a CvM/KS kind: the process pairs
+    ``u[i + t]`` with ``u[k + t]``, t < n (``k`` is None in one dimension)."""
+    if kind.tag in ("CvM_2j", "KS_2j"):
+        i, k, n, df = kind.j, 0, T - kind.j, T - kind.j
+    else:
+        i, k, n = (0, None, T - 1) if kind.p == 1 else (1, 0, T - 2)
+        df = n - 1
+    if n < 2:
+        raise ValueError(f"need T >= {T - n + 2} for {kind.name}")
+    return i, k, n, math.sqrt(df)
+
+
+def _ranked(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """One stable sort of each row of a batch ``u`` (K, T): the order, each
+    value's rank from 1 among its row's distinct values, and those values."""
+    order = np.argsort(u, axis=-1, kind="stable")
+    s = np.take_along_axis(u, order, -1)
+    first = np.ones(u.shape, dtype=bool)
+    first[:, 1:] = s[:, 1:] != s[:, :-1]
+    rank = np.empty(u.shape, dtype=np.int64)
+    np.put_along_axis(rank, order, np.cumsum(first, axis=-1), -1)
+    return order, rank, [row[f] for row, f in zip(s, first)]
+
+
+def _sub_order(order: np.ndarray, i: int, n: int) -> np.ndarray:
+    """The order of ``u[:, i:i+n]``: the order of ``u`` filtered to that range."""
+    return order[(order >= i) & (order < i + n)].reshape(-1, n) - i
 
 
 # Points per tile of the dense comparisons in ``_dominance``.
@@ -192,21 +207,19 @@ _KS_TOP = 128
 _KS_BATCH = 1024
 
 
-def _cvm_1d(a: np.ndarray, denom: float):
+def _cvm_1d(a: np.ndarray, denom: float) -> np.ndarray:
     # sum_{i,k} (1 - max(a_i, a_k)) = sum_i (1 - a_(i)) (2i - 1) over the
-    # sorted values.  Completing the square with the other two terms gives
-    # 1/12 + n sum_i (a_(i) - (2i - 1)/(2n))^2, a sum free of cancellation.
-    # Leading axes of ``a`` are batch axes, here and in the kernels below.
+    # sorted values ``a`` (K, n).  Completing the square with the other two
+    # terms gives 1/12 + n sum_i (a_(i) - (2i - 1)/(2n))^2, free of cancellation.
     n = a.shape[-1]
-    d = np.sort(a, axis=-1) - np.arange(1.0, 2.0 * n, 2.0) / (2.0 * n)
+    d = a - np.arange(1.0, 2.0 * n, 2.0) / (2.0 * n)
     total = 1.0 / 12.0 + n * _dot(d, d)
     return total / (denom * denom)
 
 
 def _dominance(rank: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each point k of each row (K, n), ``#{i < k : rank_i <= rank_k}`` and
-    the sum of ``w_i`` over ``i < k`` with ``rank_i > rank_k``.  Ranks lie in
-    1..n."""
+    the sum of ``w_i`` over ``i < k`` with ``rank_i > rank_k`` (ranks from 1)."""
     K, n = rank.shape
     # Dense comparisons within tiles of consecutive points.  The padding sits
     # after every real point of the last tile, so it is never counted.
@@ -231,7 +244,7 @@ def _dominance(rank: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     pos = np.arange(n)
     order = np.arange(K * n)
     w = w.ravel()
-    span = n + 2
+    span = int(rank.max()) + 2
     row = np.arange(K)[:, None] * ((n // _TILE + 1) * span)
     s = _TILE
     while s < n:
@@ -251,56 +264,50 @@ def _dominance(rank: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return cnt.reshape(K, n), sw.reshape(K, n)
 
 
-def _cvm_2d(a: np.ndarray, b: np.ndarray, denom: float):
+def _cvm_2d(a: np.ndarray, b: np.ndarray, rank: np.ndarray, denom: float) -> np.ndarray:
     # Pair (i, k) contributes (1 - max(a_i, a_k)) (1 - max(b_i, b_k)).  With
-    # the points ordered by a, the pairs i < k contribute
+    # the points ordered by a (sorted ``a``, and ``b`` with the ranks of its
+    # values in that order), the pairs i < k contribute
     # (1 - a_k) [cnt_k (1 - b_k) + sw_k], with the dominance counts over b.
-    lead, n = a.shape[:-1], a.shape[-1]
-    a, b = a.reshape(-1, n), b.reshape(-1, n)
-    order = np.argsort(a, axis=-1, kind="stable")
-    a, b = np.take_along_axis(a, order, -1), np.take_along_axis(b, order, -1)
-    # ties share a rank
-    rank = np.array([np.searchsorted(np.sort(row), row, side="right") for row in b])
+    n = a.shape[-1]
     cnt, sw = _dominance(rank, 1.0 - b)
     qq = ((1.0 - a * a) / 2.0) * ((1.0 - b * b) / 2.0)
     terms = (1.0 - a) * (1.0 - b + 2.0 * (cnt * (1.0 - b) + sw)) - 2.0 * n * qq + n / 9.0
-    return (terms.sum(axis=-1) / (denom * denom)).reshape(lead)[()]
+    return terms.sum(axis=-1) / (denom * denom)
 
 
-def _ks_1d(a: np.ndarray, denom: float):
+def _ks_1d(a: np.ndarray, denom: float) -> np.ndarray:
     # The process jumps at each sorted value v_(i) from i - n v to i + 1 - n v
     # (0-based i); across a run of ties the extremes are the run's first
     # value before and its last value after, the only ones that count.
     n = a.shape[-1]
-    nv = n * np.sort(a, axis=-1)
+    nv = n * a
     before = np.abs(np.arange(n) - nv).max(axis=-1)
     return np.maximum(np.abs(np.arange(1, n + 1) - nv).max(axis=-1), before) / denom
 
 
-def _ks_2d(a: np.ndarray, b: np.ndarray, denom: float) -> float:
+def _ks_2d(row: np.ndarray, col: np.ndarray, grid: np.ndarray, denom: float) -> float:
     # Between jump coordinates the process is N - n*r1*r2 with N constant, so
     # its sup over each cell is N - n*r1*r2 at the cell's lower corner or
     # n*r1*r2 - N at its upper corner; corners live on the tensor grid of
-    # observed values, their one-sided limits and the boundary 1.
+    # the series' distinct values ``grid`` (in which ``row`` and ``col`` rank
+    # the points from 1), their one-sided limits and the boundary 1.  A value
+    # that one coordinate does not take adds only candidates no larger than
+    # its neighbours', computed with the same expressions.
     #
-    # The grid is searched by branch and bound over square tiles.  N, lo_a and
-    # lo_b, hi_a and hi_b are nondecreasing and float rounding is monotone, so
-    # on rows r0..r1 and columns c0..c1 the low term is at most
-    # N(r1, c1) - n*(lo_a[r0]*lo_b[c0]) and the high term at most
-    # n*(hi_a[r1]*hi_b[c1]) - N(r0-1, c0-1), both computed with the same
+    # The grid is searched by branch and bound over square tiles.  N, lo and
+    # hi are nondecreasing and float rounding is monotone, so on rows r0..r1
+    # and columns c0..c1 the low term is at most
+    # N(r1, c1) - n*(lo[r0]*lo[c0]) and the high term at most
+    # n*(hi[r1]*hi[c1]) - N(r0-1, c0-1), both computed with the same
     # expressions as the exact values.  A tile whose bound does not beat the
     # largest exact value found is dropped; the others split into
     # _KS_SPLIT x _KS_SPLIT sub-tiles, highest bound first, down to single
     # cells, so the result is the exact sup.
-    n = a.shape[0]
-    ga, row = np.unique(a, return_inverse=True)
-    gb, col = np.unique(b, return_inverse=True)
-    row += 1  # first grid row whose count includes the point
-    col += 1
-    # lo_a/lo_b carry one padding entry, read only for empty sub-tiles
-    lo_a, hi_a = np.concatenate(([0.0], ga, [1.0])), np.concatenate((ga, [1.0]))
-    lo_b, hi_b = np.concatenate(([0.0], gb, [1.0])), np.concatenate((gb, [1.0]))
-    n_rows, n_cols = hi_a.size, hi_b.size
+    n = row.shape[0]
+    # lo carries one padding entry, read only for empty sub-tiles
+    lo, hi = np.concatenate(([0.0], grid, [1.0])), np.concatenate((grid, [1.0]))
+    n_rows = n_cols = hi.size
 
     def visit(M, rho, gam, best, split):
         # M[k, l, t] = N(rho[k, t], gam[l, t]) on the lines of tile t of a
@@ -310,11 +317,11 @@ def _ks_2d(a: np.ndarray, b: np.ndarray, denom: float) -> float:
         # column, N at the corner before the sub-tile, bound).
         r, c = rho[1:, None], gam[None, 1:]
         inner = M[1:, 1:]
-        high = n * (hi_a[r] * hi_b[c])
-        best = max(best, (inner - n * (lo_a[r] * lo_b[c])).max(), (high - inner).max())
+        high = n * (hi[r] * hi[c])
+        best = max(best, (inner - n * (lo[r] * lo[c])).max(), (high - inner).max())
         if not split:
             return best, None
-        low = inner - n * (lo_a[rho[:-1, None] + 1] * lo_b[gam[None, :-1] + 1])
+        low = inner - n * (lo[rho[:-1, None] + 1] * lo[gam[None, :-1] + 1])
         bound = np.maximum(low, high - M[:-1, :-1])
         keep = bound > best
         keep &= (rho[1:] > rho[:-1])[:, None] & (gam[1:] > gam[:-1])[None, :]  # not empty
@@ -326,14 +333,13 @@ def _ks_2d(a: np.ndarray, b: np.ndarray, denom: float) -> float:
     # The top grid: lines k*g - 1 of rows and columns (line -1 is empty),
     # with at most _KS_TOP tiles per side.
     g = 1
-    while max(n_rows, n_cols) > _KS_TOP * g:
+    while n_rows > _KS_TOP * g:
         g *= _KS_SPLIT
-    kr, kc = -(-n_rows // g) + 1, -(-n_cols // g) + 1
+    kr = kc = -(-n_rows // g) + 1
     M = np.bincount((row // g + 1) * kc + col // g + 1, minlength=kr * kc).reshape(kr, kc)
     np.cumsum(M, axis=0, out=M)
     np.cumsum(M, axis=1, out=M)
-    rho = np.minimum(np.arange(kr) * g - 1, n_rows - 1)[:, None]
-    gam = np.minimum(np.arange(kc) * g - 1, n_cols - 1)[:, None]
+    rho = gam = np.minimum(np.arange(kr) * g - 1, n_rows - 1)[:, None]
     best, tiles = visit(M[:, :, None], rho, gam, 0.0, g > 1)
     pending = [(g, tiles)] if g > 1 else []
     strips = {}
@@ -377,20 +383,28 @@ def _ks_2d(a: np.ndarray, b: np.ndarray, denom: float) -> float:
     return float(best / denom)
 
 
-def _cvm(u: np.ndarray, kind: StatKind):
-    a, b, denom = _process_pairs(u, kind)
-    return _cvm_1d(a, denom) if b is None else _cvm_2d(a, b, denom)
+def _cvm(u: np.ndarray, kind: StatKind, ranked: tuple) -> np.ndarray:
+    """CvM values of a batch ``u`` (K, T), read from ``ranked`` = ``_ranked(u)``."""
+    order, rank, _ = ranked
+    i, k, n, denom = _process_pairs(u.shape[-1], kind)
+    o = _sub_order(order, i, n)
+    a = np.take_along_axis(u[:, i : i + n], o, -1)
+    if k is None:
+        return _cvm_1d(a, denom)
+    b, rank_b = (np.take_along_axis(x[:, k : k + n], o, -1) for x in (u, rank))
+    return _cvm_2d(a, b, rank_b, denom)
 
 
-def _ks(u: np.ndarray, kind: StatKind) -> np.ndarray:
-    """KS values of a batch ``u`` (K, T); the bivariate search runs per series."""
+def _ks(u: np.ndarray, kind: StatKind, ranked: tuple) -> np.ndarray:
+    """KS values of a batch ``u`` (K, T), read from ``ranked`` = ``_ranked(u)``."""
     # the 2-D search's bounds need the grid coordinates to be monotone
     if not (u.min() >= 0.0 and u.max() <= 1.0):
         raise ValueError("KS residuals must lie in [0, 1]")
-    a, b, denom = _process_pairs(u, kind)
-    if b is None:
-        return _ks_1d(a, denom)
-    return np.array([_ks_2d(a_k, b_k, denom) for a_k, b_k in zip(a, b)])
+    order, rank, grids = ranked
+    i, k, n, denom = _process_pairs(u.shape[-1], kind)
+    if k is None:
+        return _ks_1d(np.take_along_axis(u[:, i : i + n], _sub_order(order, i, n), -1), denom)
+    return np.array([_ks_2d(r[i : i + n], r[k : k + n], grid, denom) for r, grid in zip(rank, grids)])
 
 
 def _nonnegative(values: np.ndarray) -> np.ndarray:
@@ -404,14 +418,16 @@ def cvm_stat(u, kind: StatKind) -> StatValue:
     """Cramer-von Mises statistic: exact closed form of the integrated square."""
     if kind.tag not in ("CvM_p", "CvM_2j"):
         raise ValueError(f"not a CvM kind: {kind}")
-    return StatValue(kind=kind, value=_cvm(_check_u(u), kind))
+    u = _check_u(u)[np.newaxis]
+    return StatValue(kind=kind, value=_cvm(u, kind, _ranked(u))[0])
 
 
 def ks_stat(u, kind: StatKind) -> StatValue:
     """Kolmogorov-Smirnov statistic: exact sup over the jump candidate set."""
     if kind.tag not in ("KS_p", "KS_2j"):
         raise ValueError(f"not a KS kind: {kind}")
-    return StatValue(kind=kind, value=_ks(_check_u(u)[np.newaxis], kind)[0])
+    u = _check_u(u)[np.newaxis]
+    return StatValue(kind=kind, value=_ks(u, kind, _ranked(u))[0])
 
 
 def bartlett_weight(j: int, m: int) -> float:
@@ -495,9 +511,7 @@ def box_pierce(resid, m: int, kind: StatKind | None = None) -> StatValue:
     if m < 1:
         raise ValueError("m must be >= 1")
     T, sums = _acf2_sums(_check_u(resid), m)
-    if kind is None:
-        kind = StatKind(tag="BPU_m", m=m)
-    return StatValue(kind=kind, value=T * sums[-1])
+    return StatValue(kind=kind or StatKind(tag="BPU_m", m=m), value=T * sums[-1])
 
 
 def _jarque_bera(x: np.ndarray):
@@ -536,9 +550,7 @@ def v2_limit_cov(r: tuple[float, float], s: tuple[float, float]) -> float:
     )
 
 
-def evaluate_statistics(
-    kinds: Sequence[StatKind], u, e=None
-) -> dict:
+def evaluate_statistics(kinds: Sequence[StatKind], u, e=None) -> dict:
     """Evaluate the requested statistics on PIT residuals ``u`` (and discrete
     residuals ``e`` where needed).  Returns ``{name: value}``.
 
@@ -549,50 +561,36 @@ def evaluate_statistics(
     u = _check_u(u, batch=True)
     U = u.reshape(-1, u.shape[-1])
     out: dict = {}
-    gauss: np.ndarray | None = None
+    # Each computed at most once: one sort of each series serves every CvM
+    # and KS kind, one autocorrelation pass up to the largest lag every BP_m.
+    gaussian = functools.cache(lambda: residuals_gaussian(U))
+    ranked = functools.cache(lambda: _ranked(U))
 
-    def gaussian() -> np.ndarray:
-        nonlocal gauss
-        if gauss is None:
-            gauss = residuals_gaussian(U)
-        return gauss
-
-    # One autocorrelation pass per residual series, up to its largest lag
-    lags: dict[str, int] = {}
-    for kind in kinds:
-        if kind.tag in ("BPU_m", "BPN_m", "BPD_m"):
-            lags[kind.tag] = max(lags.get(kind.tag, 0), kind.m)
-    acf2: dict[str, tuple[int, list]] = {}
-
-    def box_pierce_of(kind: StatKind) -> np.ndarray:
-        if kind.tag not in acf2:
-            if kind.tag == "BPU_m":
-                x = U
-            elif kind.tag == "BPN_m":
-                x = gaussian()
-            elif e is None:
-                raise ValueError("discrete residuals required for BPD statistics")
-            else:
-                x = np.asarray(e, dtype=float).reshape(U.shape)
-            acf2[kind.tag] = _acf2_sums(x, lags[kind.tag])
-        T, sums = acf2[kind.tag]
-        return T * sums[kind.m - 1]
+    @functools.cache
+    def acf2(tag: str) -> tuple[int, list]:
+        if tag == "BPU_m":
+            x = U
+        elif tag == "BPN_m":
+            x = gaussian()
+        elif e is None:
+            raise ValueError("discrete residuals required for BPD statistics")
+        else:
+            x = np.asarray(e, dtype=float).reshape(U.shape)
+        return _acf2_sums(x, max(k.m for k in kinds if k.tag == tag))
 
     def aggregate_of(kind: StatKind, family: str, field: str) -> np.ndarray:
         # the Bartlett-weighted sum of aggregate(), term by term
-        total = 0.0
-        for j in range(1, kind.m + 1):
-            value = _nonnegative(_cvm(U, StatKind(tag=family, **{field: j})))
-            total = total + bartlett_weight(j, kind.m) * value
-        return total
+        terms = (_cvm(U, StatKind(family, **{field: j}), ranked()) for j in range(1, kind.m + 1))
+        return sum(bartlett_weight(j, kind.m) * _nonnegative(v) for j, v in enumerate(terms, 1))
 
     for kind in kinds:
         if kind.tag in ("CvM_p", "CvM_2j"):
-            value = _cvm(U, kind)
+            value = _cvm(U, kind, ranked())
         elif kind.tag in ("KS_p", "KS_2j"):
-            value = _ks(U, kind)
+            value = _ks(U, kind, ranked())
         elif kind.tag in ("BPU_m", "BPN_m", "BPD_m"):
-            value = box_pierce_of(kind)
+            T, sums = acf2(kind.tag)
+            value = T * sums[kind.m - 1]
         elif kind.tag == "JB":
             value = _jarque_bera(gaussian())
         elif kind.tag == "ADP":

@@ -148,15 +148,26 @@ class TestCmdFit:
         assert code == EXIT_OK
 
     @pytest.mark.parametrize("command", ["fit", "test"])
-    @pytest.mark.parametrize("content", [None, '{"q": 1}'])
+    @pytest.mark.parametrize("content", [None, '{"q": 1}', '[1]'])
     def test_unreadable_model_file_is_parse_error(self, tmp_path, command, content):
-        # a missing file, or one without a "link" key
+        # a missing file, one without a "link" key, or one that is not an object
         data_path = tmp_path / "data.csv"
         write_series_csv(data_path, seed=3)
         model_path = tmp_path / "model.json"
         if content is not None:
             model_path.write_text(content)
         code = main([command, "--input", str(data_path), "--model-file", str(model_path),
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_PARSE
+
+    def test_model_file_switch_takes_json_booleans(self, tmp_path):
+        # "false" in quotes once meant interactions=True
+        data_path = tmp_path / "data.csv"
+        write_series_csv(data_path, seed=3)
+        model_path = tmp_path / "model.json"
+        spec = ModelSpec(link="probit", q=1, n_regressors=1)
+        model_path.write_text(json.dumps({**spec.to_json_dict(), "interactions": "false"}))
+        code = main(["fit", "--input", str(data_path), "--model-file", str(model_path),
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_PARSE
 
@@ -261,6 +272,18 @@ class TestCmdMc:
         code = main(["mc", "--out", str(tmp_path / "o")])
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize("flags", [["--threads", "abc"], ["--link", "probitt"], ["--bogus"], []])
+    def test_usage_errors_exit_1(self, tmp_path, flags):
+        # exit 2 is reserved for model fit failures
+        argv = ["mc", *flags] if flags else []
+        assert main(argv) == EXIT_PARSE
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["mc", "--help"])
+        assert exc.value.code == 0
+        assert "--scenarios" in capsys.readouterr().out
+
     def test_all_scenarios(self):
         def scenarios(value):
             args = _build_parser().parse_args(["mc", "--scenarios", value, "--T", "60", "--R", "50"])
@@ -285,6 +308,35 @@ class TestConfigFile:
         assert main(["test", "--config", str(conf), "--out", str(out_a)]) == EXIT_OK
         assert main(["test", "--config", str(conf), "--out", str(out_b), "--seed", "1"]) == EXIT_OK
         assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
+
+    def resolve(self, tmp_path, conf, command="mc"):
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps(conf))
+        return _resolve_config(_build_parser().parse_args([command, "--config", str(path)]))
+
+    def test_numbers_and_lists_are_their_flag_text(self, tmp_path):
+        config = self.resolve(tmp_path, {"T": 100, "m": [1, 2], "levels": [0.1, 0.05],
+                                         "stats": ["CvM0", "KS1"], "B": "29", "R": 50})
+        assert (config.T, config.m, config.levels) == ((100,), (1, 2), (0.1, 0.05))
+        assert (config.stats, config.B, config.R) == (("CvM0", "KS1"), 29, 50)
+        assert self.resolve(tmp_path, {"T": [100, 200], "scenarios": "all"}).T == (100, 200)
+
+    @pytest.mark.parametrize("conf", [
+        {"B": 29.5}, {"ordered": "false"}, {"interactions": 1}, {"R": True}, {"link": "probitt"},
+        {"threads": "abc"}, ["B", 29],
+    ])
+    def test_values_its_flag_would_reject(self, tmp_path, conf):
+        with pytest.raises(ParseError):
+            self.resolve(tmp_path, conf)
+
+    def test_switches_take_json_booleans(self, tmp_path):
+        assert self.resolve(tmp_path, {"ordered": True, "interactions": False}).ordered is True
+        # a quoted "false" once fitted an ordered model
+        data_path = tmp_path / "data.csv"
+        write_series_csv(data_path, seed=6)
+        conf = tmp_path / "fit.json"
+        conf.write_text(json.dumps({"input": str(data_path), "ordered": "false"}))
+        assert main(["fit", "--config", str(conf), "--out", str(tmp_path / "o")]) == EXIT_PARSE
 
     def test_bad_level_rejected(self, tmp_path):
         data_path = tmp_path / "data.csv"

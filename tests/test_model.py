@@ -374,6 +374,28 @@ class TestSerialization:
         again = Theta.loads(theta.dumps())
         assert again == theta
 
+    @pytest.mark.parametrize("key, value", [
+        ("interactions", "false"), ("ordered", 1), ("q", 1.7), ("support_size", "2"), ("p_ar", True),
+    ])
+    def test_model_spec_takes_only_json_integers_and_booleans(self, key, value):
+        data = {**ModelSpec(link="probit", q=1, n_regressors=1).to_json_dict(), key: value}
+        with pytest.raises(ValueError, match=key):
+            ModelSpec.from_json_dict(data)
+
+    @pytest.mark.parametrize("key, value", [
+        ("beta", "12"), ("mu", [0.5, "1"]), ("pi0", "0.5"), ("pi0", False),
+    ])
+    def test_theta_takes_only_json_numbers(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            Theta.from_json_dict({key: value})
+
+    @pytest.mark.parametrize("data", [[1], "probit", None])
+    def test_json_must_be_an_object(self, data):
+        with pytest.raises(ValueError, match="JSON object"):
+            ModelSpec.from_json_dict(data)
+        with pytest.raises(ValueError, match="JSON object"):
+            Theta.from_json_dict(data)
+
     def test_theta_validation(self):
         spec = ModelSpec(link="probit", support_size=2, ordered=True)
         with pytest.raises(ValueError):

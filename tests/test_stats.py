@@ -25,7 +25,8 @@ from dcgof.stats import (
     residuals_gaussian,
     v2_limit_cov,
 )
-from dcgof.stats import _cvm_1d, _cvm_2d, _ks_2d, _process_pairs
+from dcgof import stats
+from dcgof.stats import _cvm_1d, _cvm_2d, _ks_2d, _process_pairs, _ranked
 
 U3 = np.array([0.25, 0.5, 0.75])
 
@@ -150,6 +151,22 @@ def lag_pairs(u, j):
     return u[j:], u[:-j], math.sqrt(u.shape[0] - j)
 
 
+def ks_2d_of(u, i, k, n, denom):
+    """``_ks_2d`` on the pairs (u[i + t], u[k + t]), t < n, ranked in the
+    series' distinct values."""
+    grid, inverse = np.unique(u, return_inverse=True)
+    return _ks_2d(inverse[i : i + n] + 1, inverse[k : k + n] + 1, grid, denom)
+
+
+def cvm_2d_of(u, i, k, n, denom):
+    """``_cvm_2d`` on the pairs (u[i + t], u[k + t]), t < n, ordered by the
+    first coordinate, with the second's ranks in the series' distinct values."""
+    rank = np.unique(u, return_inverse=True)[1] + 1
+    o = np.argsort(u[i : i + n], kind="stable")
+    a, b, rank_b = u[i : i + n][o], u[k : k + n][o], rank[k : k + n][o]
+    return _cvm_2d(a[np.newaxis], b[np.newaxis], rank_b[np.newaxis], denom)[0]
+
+
 def brute_v1(u, r):
     """Direct-summation oracle for the one-parameter process."""
     T = len(u)
@@ -167,6 +184,12 @@ def brute_v2j(u, j, r1, r2):
         i2 = 1.0 if u[t - j - 1] <= r2 else 0.0
         total += i1 * i2 - r1 * r2
     return total / math.sqrt(T - j)
+
+
+def test_hypothesis_runs_the_same_examples_every_time():
+    # tests/conftest.py loads a derandomized profile with no example database
+    assert settings.default.derandomize is True
+    assert settings.default.database is None
 
 
 class TestVProcesses:
@@ -325,20 +348,22 @@ class TestKernels:
     def test_ks_2d_equals_dense_grid(self, u, j):
         if u.shape[0] < j + 2:
             return
-        assert _ks_2d(*lag_pairs(u, j)) == ks_2d_dense(*lag_pairs(u, j))
         T = u.shape[0]
+        a, b, denom = lag_pairs(u, j)
+        assert ks_2d_of(u, j, 0, T - j, denom) == ks_2d_dense(a, b, denom)
         a, b, denom = u[1 : T - 1], u[: T - 2], math.sqrt(T - 3)
-        assert _ks_2d(a, b, denom) == ks_2d_dense(a, b, denom)
+        assert ks_2d_of(u, 1, 0, T - 2, denom) == ks_2d_dense(a, b, denom)
 
     @given(residual_series(min_T=2100, max_T=3000), st.integers(1, 3))
     @settings(max_examples=10, deadline=None)
     def test_ks_2d_equals_row_sweep_across_all_levels(self, u, j):
         # with more than 2048 grid rows the search refines tiles of 64, 16
         # and 4 grid lines before the single cells; ties can shrink the grid
-        assert _ks_2d(*lag_pairs(u, j)) == ks_2d_sweep(*lag_pairs(u, j))
         T = u.shape[0]
+        a, b, denom = lag_pairs(u, j)
+        assert ks_2d_of(u, j, 0, T - j, denom) == ks_2d_sweep(a, b, denom)
         a, b, denom = u[1 : T - 1], u[: T - 2], math.sqrt(T - 3)
-        assert _ks_2d(a, b, denom) == ks_2d_sweep(a, b, denom)
+        assert ks_2d_of(u, 1, 0, T - 2, denom) == ks_2d_sweep(a, b, denom)
 
     @pytest.mark.parametrize("T", [2000, 5000])
     @pytest.mark.parametrize("data", ["null", "lag-1 dependence", "ties"])
@@ -357,8 +382,8 @@ class TestKernels:
             if data == "ties":
                 u = np.clip(np.round(u, 2), U_CLAMP, 1.0 - U_CLAMP)
         for name in ("KS1", "KS2", "KSp2"):
-            a, b, denom = _process_pairs(u, StatKind.from_name(name))
-            assert _ks_2d(a, b, denom) == ks_2d_sweep(a, b, denom)
+            i, k, n, denom = _process_pairs(T, StatKind.from_name(name))
+            assert ks_2d_of(u, i, k, n, denom) == ks_2d_sweep(u[i : i + n], u[k : k + n], denom)
 
     def test_ks_2d_scales_to_criterion_5_length(self):
         u = substream(17, "ks-1e5").random(100_000)
@@ -377,11 +402,32 @@ class TestKernels:
     @settings(max_examples=60, deadline=None)
     def test_cvm_matches_exact_double_sum(self, u, j):
         a, denom = u[:-1], math.sqrt(u.shape[0] - 2)
-        assert _cvm_1d(a, denom) == pytest.approx(cvm_fsum(a, None, denom), rel=1e-12)
+        assert _cvm_1d(np.sort(a), denom) == pytest.approx(cvm_fsum(a, None, denom), rel=1e-12)
         if u.shape[0] < j + 2:
             return
         a, b, denom = lag_pairs(u, j)
-        assert _cvm_2d(a, b, denom) == pytest.approx(cvm_fsum(a, b, denom), rel=1e-12)
+        got = cvm_2d_of(u, j, 0, u.shape[0] - j, denom)
+        assert got == pytest.approx(cvm_fsum(a, b, denom), rel=1e-12)
+
+    @given(st.lists(residual_series(max_T=60), min_size=1, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_one_sort_gives_order_ranks_and_grid(self, rows):
+        T = min(row.shape[0] for row in rows)
+        u = np.stack([row[:T] for row in rows])
+        order, rank, grids = _ranked(u)
+        for row, o, r, grid in zip(u, order, rank, grids):
+            assert np.array_equal(o, np.argsort(row, kind="stable"))
+            values, inverse = np.unique(row, return_inverse=True)
+            assert np.array_equal(r, inverse + 1)
+            assert np.array_equal(grid, values)
+
+    def test_process_pairs_ranges(self):
+        assert _process_pairs(10, StatKind.from_name("CvM0")) == (0, None, 9, math.sqrt(8))
+        assert _process_pairs(10, StatKind.from_name("KSp2")) == (1, 0, 8, math.sqrt(7))
+        assert _process_pairs(10, StatKind.from_name("KS3")) == (3, 0, 7, math.sqrt(7))
+        for name, T in (("CvM0", 2), ("KSp2", 3), ("CvM3", 4)):
+            with pytest.raises(ValueError, match=f"need T >= {T + 1}"):
+                _process_pairs(T, StatKind.from_name(name))
 
     @pytest.mark.parametrize("T", [2000, 5000])
     def test_cvm_matches_outer_products_at_large_t(self, T):
@@ -585,6 +631,30 @@ class TestEvaluateStatistics:
         for name in names:
             tag, m = name.split("_")
             assert out[name] == box_pierce(series[tag], int(m)).value
+
+    def test_one_sort_per_call(self, monkeypatch):
+        # every CvM and KS kind reads one ordering of each series, and no
+        # kernel ranks the residuals again
+        calls = []
+
+        def ranked(u):
+            calls.append(u.shape)
+            return _ranked(u)
+
+        def no_unique(*args, **kwargs):
+            raise AssertionError("np.unique called")
+
+        monkeypatch.setattr(stats, "_ranked", ranked)
+        monkeypatch.setattr(np, "unique", no_unique)
+        u = substream(22, "ev7").random((3, 90))
+        names = ("CvM0", "CvM1", "CvM2", "CvMp2", "KS0", "KS1", "KS2", "KSp2", "ADP", "ADJ", "BPU_2")
+        for kinds in (names[:1], names):
+            calls.clear()
+            evaluate_statistics([StatKind.from_name(n) for n in kinds], u)
+            assert calls == [(3, 90)]
+        calls.clear()
+        evaluate_statistics([StatKind.from_name("BPU_2"), StatKind.from_name("JB")], u)
+        assert calls == []
 
     def test_adj_equals_manual_aggregate(self):
         u = substream(13, "ev4").random(80)
