@@ -166,17 +166,17 @@ def _needs_discrete(kinds) -> bool:
     return any(k.tag == "BPD_m" for k in kinds)
 
 
-def _statistics(spec: ModelSpec, vec, series, fz, kinds) -> tuple[dict[str, np.ndarray], _FittedLaw]:
-    """The statistics ``{name: (K,)}`` of the fitted rows ``vec`` (K, L) on
-    ``series``, under the randomized PIT with applied noise ``fz`` (K, T),
-    and the fitted law they come from; rows it flags get NaN."""
+def _statistics(spec: ModelSpec, vec, series, fz, kinds) -> tuple[np.ndarray, _FittedLaw]:
+    """The statistics (K, len(kinds)) of the fitted rows ``vec`` (K, L) on
+    ``series``, one column per kind in ``kinds`` order, under the randomized
+    PIT with applied noise ``fz`` (K, T), and the fitted law they come from;
+    rows it flags get NaN."""
     law = _fitted_law(spec, vec, series, fz, _needs_discrete(kinds))
     keep = ~(law.floor | law.zero_var)
-    stats = {kind.name: np.full(keep.shape, np.nan) for kind in kinds}
+    stats = np.full((keep.size, len(kinds)), np.nan)
     if np.any(keep):
         values = evaluate_statistics(kinds, law.u[keep], None if law.e is None else law.e[keep])
-        for name, column in values.items():
-            stats[name][keep] = column
+        stats[keep] = np.column_stack([values[kind.name] for kind in kinds])
     return stats, law
 
 
@@ -190,7 +190,7 @@ def _replicate(
     master_seed: int,
     sim_keys: list,
     noise_keys: list,
-) -> tuple[np.ndarray, dict[str, np.ndarray], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The replicate step over a chunk of K keys: simulate row ``k`` from
     ``(sim_spec, sim_vec[k])`` on the regressor path ``x[k]`` (K, T, k) with
     the substream of ``sim_keys[k]``, refit ``fit_spec`` starting from
@@ -201,7 +201,7 @@ def _replicate(
     A bootstrap draw refits the model it was simulated from, so its caller
     passes ``init=sim_vec``: the estimate lies within sampling error of it.
 
-    Returns the estimates (K, L), the statistics ``{name: (K,)}`` (NaN on
+    Returns the estimates (K, L), the statistics (K, len(kinds)) (NaN on
     failed rows) and each row's :class:`dcgof.estimate.Cause`.  A row fails
     when its model cannot be fitted (a fit error or an unconverged fit) or
     evaluated (the floor or zero-variance rule); any other exception propagates.
@@ -211,15 +211,13 @@ def _replicate(
     star = _Batch(_simulate(sim_spec, sim_vec, x, rngs), x)
     fit = _fit(fit_spec, star, init)
     cause = fit.cause
-    stats = {kind.name: np.full(K, np.nan) for kind in kinds}
+    stats = np.full((K, len(kinds)), np.nan)
     ok = np.flatnonzero(cause == Cause.CONVERGED)
     if ok.size:
         fz = np.array([NoiseStream.from_seed(T, master_seed, *noise_keys[i]).applied() for i in ok])
-        values, law = _statistics(fit_spec, fit.vec[ok], star.take(ok), fz, kinds)
+        stats[ok], law = _statistics(fit_spec, fit.vec[ok], star.take(ok), fz, kinds)
         cause[ok] = np.select([law.floor, law.zero_var], [Cause.FLOOR, Cause.ZERO_VARIANCE],
                               Cause.CONVERGED)
-        for name, column in values.items():
-            stats[name][ok] = column
     return fit.vec, stats, cause
 
 
@@ -234,9 +232,9 @@ def _chunks(n: int, T: int, threads: int) -> list[tuple[int, int]]:
     return list(zip(edges, edges[1:]))
 
 
-def _map(fn, args: tuple, n: int, T: int, threads: int) -> list:
-    """The concatenated lists ``fn(*args, lo, hi)`` over the chunks of
-    :func:`_chunks`, computed in ``threads`` worker processes when
+def _map(fn, args: tuple, n: int, T: int, threads: int) -> tuple:
+    """The arrays of the tuples ``fn(*args, lo, hi)``, each concatenated over
+    the chunks of :func:`_chunks`, computed in ``threads`` worker processes when
     ``threads > 1``; the chunks keep their order.  Each row is computed the
     same in any chunk, so the result does not depend on ``threads``."""
     chunks = _chunks(n, T, threads)
@@ -245,24 +243,18 @@ def _map(fn, args: tuple, n: int, T: int, threads: int) -> list:
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(fn, *zip(*((*args, lo, hi) for lo, hi in chunks))))
-    return [item for part in parts for item in part]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
-def _rows(stats: dict[str, np.ndarray], cause: np.ndarray) -> list:
-    """``(cause, {name: value})`` of each row of a chunk's statistics."""
-    names = list(stats)
-    columns = [stats[name].tolist() for name in names]
-    return [(int(c), dict(zip(names, values))) for c, *values in zip(cause.tolist(), *columns)]
-
-
-def _bootstrap_chunk(spec, vec, x, kinds, master_seed, lo, hi) -> list:
-    """Bootstrap draws ``lo + 1 .. hi``, all from and refitted at ``vec``."""
+def _bootstrap_chunk(spec, vec, x, kinds, master_seed, lo, hi) -> tuple:
+    """Causes and statistics of the bootstrap draws ``lo + 1 .. hi``, all
+    from and refitted at ``vec``."""
     keys = range(lo + 1, hi + 1)
     vecs = np.tile(vec, (hi - lo, 1))
     x = np.broadcast_to(x, (hi - lo,) + x.shape)
     _, stats, cause = _replicate(spec, vecs, x, spec, vecs, kinds, master_seed,
                                  [("boot-sim", b) for b in keys], [("boot", b) for b in keys])
-    return _rows(stats, cause)
+    return cause, stats
 
 
 def bootstrap_test(
@@ -288,27 +280,28 @@ def bootstrap_test(
     master = config.master_seed
     kinds = config.stats
     fz = NoiseStream.from_seed(series.T, master, "data").applied()
-    values, law = _statistics(spec, fit.theta_hat.to_vector()[np.newaxis], _Batch.of(series),
-                              fz[np.newaxis], kinds)
+    observed, law = _statistics(spec, fit.theta_hat.to_vector()[np.newaxis], _Batch.of(series),
+                                fz[np.newaxis], kinds)
     law.check()
-    observed = {name: float(column[0]) for name, column in values.items()}
 
     args = (spec, fit.theta_hat.to_vector(), series.x, kinds, master)
-    kept = [stats for cause, stats in _map(_bootstrap_chunk, args, config.B, series.T, threads)
-            if cause == Cause.CONVERGED]
+    cause, draws = _map(_bootstrap_chunk, args, config.B, series.T, threads)
+    kept = draws[cause == Cause.CONVERGED]
     failed = config.B - len(kept)
     if failed > MAX_FAILURE_SHARE * config.B:
         raise UnreliableBootstrapError(
             f"{failed} of {config.B} bootstrap fits failed; report would be unreliable"
         )
+    # a statistic named twice is reported once
+    columns = {kind.name: j for j, kind in enumerate(kinds)}
     results = tuple(
         StatResult(
             name=name,
-            value=observed[name],
-            p_value=pvalue(observed[name], np.array([stats[name] for stats in kept])),
+            value=float(observed[0, j]),
+            p_value=pvalue(observed[0, j], kept[:, j]),
             n_replicates=len(kept),
         )
-        for name in observed
+        for name, j in columns.items()
     )
     return TestReport(
         statistics=results,
@@ -422,10 +415,10 @@ class RejectionTable:
         }
 
 
-def _warp_replications(scenario: Scenario, T: int, kinds, master_seed: int, lo: int, hi: int) -> list:
+def _warp_replications(scenario: Scenario, T: int, kinds, master_seed: int, lo: int, hi: int) -> tuple:
     """Replications ``lo .. hi - 1``: statistics on data from the scenario DGP
     and on one bootstrap draw from the fitted null, as ``(cause, observed,
-    draw)``; a replication fails with the cause of its first failed step."""
+    draws)``; a replication fails with the cause of its first failed step."""
     rs = range(lo, hi)
     x = np.array([simulate_x_ar1(scenario.x_ar1, T, substream(master_seed, "mc-x", r))
                   for r in rs])[..., np.newaxis]
@@ -434,17 +427,13 @@ def _warp_replications(scenario: Scenario, T: int, kinds, master_seed: int, lo: 
     theta_hat, observed, cause = _replicate(
         scenario.dgp_spec, dgp, x, null, None, kinds, master_seed,
         [("mc-dgp", r) for r in rs], [("mc-data", r) for r in rs])
-    draws = {name: np.full(hi - lo, np.nan) for name in observed}
+    draws = np.full_like(observed, np.nan)
     ok = np.flatnonzero(cause == Cause.CONVERGED)
     if ok.size:
-        _, star, star_cause = _replicate(
+        _, draws[ok], cause[ok] = _replicate(
             null, theta_hat[ok], x[ok], null, theta_hat[ok], kinds, master_seed,
             [("mc-boot", rs[i], 0) for i in ok], [("mc-boot-noise", rs[i], 0) for i in ok])
-        cause[ok] = star_cause
-        for name, column in star.items():
-            draws[name][ok] = column
-    pairs = zip(_rows(observed, cause), _rows(draws, cause))
-    return [(c, obs, star) for (c, obs), (_, star) in pairs]
+    return cause, observed, draws
 
 
 def run_scenario(
@@ -470,17 +459,16 @@ def run_scenario(
             raise ValueError(f"level {level} outside (0, 1)")
     _check_length(scenario.null_spec, T)
     stat_names = tuple(k.name for k in stats)
-    reps = _map(_warp_replications, (scenario, T, stats, master_seed), R, T, threads)
-    kept = [(obs, star) for cause, obs, star in reps if cause == Cause.CONVERGED]
-    failures = collections.Counter(FAILURE_LABELS[Cause(c)] for c, _, _ in reps if c)
-    failed = R - len(kept)
+    cause, observed, draws = _map(_warp_replications, (scenario, T, stats, master_seed), R, T, threads)
+    kept = cause == Cause.CONVERGED
+    failures = collections.Counter(FAILURE_LABELS[Cause(c)] for c in cause[~kept].tolist())
+    failed = R - int(np.count_nonzero(kept))
     if failed > MAX_FAILURE_SHARE * R:
         raise UnreliableBootstrapError(f"{failed} of {R} replications failed")
 
     rates = np.zeros((len(levels), len(stat_names)))
-    for j, name in enumerate(stat_names):
-        pvals = pvalue(np.array([obs[name] for obs, _ in kept]),
-                       [star[name] for _, star in kept])
+    for j in range(len(stat_names)):
+        pvals = pvalue(observed[kept, j], draws[kept, j])
         for i, level in enumerate(levels):
             rates[i, j] = 100.0 * float(np.mean(pvals <= level))
     return RejectionTable(
@@ -488,7 +476,7 @@ def run_scenario(
         label=scenario.label,
         T=T,
         R=R,
-        R_effective=len(kept),
+        R_effective=R - failed,
         levels=tuple(levels),
         stat_names=stat_names,
         rates=rates,

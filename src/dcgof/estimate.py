@@ -154,10 +154,9 @@ def _window_start(spec: ModelSpec) -> int:
 
 
 def _check_length(spec: ModelSpec, T: int) -> None:
-    max_lag = max(spec.q, spec.p_ar, 1)
-    if T <= spec.n_params + max_lag:
+    if T <= spec.n_params + spec.max_lag:
         raise ValueError(
-            f"need T > {spec.n_params + max_lag} observations to fit {spec.n_params} parameters"
+            f"need T > {spec.n_params + spec.max_lag} observations to fit {spec.n_params} parameters"
         )
 
 

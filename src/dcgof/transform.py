@@ -54,8 +54,6 @@ class NoiseStream:
 
     z: np.ndarray
     cdf: Callable[[np.ndarray], np.ndarray] | None = None
-    name: str = "uniform"
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         z = np.ascontiguousarray(np.asarray(self.z, dtype=float))
@@ -70,7 +68,7 @@ class NoiseStream:
     def from_seed(cls, T: int, master_seed: int, *key: int | str) -> "NoiseStream":
         """Uniform noise on a substream keyed by ``(master_seed, 'noise', *key)``."""
         rng = substream(master_seed, "noise", *key)
-        return cls(z=rng.random(T), cdf=None, name="uniform", seed=int(master_seed))
+        return cls(z=rng.random(T))
 
     def applied(self) -> np.ndarray:
         """``Fz(z)``: the uniform draws actually entering the transform."""

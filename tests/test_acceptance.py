@@ -81,7 +81,7 @@ def test_criterion_4_pit_noise_invariance():
         data = simulate(spec, theta, T, x=rng.standard_normal((T, 1)),
                         rng=substream(700, "c4", case))
         z = substream(701, "c4z", case).random(T)
-        u_fz = randomized_pit(spec, theta, data, NoiseStream(z=z, cdf=square, name="z^2"))
+        u_fz = randomized_pit(spec, theta, data, NoiseStream(z=z, cdf=square))
         u_uni = randomized_pit(spec, theta, data, NoiseStream(z=square(z)))
         worst = max(worst, float(np.max(np.abs(u_fz.u - u_uni.u))))
     assert _report(4, "randomized PIT noise invariance", worst == 0.0,

@@ -35,6 +35,20 @@ def write_series_csv(path, T=160, seed=0, theta=None):
     return data
 
 
+def write_ar_model_input(tmp_path):
+    """A probit series with index autoregression (``p_ar=1``) and its model
+    file; returns their paths."""
+    spec = ModelSpec(link="probit", p_ar=1, n_regressors=1)
+    data = simulate(spec, Theta(pi0=0.2, alpha=(0.5,), beta=(0.8,)), 300,
+                    rng=substream(2, "ar"))
+    data_path = tmp_path / "ar.csv"
+    data_path.write_text("y,x1\n" + "".join(
+        f"{yi},{xi:.17g}\n" for yi, xi in zip(data.y, data.x[:, 0])))
+    model_path = tmp_path / "model.json"
+    model_path.write_text(spec.dumps())
+    return data_path, model_path
+
+
 class TestLoadSeries:
     def test_three_row_example(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -76,18 +90,22 @@ class TestLoadSeries:
 
 class TestCmdTest:
     def test_smoke_and_reruns_identical(self, tmp_path):
+        # a dynamic probit, and a probit with index autoregression
         data_path = tmp_path / "data.csv"
         write_series_csv(data_path, seed=1)
-        out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        args = ["test", "--input", str(data_path), "--ylags", "1", "--B", "29",
-                "--seed", "5", "--stats", "CvM0,KS0,BPD_1"]
-        assert main(args + ["--out", str(out1)]) == EXIT_OK
-        assert main(args + ["--out", str(out2), "--threads", "3"]) == EXIT_OK
-        assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
-        payload = json.loads((out1 / "report.json").read_text())
-        for entry in payload["report"]["statistics"]:
-            assert 0.0 < entry["p_value"] <= 1.0
-        assert (out1 / "report.txt").exists()
+        ar_path, model_path = write_ar_model_input(tmp_path)
+        inputs = {"ylags": ["--input", str(data_path), "--ylags", "1"],
+                  "p_ar": ["--input", str(ar_path), "--model-file", str(model_path)]}
+        for name, model_args in inputs.items():
+            out1, out2 = tmp_path / f"{name}1", tmp_path / f"{name}3"
+            args = ["test", *model_args, "--B", "29", "--seed", "5", "--stats", "CvM0,KS0,BPD_1"]
+            assert main(args + ["--out", str(out1)]) == EXIT_OK
+            assert main(args + ["--out", str(out2), "--threads", "3"]) == EXIT_OK
+            assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+            payload = json.loads((out1 / "report.json").read_text())
+            for entry in payload["report"]["statistics"]:
+                assert 0.0 < entry["p_value"] <= 1.0
+            assert (out1 / "report.txt").exists()
 
     def test_fit_failure_exit_code(self, tmp_path):
         path = tmp_path / "ones.csv"
@@ -213,14 +231,7 @@ class TestCmdFit:
         assert json.loads((out / "fit.json").read_text())["fit"]["stderr"] is None
 
     def test_summary_prints_index_autoregression(self, tmp_path, capsys):
-        spec = ModelSpec(link="probit", p_ar=1, n_regressors=1)
-        data = simulate(spec, Theta(pi0=0.2, alpha=(0.5,), beta=(0.8,)), 300,
-                        rng=substream(2, "ar"))
-        data_path = tmp_path / "ar.csv"
-        data_path.write_text("y,x1\n" + "".join(
-            f"{yi},{xi:.17g}\n" for yi, xi in zip(data.y, data.x[:, 0])))
-        model_path = tmp_path / "model.json"
-        model_path.write_text(spec.dumps())
+        data_path, model_path = write_ar_model_input(tmp_path)
         code = main(["fit", "--input", str(data_path), "--model-file", str(model_path),
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_OK

@@ -130,7 +130,8 @@ def simulate_oracle(spec, theta, T, x=None, rng=None):
 
 
 # Specs covering the three links, binary and ordered J = 2, 3, outcome lags,
-# interactions and index autoregression of order 1 and 2.
+# interactions, index autoregression of order 1 and 2, and more lagged-outcome
+# states (4^6) than simulation tabulates.
 SIM_GRID = [
     (ModelSpec(link="probit", n_regressors=1), Theta(pi0=0.1, beta=(1.0,))),
     (ModelSpec(link="logistic", n_regressors=2), Theta(pi0=-0.2, beta=(1.0, -0.5))),
@@ -147,6 +148,8 @@ SIM_GRID = [
      Theta(delta=(0.5,), alpha=(0.4,), beta=(1.0,), mu=(-1.0, 0.2, 1.0))),
     (ModelSpec(link="probit", q=1, p_ar=2, n_regressors=2, interactions=True),
      Theta(pi0=0.2, delta=(0.6,), alpha=(0.3, -0.2), beta=(1.0, 0.5), gamma=(-0.5, 0.3))),
+    (ModelSpec(link="probit", support_size=3, ordered=True, q=6, n_regressors=1),
+     Theta(delta=(0.5, -0.3, 0.2, 0.1, -0.1, 0.05), beta=(1.0,), mu=(-1.0, 0.2, 1.0))),
 ]
 
 

@@ -137,7 +137,7 @@ class TestRandomizedPit:
         data = simulate(spec, theta, 300, x=rng.standard_normal((300, 1)), rng=rng)
         z = substream(22, "z").random(300)
         square = lambda v: v * v
-        with_cdf = randomized_pit(spec, theta, data, NoiseStream(z=z, cdf=square, name="z^2"))
+        with_cdf = randomized_pit(spec, theta, data, NoiseStream(z=z, cdf=square))
         uniform = randomized_pit(spec, theta, data, NoiseStream(z=square(z)))
         assert np.array_equal(with_cdf.u, uniform.u)
 
