@@ -373,7 +373,13 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     given.pop("config", None)
     for name, convert in _LISTS.items():
         if name in given:
-            given[name] = convert(given[name])
+            given[name] = values = convert(given[name])
+            # a repeated entry would name one column, key or test twice
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                where = f"--{name}" if getattr(args, name) is not None else \
+                    f"config {args.config}: key {name!r}"
+                raise ParseError(f"{where} lists {repeated[0]} more than once")
     config = RunConfig(**given)
     for level in config.levels:
         if not 0.0 < level < 1.0:

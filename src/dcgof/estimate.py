@@ -51,8 +51,8 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
 
+from . import _special
 from .model import (
     _LINKS,
     PROB_FLOOR_HARD,
@@ -414,7 +414,7 @@ def _default_init(spec: ModelSpec, series, cause: np.ndarray) -> tuple[np.ndarra
     J = spec.support_size
     cum = np.cumsum(counts[..., :-1], axis=-1) / n
     cum = np.clip(cum, 1.0 / (n + 1.0), 1.0 - 1.0 / (n + 1.0))
-    mu = special.ndtri(cum)
+    mu = _special.ndtri(cum)
     # enforce strictly increasing in pathological clipped cases
     for j in range(1, J):
         mu[..., j] = np.where(mu[..., j] <= mu[..., j - 1], mu[..., j - 1] + 1e-3, mu[..., j])

@@ -44,7 +44,8 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import special
+
+from . import _special
 
 __all__ = [
     "AssumptionViolationError",
@@ -120,10 +121,11 @@ def _json_field(data: dict, key: str, default, *kinds: type):
     return value
 
 
-def _chisq1_half(x: np.ndarray) -> np.ndarray:
-    """``max(v, 0) / 2`` with ``v = sqrt(2) x + 1``: 0 left of the support,
-    where ``gammainc(1/2, 0) = 0`` and ``gammaincc(1/2, 0) = 1`` exactly."""
-    return np.maximum(_SQRT2 * x + 1.0, 0.0) / 2.0
+def _chisq1_tails(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(P(1/2, w/2), Q(1/2, w/2))`` at ``w = max(sqrt(2) x + 1, 0)``, the
+    chi-square(1) cdf and tail at ``w``: ``(0, 1)`` exactly left of the
+    support."""
+    return _special.gammainc_half_pair(np.maximum(_SQRT2 * x + 1.0, 0.0) / 2.0)
 
 
 def _chisq1_pdf(x: np.ndarray) -> np.ndarray:
@@ -142,38 +144,42 @@ def _chisq1_pdf_slope(x: np.ndarray, pdf: np.ndarray) -> np.ndarray:
 
 
 class _Link(NamedTuple):
-    """Unchecked array functions of one latent error law; ``pdf_slope(x, f)``
-    is the derivative of the density at ``x`` given ``f = pdf(x)``."""
+    """Unchecked array functions of one latent error law.  ``tails(x)`` is
+    the pair ``(P(eps <= x), P(eps > x))`` from one evaluation, each without
+    cancellation; ``pdf_slope(x, f)`` is the derivative of the density at
+    ``x`` given ``f = pdf(x)``."""
 
-    cdf: Callable
-    tail: Callable
+    tails: Callable
     pdf: Callable
     pdf_slope: Callable
 
 
 _LINKS = {
     LinkKind.PROBIT: _Link(
-        special.ndtr, lambda x: special.ndtr(-x),
+        _special.ndtr_pair,
         lambda x: np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi), lambda x, f: -x * f,
     ),
     LinkKind.LOGISTIC: _Link(
-        special.expit, lambda x: special.expit(-x),
-        lambda x: special.expit(x) * special.expit(-x), lambda x, f: f * np.tanh(-0.5 * x),
+        _special.expit_pair,
+        lambda x: np.multiply(*_special.expit_pair(x)), lambda x, f: f * np.tanh(-0.5 * x),
     ),
-    LinkKind.CHISQ1: _Link(
-        lambda x: special.gammainc(0.5, _chisq1_half(x)),
-        lambda x: special.gammaincc(0.5, _chisq1_half(x)), _chisq1_pdf, _chisq1_pdf_slope,
-    ),
+    LinkKind.CHISQ1: _Link(_chisq1_tails, _chisq1_pdf, _chisq1_pdf_slope),
 }
 
 
 def _check_finite(fn: str, link: LinkKind | str, x):
-    """The one check behind the public link functions: ``fn`` of the link
-    table at ``x``, which must be finite; a float for a scalar ``x``."""
+    """The one check behind the public link functions: ``fn`` (``"cdf"``,
+    ``"tail"`` or ``"pdf"``) of the link table at ``x``, which must be
+    finite; a float for a scalar ``x``."""
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"link_{fn} argument must be finite")
-    out = getattr(_LINKS[_as_link(link)], fn)(arr)
+    funcs = _LINKS[_as_link(link)]
+    if fn == "pdf":
+        out = funcs.pdf(arr)
+    else:
+        lower, upper = funcs.tails(arr)
+        out = upper if fn == "tail" else lower
     return out if isinstance(out, np.ndarray) and np.ndim(x) else float(out)
 
 
@@ -507,17 +513,20 @@ def _tails(
     spec: ModelSpec, mu: np.ndarray, pi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Threshold gaps ``mu_j - pi`` and upper tails ``S_j = P(eps > mu_j - pi)``
-    of each index, along a new last axis padded with the infinite thresholds
-    (gap 0, ``S_{-1} = 1``, ``S_J = 0``), and the lower tail ``F(mu_0 - pi)``.
-    ``mu`` (..., J) carries the leading axes of ``pi`` (..., T)."""
-    J = spec.support_size
-    link = _LINKS[spec.link]
-    gaps = np.zeros(pi.shape + (J + 2,))
-    gaps[..., 1:-1] = mu[..., np.newaxis, :] - pi[..., np.newaxis]
+    of each index, (..., J+2, T) with the thresholds along the axis before
+    the periods, padded with the infinite thresholds (gap 0, ``S_{-1} = 1``,
+    ``S_J = 0``); and the lower tail ``F(mu_0 - pi)`` (..., T) from the same
+    evaluation of the link.  ``mu`` (..., J) carries the leading axes of
+    ``pi`` (..., T).  Periods run along the last axis so that every array
+    operation here runs over T elements at a stretch, not over J."""
+    inner = mu[..., :, np.newaxis] - pi[..., np.newaxis, :]
+    lower, upper = _LINKS[spec.link].tails(inner)
+    gaps = np.zeros(pi.shape[:-1] + (spec.support_size + 2, pi.shape[-1]))
+    gaps[..., 1:-1, :] = inner
     tails = np.zeros_like(gaps)
-    tails[..., 0] = 1.0
-    tails[..., 1:-1] = link.tail(gaps[..., 1:-1])
-    return gaps, tails, link.cdf(gaps[..., 1])
+    tails[..., 0, :] = 1.0
+    tails[..., 1:-1, :] = upper
+    return gaps, tails, lower[..., 0, :]
 
 
 def _cells(
@@ -541,9 +550,11 @@ def _cells(
     validated.
     """
     gaps, tails, bottom = _tails(spec, mu, pi)
-    # flat positions of threshold y - 1 and threshold y
-    at = np.arange(0, gaps.size, gaps.shape[-1]).reshape(pi.shape) + y
-    above = at + 1
+    # flat positions of threshold y - 1 and threshold y in each period
+    T = pi.shape[-1]
+    rows = np.arange(0, gaps.size, gaps.shape[-2] * T).reshape(pi.shape[:-1] + (1,))
+    at = rows + np.arange(T) + y * T
+    above = at + T
     p = np.where(y == 0, bottom, tails.take(at) - tails.take(above))
     return p, gaps.take(at), gaps.take(above)
 
@@ -569,11 +580,13 @@ def _law_arrays(spec: ModelSpec, mu: np.ndarray, pi: np.ndarray) -> tuple[np.nda
     from slices of the padded tails of :func:`_tails` as :func:`_cells`
     takes them."""
     _, tails, bottom = _tails(spec, mu, pi)
-    probs = tails[..., :-1] - tails[..., 1:]
-    probs[..., 0] = bottom
-    cdf = 1.0 - tails[..., 1:]
-    cdf[..., 0] = bottom
-    return probs, cdf
+    probs = tails[..., :-1, :] - tails[..., 1:, :]
+    probs[..., 0, :] = bottom
+    cdf = 1.0 - tails[..., 1:, :]
+    cdf[..., 0, :] = bottom
+    # contiguous (..., T, J+1), the layout the consumers' matmuls were written for
+    return (np.ascontiguousarray(probs.swapaxes(-1, -2)),
+            np.ascontiguousarray(cdf.swapaxes(-1, -2)))
 
 
 def cond_law(spec: ModelSpec, theta: Theta, pi_t: float) -> CondLaw:
@@ -782,14 +795,15 @@ def simulate_x_ar1(alpha1: float, T: int, rng: np.random.Generator) -> np.ndarra
     return out
 
 
-def _latent_errors(link: LinkKind, T: int, rng: np.random.Generator) -> np.ndarray:
-    """``T`` latent errors: the link's quantile of one uniform per period, or
-    for ``chisq1`` one standardized squared standard normal per period."""
+def _latent_errors(link: LinkKind, T: int, rngs) -> np.ndarray:
+    """Latent errors (len(rngs), T), row ``k`` drawn from ``rngs[k]``: the
+    link's quantile of one uniform per period, or for ``chisq1`` one
+    standardized squared standard normal per period."""
     if link is LinkKind.CHISQ1:
-        z = rng.standard_normal(T)
+        z = np.array([rng.standard_normal(T) for rng in rngs]).reshape(len(rngs), T)
         return (z * z - 1.0) / _SQRT2
-    u = rng.random(T)
-    return special.ndtri(u) if link is LinkKind.PROBIT else special.logit(u)
+    u = np.array([rng.random(T) for rng in rngs]).reshape(len(rngs), T)
+    return _special.ndtri(u) if link is LinkKind.PROBIT else _special.logit(u)
 
 
 def simulate(
@@ -831,7 +845,7 @@ def _simulate(spec: ModelSpec, vec: np.ndarray, x: np.ndarray, rngs) -> np.ndarr
     ``rngs[k]``.  Each row gets the float operations of a single series, in
     the same order.  Inputs are not validated."""
     K, T = x.shape[:2]
-    eps = np.array([_latent_errors(spec.link, T, rng) for rng in rngs]).reshape(K, T)
+    eps = _latent_errors(spec.link, T, rngs)
     n, k, ac = spec.n_index, spec.n_regressors, spec.alpha_slice
     J, q = spec.support_size, spec.q
     mu = _thresholds(vec[:, n:])

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special
 
+from . import _special
 from .model import ModelSpec, Series, Theta, _Batch, _dot, _fitted_law
 
 __all__ = [
@@ -463,7 +463,7 @@ def residuals_gaussian(u) -> np.ndarray:
     u = _check_u(u, batch=True)
     if u.size and (u.min() <= 0.0 or u.max() >= 1.0):
         raise ValueError("residuals must lie strictly inside (0, 1)")
-    return special.ndtri(u)
+    return _special.ndtri(u)
 
 
 def residuals_discrete(spec: ModelSpec, theta: Theta, series: Series) -> np.ndarray:

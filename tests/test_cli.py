@@ -107,6 +107,18 @@ class TestCmdTest:
                 assert 0.0 < entry["p_value"] <= 1.0
             assert (out1 / "report.txt").exists()
 
+    @pytest.mark.parametrize("flag, value, repeated", [
+        ("--stats", "CvM0,CvM0", "CvM0"), ("--m", "2,1,2", "2"), ("--levels", "0.1,0.1", "0.1"),
+    ])
+    def test_repeated_list_entry_is_parse_error(self, tmp_path, capsys, flag, value, repeated):
+        # a repeated statistic was once reported once by `test` but twice by `mc`
+        data_path = tmp_path / "data.csv"
+        write_series_csv(data_path, seed=2)
+        argv = ["test", "--input", str(data_path), "--ylags", "1", "--B", "19",
+                "--out", str(tmp_path / "o"), flag, value]
+        assert main(argv) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {flag} lists {repeated} more than once\n"
+
     def test_fit_failure_exit_code(self, tmp_path):
         path = tmp_path / "ones.csv"
         rows = "\n".join(f"1,{v:.3f}" for v in np.linspace(-1, 1, 60))
@@ -289,6 +301,18 @@ class TestCmdMc:
         argv = ["mc", *flags] if flags else []
         assert main(argv) == EXIT_PARSE
 
+    @pytest.mark.parametrize("flag, value, repeated", [
+        ("--stats", "CvM0,KS0,CvM0", "CvM0"), ("--m", "1,1", "1"), ("--levels", "0.05,0.050", "0.05"),
+        ("--scenarios", "1,2,1", "1"), ("--T", "60,60", "60"),
+    ])
+    def test_repeated_list_entry_is_parse_error(self, tmp_path, capsys, flag, value, repeated):
+        # a repeated statistic once gave duplicate rejections.csv columns but
+        # one key in rejections.json
+        argv = ["mc", "--scenarios", "1", "--T", "60", "--R", "50", "--out", str(tmp_path / "o")]
+        assert main(argv + [flag, value]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {flag} lists {repeated} more than once\n"
+        assert not (tmp_path / "o").exists()
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["mc", "--help"])
@@ -340,6 +364,20 @@ class TestConfigFile:
         with pytest.raises(ParseError):
             self.resolve(tmp_path, conf)
 
+    @pytest.mark.parametrize("key, value", [
+        ("stats", ["CvM0", "CvM0"]), ("m", "1,1"), ("levels", [0.05, 0.05]), ("scenarios", [3, 3]),
+        ("T", [60, 60]),
+    ])
+    def test_repeated_list_entry_is_parse_error(self, tmp_path, key, value):
+        conf = {"scenarios": [1], "T": [60], "R": 50, key: value}
+        with pytest.raises(ParseError, match=f"key '{key}' lists .* more than once"):
+            self.resolve(tmp_path, conf)
+        # a flag that replaces the key's list replaces its repeat too
+        path = tmp_path / "conf.json"
+        flag_value = "CvM0" if key == "stats" else "0.05" if key == "levels" else "1"
+        args = _build_parser().parse_args(["mc", "--config", str(path), f"--{key}", flag_value])
+        assert len(getattr(_resolve_config(args), key)) == 1
+
     def test_switches_take_json_booleans(self, tmp_path):
         assert self.resolve(tmp_path, {"ordered": True, "interactions": False}).ordered is True
         # a quoted "false" once fitted an ordered model
@@ -357,15 +395,21 @@ class TestConfigFile:
         assert code == EXIT_PARSE
 
 
-def test_import_loads_no_scipy_subpackage_but_special():
-    # every dcgof start pays for the scipy subpackages it imports; measured
-    # with `python -X importtime`, scipy.signal once added about 1.1 s and
-    # scipy.linalg would add about 59 ms
-    code = ("import sys, dcgof; print(*sorted(name for name, mod in sys.modules.items() "
-            "if name.startswith('scipy.') and name.count('.') == 1 "
-            "and not name.startswith('scipy._') and hasattr(mod, '__path__')))")
+def test_import_loads_no_scipy():
+    # scipy is a test oracle only: importing scipy.special alone once cost
+    # about 0.25 s of every dcgof start, and the runtime needs numpy only
+    report = "print('scipy:', *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    starts = {
+        "import dcgof": "import sys, dcgof\n" + report,
+        "python -m dcgof --help": (
+            "import runpy, sys\nsys.argv = ['dcgof', '--help']\ntry:\n"
+            "    runpy.run_module('dcgof', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n    assert not exc.code, exc.code\n" + report
+        ),
+    }
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True, timeout=60)
-    assert out.stdout.split() == ["scipy.special"]
+    for start, code in starts.items():
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert out.stdout.splitlines()[-1] == "scipy:", (start, out.stdout.splitlines()[-1])

@@ -204,14 +204,17 @@ class TestOneCellEvaluation:
         np.testing.assert_array_equal(randomized_pit(spec, theta, series, noise).u, expected)
 
     def test_bottom_cell_from_lower_tail(self):
-        # at pi = 7, P(Y = 0) = F(0) = Phi(-7), not 1 - Phi(7): in the
-        # likelihood of a y = 0 period and in the PIT of a y = 1 period
+        # at pi = 7, P(Y = 0) = F(0) = Phi(-7), not 1 - Phi(7), which is off by
+        # about 4e-5 relative: in the likelihood of a y = 0 period and in the
+        # PIT of a y = 1 period
+        lower = model.link_cdf("probit", -7.0)
+        assert abs(lower - ndtr(-7.0)) <= 4 * np.spacing(ndtr(-7.0))
         theta = Theta(pi0=0.0, beta=(1.0,))
         data = Series(y=np.array([1, 0]), x=np.array([[0.0], [7.0]]))
-        assert loglik(BINARY, theta, data) == math.log(ndtr(-7.0))
+        assert loglik(BINARY, theta, data) == math.log(lower)
         data = Series(y=np.array([0, 1]), x=np.array([[0.0], [7.0]]))
         u = randomized_pit(BINARY, theta, data, NoiseStream(z=np.array([0.5, 0.0]))).u
-        assert u[1] == ndtr(-7.0)
+        assert u[1] == lower
 
 
 class TestLoglik:
