@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import collections
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +50,7 @@ from .model import (
 )
 from .rng import substream
 from .stats import DEFAULT_STUDY_KINDS, StatKind, evaluate_statistics
-from .transform import NoiseStream
+from .transform import _noise_draws
 
 __all__ = [
     "BootstrapConfig",
@@ -214,7 +213,7 @@ def _replicate(
     stats = np.full((K, len(kinds)), np.nan)
     ok = np.flatnonzero(cause == Cause.CONVERGED)
     if ok.size:
-        fz = np.array([NoiseStream.from_seed(T, master_seed, *noise_keys[i]).applied() for i in ok])
+        fz = np.array([_noise_draws(T, master_seed, *noise_keys[i]) for i in ok])
         stats[ok], law = _statistics(fit_spec, fit.vec[ok], star.take(ok), fz, kinds)
         cause[ok] = np.select([law.floor, law.zero_var], [Cause.FLOOR, Cause.ZERO_VARIANCE],
                               Cause.CONVERGED)
@@ -224,9 +223,11 @@ def _replicate(
 def _chunks(n: int, T: int, threads: int) -> list[tuple[int, int]]:
     """Near-equal contiguous chunks ``(lo, hi)`` of ``range(n)``, none with
     more than ``CHUNK_POINTS`` points of length-``T`` series (but at least
-    one series), and as many per worker: a multiple of ``threads``."""
+    one series), and as many per worker: a multiple of ``threads`` (at
+    least 1)."""
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     size = max(1, CHUNK_POINTS // T)
-    threads = max(threads, 1)
     count = min(n, -(-n // size // threads) * threads)
     edges = [n * i // count for i in range(count + 1)]
     return list(zip(edges, edges[1:]))
@@ -235,13 +236,18 @@ def _chunks(n: int, T: int, threads: int) -> list[tuple[int, int]]:
 def _map(fn, args: tuple, n: int, T: int, threads: int) -> tuple:
     """The arrays of the tuples ``fn(*args, lo, hi)``, each concatenated over
     the chunks of :func:`_chunks`, computed in ``threads`` worker processes when
-    ``threads > 1``; the chunks keep their order.  Each row is computed the
-    same in any chunk, so the result does not depend on ``threads``."""
+    ``threads > 1``, but in no more processes than there are chunks: the
+    pool starts all its workers at the first task.  The chunks keep their
+    order.  Each row is computed the same in any chunk, so the result does
+    not depend on ``threads``."""
     chunks = _chunks(n, T, threads)
-    if threads <= 1:
+    if threads == 1:
         parts = [fn(*args, lo, hi) for lo, hi in chunks]
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # imported here: a serial run does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
             parts = list(pool.map(fn, *zip(*((*args, lo, hi) for lo, hi in chunks))))
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
@@ -279,7 +285,7 @@ def bootstrap_test(
         raise NonConvergenceError("fit on observed data did not converge", fit.theta_hat)
     master = config.master_seed
     kinds = config.stats
-    fz = NoiseStream.from_seed(series.T, master, "data").applied()
+    fz = _noise_draws(series.T, master, "data")
     observed, law = _statistics(spec, fit.theta_hat.to_vector()[np.newaxis], _Batch.of(series),
                                 fz[np.newaxis], kinds)
     law.check()

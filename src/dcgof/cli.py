@@ -357,6 +357,11 @@ def _config_argv(conf) -> list[str]:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
+    def where(name: str) -> str:
+        # the flag, or the config key it came from when no flag overrides it
+        return f"--{name}" if getattr(args, name) is not None else \
+            f"config {args.config}: key {name!r}"
+
     given = {name: value for name, value in vars(args).items() if value is not None}
     if args.config:
         try:
@@ -377,10 +382,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             # a repeated entry would name one column, key or test twice
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:
-                where = f"--{name}" if getattr(args, name) is not None else \
-                    f"config {args.config}: key {name!r}"
-                raise ParseError(f"{where} lists {repeated[0]} more than once")
+                raise ParseError(f"{where(name)} lists {repeated[0]} more than once")
     config = RunConfig(**given)
+    if config.threads < 1:
+        raise ParseError(f"{where('threads')} must be at least 1, got {config.threads}")
     for level in config.levels:
         if not 0.0 < level < 1.0:
             raise ParseError(f"level {level} outside (0, 1)")

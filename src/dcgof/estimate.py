@@ -32,7 +32,9 @@ with a cause code (``Cause``): converged, unconverged, or the failure that
 ``fit_mle`` turns into its exception.  A singular Hessian in one row falls
 back to Levenberg damping for that row alone.  Every row is computed with
 the same float operations as it would be alone, so a fit does not depend on
-the batch it runs in.
+the batch it runs in.  Each point the loop tries (the start, a line-search
+trial, a raw step) costs one pass, and an accepted point keeps the score
+and Hessian of that pass for the next step.
 
 Public functions check the series and the parameter; underscore kernels
 (``_loglik_pass``, the Newton loop) take checked arrays.  The line search
@@ -166,8 +168,8 @@ def _mT(A: np.ndarray) -> np.ndarray:
 
 
 def _loglik_pass(
-    spec: ModelSpec, vec: np.ndarray, series, order: int
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    spec: ModelSpec, vec: np.ndarray, series
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One pass at the natural vector ``vec`` over the index kernel and the
     realized cells from :func:`dcgof.model._cells`, float for float the
     cells of the laws and the PIT.
@@ -175,10 +177,9 @@ def _loglik_pass(
     Leading axes of ``vec`` (..., L) and ``series`` (a ``Series`` or a
     ``dcgof.model._Batch``) are batch axes.  Returns ``(ll, S, H)``: the log
     likelihood (``-inf`` when a realized cell probability is below
-    ``PROB_FLOOR_HARD``); for ``order >= 1`` the per-observation scores
-    ``S``, shape (..., n, L); for ``order == 2`` the Hessian ``H`` of the log
-    likelihood, shape (..., L, L).  All in natural coordinates; inputs are
-    not validated.
+    ``PROB_FLOOR_HARD``), the per-observation scores ``S``, shape
+    (..., n, L), and the Hessian ``H`` of the log likelihood, shape
+    (..., L, L).  All in natural coordinates; inputs are not validated.
 
     The Hessian is ``U' diag(f'(hi)/p) U - V' diag(f'(lo)/p) V - S'S`` plus
     ``sum_t s_t d^2 pi_t / d theta d theta'``, where ``U = [G, -e_y]`` and
@@ -187,14 +188,12 @@ def _loglik_pass(
     index.  In the binary case ``U = V = G``.
     """
     i0 = _window_start(spec)
-    kernel = _index_kernel(spec, vec, series, curvature=order == 2)
-    pi, G, y = kernel[0][..., i0:], kernel[1][..., i0:, :], series.y[..., i0:]
+    pi, G, M = _index_kernel(spec, vec, series, curvature=True)
+    pi, G, y = pi[..., i0:], G[..., i0:, :], series.y[..., i0:]
     p, lo, hi = _cells(spec, _thresholds(vec[..., spec.n_index :]), pi, y)
     below_floor = np.min(p, axis=-1) < PROB_FLOOR_HARD
     p = np.maximum(p, PROB_FLOOR_HARD)
     ll = np.where(below_floor, -np.inf, np.sum(np.log(p), axis=-1))
-    if order == 0:
-        return ll, None, None
     link = _LINKS[spec.link]
     has_lo, has_hi = y > 0, y < spec.support_size
     f_lo = np.where(has_lo, link.pdf(lo), 0.0)
@@ -204,16 +203,12 @@ def _loglik_pass(
     n_idx = spec.n_index
     S = np.zeros(y.shape + (L,))
     S[..., :n_idx] = dlp_dpi[..., None] * G
+    U = V = G
     if spec.ordered:
         # one-hot columns of the realized thresholds mu_y and mu_{y-1}
         at_hi = y[..., None] == np.arange(spec.support_size)
         at_lo = y[..., None] == np.arange(1, spec.support_size + 1)
         S[..., n_idx:] = at_hi * (f_hi / p)[..., None] - at_lo * (f_lo / p)[..., None]
-    if order == 1:
-        return ll, S, None
-
-    U = V = G
-    if spec.ordered:
         U = np.zeros(y.shape + (L,))
         U[..., :n_idx] = G
         V = U.copy()
@@ -222,7 +217,6 @@ def _loglik_pass(
     w_hi = link.pdf_slope(hi, f_hi) / p
     w_lo = link.pdf_slope(lo, f_lo) / p
     H = _mT(U) @ (w_hi[..., None] * U) - _mT(V) @ (w_lo[..., None] * V) - _mT(S) @ S
-    M = kernel[2]
     if M is not None:
         # d^2 pi_t is nonzero only in the alpha rows and columns
         M = M[..., i0:, :, :]
@@ -242,14 +236,14 @@ def loglik(spec: ModelSpec, theta: Theta, series: Series) -> float:
     """
     theta.validate(spec)
     series.validate(spec)
-    return float(_loglik_pass(spec, theta.to_vector()[None], _Batch.of(series), 0)[0][0])
+    return float(_loglik_pass(spec, theta.to_vector()[None], _Batch.of(series))[0][0])
 
 
 def score_contributions(spec: ModelSpec, theta: Theta, series: Series) -> np.ndarray:
     """Per-observation score vectors in natural coordinates, shape (n, L)."""
     theta.validate(spec)
     series.validate(spec)
-    return _loglik_pass(spec, theta.to_vector()[None], _Batch.of(series), 1)[1][0]
+    return _loglik_pass(spec, theta.to_vector()[None], _Batch.of(series))[1][0]
 
 
 def score(spec: ModelSpec, theta: Theta, series: Series) -> np.ndarray:
@@ -362,13 +356,12 @@ _ERRORS = {
 class _Fits(NamedTuple):
     """Per-row result of :func:`_newton`: the natural vector of the last
     iterate (the start for a row that never ran), its log likelihood, the
-    max-norm of its working score, its score contributions (n, L), the
-    iteration count, the cause code and the accepted log-likelihood trace."""
+    max-norm of its working score, the iteration count, the cause code and
+    the accepted log-likelihood trace."""
 
     vec: np.ndarray
     ll: np.ndarray
     score_norm: np.ndarray
-    S: np.ndarray
     iterations: np.ndarray
     cause: np.ndarray
     trace: list
@@ -455,13 +448,15 @@ def fit_mle(
     if init is not None:
         init.validate(spec)
         init = init.to_vector()[np.newaxis]
-    fit = _fit(spec, _Batch.of(series), init)
+    batch = _Batch.of(series)
+    fit = _fit(spec, batch, init)
     cause = Cause(int(fit.cause[0]))
     if cause in _ERRORS:
         error, message = _ERRORS[cause]
         last = None if cause in (Cause.EMPTY_EXTREME, Cause.EMPTY_MIDDLE) else fit.vec[0]
         raise error(message, None if last is None else Theta.from_vector(spec, last))
-    S = fit.S[0]
+    # the loop keeps no per-observation scores: one more pass at the estimate
+    S = _loglik_pass(spec, fit.vec[:1], batch)[1][0]
     return FitResult(
         theta_hat=Theta.from_vector(spec, fit.vec[0]),
         loglik=float(fit.ll[0]),
@@ -486,41 +481,36 @@ def _newton(spec: ModelSpec, series, vec: np.ndarray, cause: np.ndarray) -> _Fit
     """
     wmap = _WorkingMap(spec)
     K, F = vec.shape[0], wmap.n_free
-    n_obs = series.y.shape[-1] - _window_start(spec)
     with np.errstate(divide="ignore", invalid="ignore"):  # in rows that are skipped
         w = wmap.to_working(vec)
     cause = np.array(cause, dtype=np.int64)
 
-    def ll_of(rows: np.ndarray, w_rows: np.ndarray) -> np.ndarray:
-        # the trial rule: see the module docstring
+    def evaluate(rows: np.ndarray, w_rows: np.ndarray):
+        # the log likelihood, working score and Hessian of each point; one
+        # that breaks the trial rule (see the module docstring) scores -inf
         with np.errstate(over="ignore", invalid="ignore"):
             nat = wmap.to_natural(w_rows)
             ok = np.all(np.isfinite(nat), axis=-1)
             ok &= np.all(np.diff(nat[:, spec.n_index :], axis=-1) > 0.0, axis=-1)
         if spec.p_ar:
             ok[ok] = [_index_ar_stationary(a) for a in nat[ok][:, spec.alpha_slice]]
-        out = np.full(len(rows), -np.inf)
+        ll_rows = np.full(len(rows), -np.inf)
+        g_rows, H_rows = np.zeros((len(rows), F)), np.zeros((len(rows), F, F))
         if ok.any():
-            out[ok] = _loglik_pass(spec, nat[ok], series.take(rows[ok]), 0)[0]
-        return out
-
-    def derivatives_of(rows: np.ndarray, w_rows: np.ndarray):
-        _, S_rows, H_nat = _loglik_pass(spec, wmap.to_natural(w_rows), series.take(rows), 2)
-        return (*wmap.derivatives_to_working(w_rows, S_rows.sum(axis=-2), H_nat), S_rows)
+            ll_rows[ok], S, H_nat = _loglik_pass(spec, nat[ok], series.take(rows[ok]))
+            g_rows[ok], H_rows[ok] = wmap.derivatives_to_working(w_rows[ok], S.sum(axis=-2), H_nat)
+        return ll_rows, g_rows, H_rows
 
     ll = np.full(K, -np.inf)
     g = np.zeros((K, F))
     H = np.zeros((K, F, F))
-    S = np.zeros((K, n_obs, spec.n_params))
     iterations = np.zeros(K, dtype=np.int64)
     converged = np.zeros(K, dtype=bool)
     rows = np.flatnonzero(cause == Cause.CONVERGED)
-    ll[rows] = ll_of(rows, w[rows])
+    ll[rows], g[rows], H[rows] = evaluate(rows, w[rows])
     trace = [[v] for v in ll.tolist()]
     cause[rows[~np.isfinite(ll[rows])]] = Cause.DEGENERATE_START
     rows = np.flatnonzero(cause == Cause.CONVERGED)
-    if rows.size:
-        g[rows], H[rows], S[rows] = derivatives_of(rows, w[rows])
     converged[rows] = np.max(np.abs(g[rows]), axis=-1) <= TOL_GRAD
     live = (cause == Cause.CONVERGED) & ~converged
 
@@ -538,8 +528,6 @@ def _newton(spec: ModelSpec, series, vec: np.ndarray, cause: np.ndarray) -> _Fit
         gain = _dot(g[rows], d)
         eta = np.ones(rows.size)
         accepted = np.zeros(rows.size, dtype=bool)
-        w_new = np.empty((rows.size, F))
-        ll_new = np.empty(rows.size)
         searching = np.ones(rows.size, dtype=bool)
         for _ in range(60):
             searching &= ~(eta * gain < resolution)
@@ -547,36 +535,27 @@ def _newton(spec: ModelSpec, series, vec: np.ndarray, cause: np.ndarray) -> _Fit
             if not at.size:
                 break
             w_try = w[rows[at]] + eta[at, None] * d[at]
-            ll_try = ll_of(rows[at], w_try)
+            ll_try, g_try, H_try = evaluate(rows[at], w_try)
             better = np.isfinite(ll_try) & (ll_try > ll[rows[at]])
-            won = at[better]
+            won, r = at[better], rows[at[better]]
             accepted[won] = True
-            w_new[won], ll_new[won] = w_try[better], ll_try[better]
+            w[r], ll[r], g[r], H[r] = w_try[better], ll_try[better], g_try[better], H_try[better]
             searching[won] = False
             eta[at[~better]] *= 0.5
-        won = rows[accepted]
-        if won.size:
-            w[won], ll[won] = w_new[accepted], ll_new[accepted]
-            for r, v in zip(won.tolist(), ll[won].tolist()):
-                trace[r].append(v)
-            g[won], H[won], S[won] = derivatives_of(won, w[won])
+        for r, v in zip(rows[accepted].tolist(), ll[rows[accepted]].tolist()):
+            trace[r].append(v)
         raw = rows[~accepted]
         if raw.size:
             # So close to the optimum that the quadratic gain is below the
             # float resolution of the log likelihood: accept the raw Newton
             # step as long as it shrinks the score; otherwise the row stops.
             w_raw = w[raw] + d[~accepted]
-            ll_raw = ll_of(raw, w_raw)
-            finite = np.isfinite(ll_raw)
-            live[raw[~finite]] = False
-            raw, w_raw, ll_raw = raw[finite], w_raw[finite], ll_raw[finite]
-            if raw.size:
-                g_raw, H_raw, S_raw = derivatives_of(raw, w_raw)
-                shrinks = ~(np.max(np.abs(g_raw), axis=-1) >= np.max(np.abs(g[raw]), axis=-1))
-                live[raw[~shrinks]] = False
-                raw = raw[shrinks]
-                w[raw], ll[raw] = w_raw[shrinks], ll_raw[shrinks]
-                g[raw], H[raw], S[raw] = g_raw[shrinks], H_raw[shrinks], S_raw[shrinks]
+            ll_raw, g_raw, H_raw = evaluate(raw, w_raw)
+            shrinks = np.isfinite(ll_raw)
+            shrinks &= ~(np.max(np.abs(g_raw), axis=-1) >= np.max(np.abs(g[raw]), axis=-1))
+            live[raw[~shrinks]] = False
+            r = raw[shrinks]
+            w[r], ll[r], g[r], H[r] = w_raw[shrinks], ll_raw[shrinks], g_raw[shrinks], H_raw[shrinks]
         rows = rows[live[rows]]
         # the log gaps of ordered thresholds; empty in the binary case
         collapsed = np.any(w[rows, spec.n_index :] < math.log(TOL_MU), axis=-1)
@@ -591,7 +570,7 @@ def _newton(spec: ModelSpec, series, vec: np.ndarray, cause: np.ndarray) -> _Fit
     cause[(cause == Cause.CONVERGED) & ~converged] = Cause.UNCONVERGED
     with np.errstate(over="ignore"):
         nat = wmap.to_natural(w)
-    return _Fits(nat, ll, np.max(np.abs(g), axis=-1), S, iterations, cause, trace)
+    return _Fits(nat, ll, np.max(np.abs(g), axis=-1), iterations, cause, trace)
 
 
 def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:

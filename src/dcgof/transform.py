@@ -43,6 +43,13 @@ __all__ = [
 ]
 
 
+def _noise_draws(T: int, master_seed: int, *key: int | str) -> np.ndarray:
+    """``T`` uniform continuation-noise draws from the substream keyed by
+    ``(master_seed, 'noise', *key)``; the replicate step reads them without
+    the checks of :class:`NoiseStream`, since the program made them."""
+    return substream(master_seed, "noise", *key).random(T)
+
+
 @dataclass(frozen=True)
 class NoiseStream:
     """Continuation noise: raw draws in [0, 1] plus the noise cdf.
@@ -67,8 +74,7 @@ class NoiseStream:
     @classmethod
     def from_seed(cls, T: int, master_seed: int, *key: int | str) -> "NoiseStream":
         """Uniform noise on a substream keyed by ``(master_seed, 'noise', *key)``."""
-        rng = substream(master_seed, "noise", *key)
-        return cls(z=rng.random(T))
+        return cls(z=_noise_draws(T, master_seed, *key))
 
     def applied(self) -> np.ndarray:
         """``Fz(z)``: the uniform draws actually entering the transform."""

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import warnings
 
@@ -145,6 +146,53 @@ class TestBootstrapTest:
         config = BootstrapConfig(B=39, master_seed=11, stats=SMALL_STATS)
         with pytest.raises(ValueError):
             bootstrap_test(STATIC, null_series(7), config)
+
+
+class RecordingPool:
+    """Stands in for the process pool: records the worker count it is asked
+    for and runs the chunks in this process, so it starts no process."""
+
+    asked: list = []
+
+    def __init__(self, max_workers):
+        self.asked.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return list(map(fn, *iterables))
+
+
+class TestWorkerCount:
+    def test_no_more_workers_than_chunks(self, monkeypatch):
+        # the pool forks all its workers at the first task, however few
+        # the chunks
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(boot, "ProcessPoolExecutor", RecordingPool, raising=False)
+        monkeypatch.setattr(RecordingPool, "asked", [])
+        data = null_series(7, T=300)
+        config = BootstrapConfig(B=19, master_seed=11, stats=SMALL_STATS)
+        serial = bootstrap_test(STATIC, data, config, threads=1)
+        assert RecordingPool.asked == []
+        pooled = bootstrap_test(STATIC, data, config, threads=20)
+        assert len(boot._chunks(config.B, data.T, 20)) == 19
+        assert RecordingPool.asked == [19]
+        assert pooled.dumps() == serial.dumps()
+        run_scenario(scenario_registry()[0], T=60, R=50, master_seed=14, stats=SMALL_STATS,
+                     threads=3)
+        assert RecordingPool.asked == [19, 3]
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_fewer_than_one_worker_rejected(self, threads):
+        # threads=0 once ran serially without a word
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            boot._chunks(50, 100, threads)
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            run_scenario(scenario_registry()[0], T=60, R=50, threads=threads)
 
 
 class TestWarmStartedRefits:
@@ -312,8 +360,13 @@ class TestBatchInvariance:
         for init in (None, vecs):
             fits = estimate._fit(spec, batch, init)
             alone = estimate._fit(spec, batch.take(one), None if init is None else init[one])
-            for field in ("vec", "ll", "score_norm", "S", "iterations", "cause"):
+            for field in ("vec", "ll", "score_norm", "iterations", "cause"):
                 assert_same(getattr(fits, field)[one], getattr(alone, field))
+            # the pass at the estimate, which fit_mle takes the information from
+            at_fit = estimate._loglik_pass(spec, fits.vec, batch)
+            at_alone = estimate._loglik_pass(spec, alone.vec, batch.take(one))
+            for part, part_alone in zip(at_fit, at_alone):
+                assert_same(part[one], part_alone)
             assert fits.trace[i] == alone.trace[0]
         # one evaluation of the fitted law, with and without the discrete
         # residuals; its PIT is the one of the likelihood's cells
@@ -368,7 +421,7 @@ class TestBatchInvariance:
                             [substream(5, "singular", k) for k in range(4)])
         batch = model._Batch(y, x)
         with pytest.raises(np.linalg.LinAlgError):
-            _, _, H = estimate._loglik_pass(spec, np.zeros((4, 3)), batch, 2)
+            _, _, H = estimate._loglik_pass(spec, np.zeros((4, 3)), batch)
             np.linalg.solve(-H, np.ones((4, 3, 1)))
         fits = estimate._fit(spec, batch, None)
         for k in range(4):

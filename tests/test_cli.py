@@ -301,6 +301,14 @@ class TestCmdMc:
         argv = ["mc", *flags] if flags else []
         assert main(argv) == EXIT_PARSE
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_is_parse_error(self, tmp_path, capsys, threads):
+        # --threads 0 once ran serially without a word
+        argv = ["mc", "--scenarios", "1", "--T", "60", "--R", "50", "--out", str(tmp_path / "o")]
+        assert main(argv + ["--threads", threads]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: --threads must be at least 1, got {threads}\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("flag, value, repeated", [
         ("--stats", "CvM0,KS0,CvM0", "CvM0"), ("--m", "1,1", "1"), ("--levels", "0.05,0.050", "0.05"),
         ("--scenarios", "1,2,1", "1"), ("--T", "60,60", "60"),
@@ -364,6 +372,12 @@ class TestConfigFile:
         with pytest.raises(ParseError):
             self.resolve(tmp_path, conf)
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_is_parse_error(self, tmp_path, threads):
+        conf = {"scenarios": [1], "T": [60], "R": 50, "threads": threads}
+        with pytest.raises(ParseError, match=f"key 'threads' must be at least 1, got {threads}"):
+            self.resolve(tmp_path, conf)
+
     @pytest.mark.parametrize("key, value", [
         ("stats", ["CvM0", "CvM0"]), ("m", "1,1"), ("levels", [0.05, 0.05]), ("scenarios", [3, 3]),
         ("T", [60, 60]),
@@ -397,8 +411,10 @@ class TestConfigFile:
 
 def test_import_loads_no_scipy():
     # scipy is a test oracle only: importing scipy.special alone once cost
-    # about 0.25 s of every dcgof start, and the runtime needs numpy only
-    report = "print('scipy:', *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # about 0.25 s of every dcgof start, and the runtime needs numpy only.
+    # Only --threads > 1 needs the process pool and multiprocessing.
+    report = ("print('loaded:', *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+              "    or m.startswith(('multiprocessing', 'concurrent.futures'))))")
     starts = {
         "import dcgof": "import sys, dcgof\n" + report,
         "python -m dcgof --help": (
@@ -412,4 +428,4 @@ def test_import_loads_no_scipy():
     for start, code in starts.items():
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=60)
-        assert out.stdout.splitlines()[-1] == "scipy:", (start, out.stdout.splitlines()[-1])
+        assert out.stdout.splitlines()[-1] == "loaded:", (start, out.stdout.splitlines()[-1])

@@ -164,7 +164,7 @@ class TestHessian:
             g_nat = score(spec, wmap.to_theta(w_vec), series)
             return wmap.derivatives_to_working(w_vec, g_nat, zero)[0]
 
-        _, S, H_nat = _loglik_pass(spec, wmap.to_natural(w), series, 2)
+        _, S, H_nat = _loglik_pass(spec, wmap.to_natural(w), series)
         g, H = wmap.derivatives_to_working(w, S.sum(axis=0), H_nat)
         oracle = fd_hessian(grad_of, w)
         assert np.max(np.abs(H - oracle)) <= 1e-6 * max(1.0, np.max(np.abs(oracle)))
@@ -182,8 +182,7 @@ class TestHessian:
         total = contrib.sum(axis=0)
         assert np.max(np.abs(score(spec, theta, series) - total)) <= 1e-12 * max(
             1.0, np.max(np.abs(total)))
-        for order in (0, 1, 2):
-            assert _loglik_pass(spec, theta.to_vector(), series, order)[0] == loglik(spec, theta, series)
+        assert _loglik_pass(spec, theta.to_vector(), series)[0] == loglik(spec, theta, series)
 
 
 class TestOneCellEvaluation:
@@ -510,14 +509,14 @@ class TestLineSearchBudget:
     def test_at_most_three_loglik_calls_per_iteration(self, monkeypatch, scenario_id, T):
         # near the optimum the gain of a Newton step falls below the float
         # resolution of the log likelihood; halving further cannot show an
-        # increase and only spends likelihood evaluations
+        # increase and only spends likelihood evaluations.  Every pass
+        # counts: the start, the trials and the information at the estimate.
         calls = []
         counted = estimate._loglik_pass
 
-        def counting_pass(spec, vec, series, order):
-            if order == 0:
-                calls.append(1)
-            return counted(spec, vec, series, order)
+        def counting_pass(spec, vec, series):
+            calls.append(1)
+            return counted(spec, vec, series)
 
         monkeypatch.setattr(estimate, "_loglik_pass", counting_pass)
         for seed in range(50):
@@ -526,6 +525,55 @@ class TestLineSearchBudget:
             fit = fit_mle(spec, series)
             assert fit.converged
             assert len(calls) <= 3 * max(fit.iterations, 1), (seed, len(calls), fit.iterations)
+
+
+class TestOnePassPerPoint:
+    """An accepted trial keeps the score and Hessian of its pass, so the Newton
+    loop evaluates no (series, vector) pair twice."""
+
+    @staticmethod
+    def record(monkeypatch) -> list:
+        keys = []
+        counted = estimate._loglik_pass
+
+        def recording_pass(spec, vec, series):
+            for y, x, v in zip(series.y, series.x, vec):
+                keys.append((spec, y.tobytes(), x.tobytes(), v.tobytes()))
+            return counted(spec, vec, series)
+
+        monkeypatch.setattr(estimate, "_loglik_pass", recording_pass)
+        return keys
+
+    # scenario 5's DGP is not its null, so it has no warm start
+    @pytest.mark.parametrize("scenario_id, warm", [
+        (1, False), (1, True), (2, False), (2, True), (3, False), (3, True), (5, False),
+    ])
+    def test_batched_fit_of_a_chunk(self, monkeypatch, scenario_id, warm):
+        sc = scenario_registry()[scenario_id - 1]
+        K, T = 40, 100
+        x = np.array([simulate_x_ar1(sc.x_ar1, T, substream(7, "chunk-x", k))
+                      for k in range(K)])[..., np.newaxis]
+        truth = np.tile(sc.dgp_theta.to_vector(), (K, 1))
+        y = model._simulate(sc.dgp_spec, truth, x, [substream(7, "chunk-y", k) for k in range(K)])
+        init = truth if warm else None
+        keys = self.record(monkeypatch)
+        fits = estimate._fit(sc.null_spec, model._Batch(y, x), init)
+        assert np.sum(fits.iterations) > K
+        assert len(keys) == len(set(keys))
+
+    @pytest.mark.parametrize("scenario_id", [1, 2, 3])
+    def test_fit_mle(self, monkeypatch, scenario_id):
+        keys = self.record(monkeypatch)
+        for seed in range(20):
+            spec, truth, series = study_series(scenario_id, 100, seed)
+            for init in (None, truth):
+                keys.clear()
+                fit = fit_mle(spec, series, init=init)
+                # the last pass gives the information at the estimate, the
+                # final iterate of the loop
+                *loop, info = keys
+                assert len(loop) == len(set(loop)), (seed, init)
+                assert info in loop and info[-1] == fit.theta_hat.to_vector().tobytes()
 
 
 class TestWarmStart:
