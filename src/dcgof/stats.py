@@ -21,6 +21,10 @@ bound over tiles of that grid, with O(T) memory: a tile is searched only
 while a bound on the process over it beats the largest exact value found.
 That leaves a small share of the O(T^2) grid points on null-like data, all
 of them in the worst case, and the result equals the full sweep's exactly.
+A grid of at most _KS_TOP lines would be evaluated whole anyway, so the
+series of a batch with such grids skip the search: one sweep over the grid
+lines, with a running count per series and process, gives every bivariate
+KS value of all of them, equal to the search's.
 
 Correlation-based statistics (Box-Pierce on uniform, Gaussian and discrete
 residuals, Jarque-Bera on Gaussian residuals) and the limiting covariance of
@@ -199,8 +203,8 @@ _TILE = 64
 _EARLIER = np.triu(np.ones((_TILE, _TILE), dtype=bool), 1)  # [i, k]: i < k
 _EARLIER.flags.writeable = False
 # Sub-tiles per side of a tile in the bivariate KS search, and the most
-# tiles per side of its top grid: a grid of at most _KS_TOP rows and columns
-# is evaluated densely, as one block.
+# tiles per side of its top grid.  A grid of at most _KS_TOP lines has every
+# cell evaluated anyway, so those series go to the line sweep instead.
 _KS_SPLIT = 4
 _KS_TOP = 128
 # Tiles refined per batch of the search, which bounds its memory.
@@ -331,8 +335,9 @@ def _ks_2d(row: np.ndarray, col: np.ndarray, grid: np.ndarray, denom: float) -> 
         return best, (rho[k, t] + 1, gam[l, t] + 1, M[k, l, t], bound[k, l, t])
 
     # The top grid: lines k*g - 1 of rows and columns (line -1 is empty),
-    # with at most _KS_TOP tiles per side.
-    g = 1
+    # with at most _KS_TOP tiles per side; a grid of more than _KS_TOP lines
+    # has g > 1 (smaller ones go to ``_ks_sweep``).
+    g = _KS_SPLIT
     while n_rows > _KS_TOP * g:
         g *= _KS_SPLIT
     kr = kc = -(-n_rows // g) + 1
@@ -340,8 +345,8 @@ def _ks_2d(row: np.ndarray, col: np.ndarray, grid: np.ndarray, denom: float) -> 
     np.cumsum(M, axis=0, out=M)
     np.cumsum(M, axis=1, out=M)
     rho = gam = np.minimum(np.arange(kr) * g - 1, n_rows - 1)[:, None]
-    best, tiles = visit(M[:, :, None], rho, gam, 0.0, g > 1)
-    pending = [(g, tiles)] if g > 1 else []
+    best, tiles = visit(M[:, :, None], rho, gam, 0.0, True)
+    pending = [(g, tiles)]
     strips = {}
     steps = np.arange(_KS_SPLIT + 1)[:, None]
     while pending:
@@ -383,6 +388,63 @@ def _ks_2d(row: np.ndarray, col: np.ndarray, grid: np.ndarray, denom: float) -> 
     return float(best / denom)
 
 
+def _ks_sweep(ranked: tuple, pairs: list) -> np.ndarray:
+    """``_ks_2d``'s largest candidate, before the division by ``denom``, for
+    each process range (i, k, n) of ``pairs`` and each row of ``ranked``
+    (its rows' grids of at most _KS_TOP lines): an array (len(pairs), K)."""
+    # One pass over the grid lines r of every row and range at once.  On
+    # line r the count N(r, c) of points with row rank <= r and column rank
+    # <= c gains, from each point of row rank r, a step 1{c >= column rank};
+    # the candidates of ``_ks_2d``, from the same float expressions, go into
+    # a running max.  A row with fewer lines than the chunk is padded with
+    # lo = hi = 1: a padding line repeats the high candidates of the row's
+    # last line and has low ones no larger than its, so no value depends on
+    # the batch.
+    order, rank, grids = ranked
+    K, Q = rank.shape[0], len(pairs)
+    L = max(g.size for g in grids) + 1
+    lo, hi = np.ones((2, K, L))
+    lo[:, 0] = 0.0
+    for lo_r, hi_r, g in zip(lo, hi, grids):
+        lo_r[1 : g.size + 1] = g
+        hi_r[: g.size] = g
+    # The column ranks of each line's points as (line, place, range and row).
+    # Ties put several points on one line; a free place holds column L,
+    # whose step is empty.
+    lines, places, cols = [], [], []
+    pos = np.arange(rank.shape[1])
+    for i, k, n in pairs:
+        o = _sub_order(order, i, n)
+        line = np.take_along_axis(rank[:, i : i + n], o, -1)  # nondecreasing
+        new = np.ones(line.shape, dtype=bool)
+        new[:, 1:] = line[:, 1:] != line[:, :-1]
+        places.append(pos[:n] - np.maximum.accumulate(np.where(new, pos[:n], 0), axis=-1))
+        lines.append(line)
+        cols.append(np.take_along_axis(rank[:, k : k + n], o, -1))
+    P = max(int(p.max()) for p in places) + 1
+    at = np.full((L, P, Q, K), L)
+    for q, (line, place, col) in enumerate(zip(lines, places, cols)):
+        at[line, place, q, np.arange(K)[:, None]] = col
+    steps = np.triu(np.ones((L + 1, L)))  # steps[j, c] = 1{c >= j}
+    n = np.array([float(n) for _, _, n in pairs])[:, None, None]
+    count, best = np.zeros((2, Q, K, L))
+    cand, step = np.empty((2, Q, K, L))
+    prod = np.empty((K, L))
+    for r in range(L):
+        for p in range(P):
+            np.take(steps, at[r, p], axis=0, out=step)
+            count += step
+        np.multiply(lo[:, r, None], lo, out=prod)
+        np.multiply(n, prod, out=cand)
+        np.subtract(count, cand, out=cand)  # N - n*(lo[r]*lo[c])
+        np.maximum(best, cand, out=best)
+        np.multiply(hi[:, r, None], hi, out=prod)
+        np.multiply(n, prod, out=cand)
+        cand -= count  # n*(hi[r]*hi[c]) - N
+        np.maximum(best, cand, out=best)
+    return best.max(axis=-1)
+
+
 def _cvm(u: np.ndarray, kind: StatKind, ranked: tuple) -> np.ndarray:
     """CvM values of a batch ``u`` (K, T), read from ``ranked`` = ``_ranked(u)``."""
     order, rank, _ = ranked
@@ -395,16 +457,31 @@ def _cvm(u: np.ndarray, kind: StatKind, ranked: tuple) -> np.ndarray:
     return _cvm_2d(a, b, rank_b, denom)
 
 
-def _ks(u: np.ndarray, kind: StatKind, ranked: tuple) -> np.ndarray:
-    """KS values of a batch ``u`` (K, T), read from ``ranked`` = ``_ranked(u)``."""
-    # the 2-D search's bounds need the grid coordinates to be monotone
+def _ks(u: np.ndarray, kinds: Sequence[StatKind], ranked: tuple) -> list:
+    """KS values (K,) of a batch ``u`` (K, T) for each of ``kinds``, read from
+    ``ranked`` = ``_ranked(u)``.  The bivariate kinds of the rows whose grid
+    has at most _KS_TOP lines come from one sweep, the others' from the search."""
+    # the 2-D candidates and bounds need the grid coordinates to be monotone
     if not (u.min() >= 0.0 and u.max() <= 1.0):
         raise ValueError("KS residuals must lie in [0, 1]")
     order, rank, grids = ranked
-    i, k, n, denom = _process_pairs(u.shape[-1], kind)
-    if k is None:
-        return _ks_1d(np.take_along_axis(u[:, i : i + n], _sub_order(order, i, n), -1), denom)
-    return np.array([_ks_2d(r[i : i + n], r[k : k + n], grid, denom) for r, grid in zip(rank, grids)])
+    pairs = [_process_pairs(u.shape[-1], kind) for kind in kinds]
+    out = [np.empty(u.shape[0]) for _ in kinds]
+    two_d = [q for q, (_, k, _, _) in enumerate(pairs) if k is not None]
+    small = np.array([g.size < _KS_TOP for g in grids])  # g.size + 1 lines
+    if two_d and small.any():
+        rows = np.flatnonzero(small)
+        sub = (order[rows], rank[rows], [grids[r] for r in rows])
+        best = _ks_sweep(sub, [pairs[q][:3] for q in two_d])
+        for q, b in zip(two_d, best):
+            out[q][rows] = b / pairs[q][3]
+    for q, (i, k, n, denom) in enumerate(pairs):
+        if k is None:
+            out[q][:] = _ks_1d(np.take_along_axis(u[:, i : i + n], _sub_order(order, i, n), -1), denom)
+            continue
+        for r in np.flatnonzero(~small):
+            out[q][r] = _ks_2d(rank[r, i : i + n], rank[r, k : k + n], grids[r], denom)
+    return out
 
 
 def _nonnegative(values: np.ndarray) -> np.ndarray:
@@ -427,7 +504,7 @@ def ks_stat(u, kind: StatKind) -> StatValue:
     if kind.tag not in ("KS_p", "KS_2j"):
         raise ValueError(f"not a KS kind: {kind}")
     u = _check_u(u)[np.newaxis]
-    return StatValue(kind=kind, value=_ks(u, kind, _ranked(u))[0])
+    return StatValue(kind=kind, value=_ks(u, [kind], _ranked(u))[0][0])
 
 
 def bartlett_weight(j: int, m: int) -> float:
@@ -562,9 +639,12 @@ def evaluate_statistics(kinds: Sequence[StatKind], u, e=None) -> dict:
     U = u.reshape(-1, u.shape[-1])
     out: dict = {}
     # Each computed at most once: one sort of each series serves every CvM
-    # and KS kind, one autocorrelation pass up to the largest lag every BP_m.
+    # and KS kind, one KS call every KS kind, one autocorrelation pass up to
+    # the largest lag every BP_m.
     gaussian = functools.cache(lambda: residuals_gaussian(U))
     ranked = functools.cache(lambda: _ranked(U))
+    ks_kinds = [k for k in kinds if k.tag in ("KS_p", "KS_2j")]
+    ks = functools.cache(lambda: dict(zip(ks_kinds, _ks(U, ks_kinds, ranked()))))
 
     @functools.cache
     def acf2(tag: str) -> tuple[int, list]:
@@ -587,7 +667,7 @@ def evaluate_statistics(kinds: Sequence[StatKind], u, e=None) -> dict:
         if kind.tag in ("CvM_p", "CvM_2j"):
             value = _cvm(U, kind, ranked())
         elif kind.tag in ("KS_p", "KS_2j"):
-            value = _ks(U, kind, ranked())
+            value = ks()[kind]
         elif kind.tag in ("BPU_m", "BPN_m", "BPD_m"):
             T, sums = acf2(kind.tag)
             value = T * sums[kind.m - 1]

@@ -72,16 +72,17 @@ class TestLinkCdf:
 
 
 def index_value_oracle(spec, theta, y_lags, pi_lags, x_t):
-    """Index at one period from its state (most recent lag first)."""
+    """Index at one period from its state (most recent lag first).  The lags
+    may be arrays (S,) and ``x_t`` an array (k, S), for S series at once."""
     value = theta.pi0
     if spec.q:
-        value += float(np.dot(theta.delta, y_lags))
+        value += np.dot(theta.delta, y_lags)
     if spec.p_ar:
-        value += float(np.dot(theta.alpha, pi_lags))
+        value += np.dot(theta.alpha, pi_lags)
     if spec.n_regressors:
-        value += float(np.dot(theta.beta, x_t))
+        value += np.dot(theta.beta, x_t)
     if spec.interactions:
-        value += float(y_lags[0] * np.dot(theta.gamma, x_t))
+        value += y_lags[0] * np.dot(theta.gamma, x_t)
     return value
 
 
@@ -102,31 +103,33 @@ def index_path_oracle(spec, theta, series):
     return pi
 
 
-def simulate_oracle(spec, theta, T, x=None, rng=None):
-    """Independent oracle: draw each outcome from its conditional law in turn.
+def simulate_oracle(spec, theta, T, rngs):
+    """Independent oracle: draw each outcome from its conditional law in turn,
+    for one series per generator of ``rngs``, all series at once.
 
     One uniform per period is compared with the cell cdf (one standard
     normal per period is squared for ``chisq1``), drawn after the
-    regressors, so it consumes the generator as :func:`simulate` does.
+    regressors, so each generator is consumed as :func:`simulate` consumes
+    it.  Returns the regressors (S, T, k) and the outcomes (S, T).
     """
-    if x is None:
-        x = rng.standard_normal((T, spec.n_regressors))
+    x = np.stack([rng.standard_normal((T, spec.n_regressors)) for rng in rngs])
     mu = np.asarray(theta.mu) if spec.ordered else np.zeros(1)
-    y = np.zeros(T, dtype=np.int64)
-    pi = np.empty(T)
-    pi_pre = presample_index(theta)
+    y = np.zeros((T, len(rngs)), dtype=np.int64)
+    pi = np.empty((T, len(rngs)))
+    pi_pre = np.full(len(rngs), presample_index(theta))
     for t in range(T):
-        y_lags = [y[t - i] if t - i >= 0 else 0 for i in range(1, spec.q + 1)]
+        y_lags = [y[t - i] if t - i >= 0 else np.zeros_like(y[t]) for i in range(1, spec.q + 1)]
         pi_lags = [pi[t - i] if t - i >= 0 else pi_pre for i in range(1, spec.p_ar + 1)]
-        pi[t] = index_value_oracle(spec, theta, y_lags, pi_lags, x[t])
+        pi[t] = index_value_oracle(spec, theta, y_lags, pi_lags, x[:, t].T)
         if spec.link is LinkKind.CHISQ1:
-            z = rng.standard_normal()
-            y[t] = int(np.sum(pi[t] + (z * z - 1.0) / math.sqrt(2.0) > mu))
+            z = np.array([rng.standard_normal() for rng in rngs])[:, None]
+            y[t] = np.sum(pi[t, :, None] + (z * z - 1.0) / math.sqrt(2.0) > mu, axis=1)
         else:
-            tails = link_tail(spec.link, mu - pi[t])
+            tails = link_tail(spec.link, mu - pi[t, :, None])
             # smallest j with cdf_j >= u, i.e. count of cdf_j < u
-            y[t] = int(np.sum(1.0 - tails < rng.random()))
-    return Series(y=y, x=x)
+            u = np.array([rng.random() for rng in rngs])[:, None]
+            y[t] = np.sum(1.0 - tails < u, axis=1)
+    return x, y.T
 
 
 # Specs covering the three links, binary and ordered J = 2, 3, outcome lags,
@@ -358,11 +361,12 @@ class TestSimulate:
 
     @pytest.mark.parametrize("spec,theta", SIM_GRID)
     def test_latent_draws_equal_per_period_draws(self, spec, theta):
-        for seed in range(200):
+        seeds = range(200)
+        x, y = simulate_oracle(spec, theta, 500, [np.random.default_rng(seed) for seed in seeds])
+        for seed in seeds:
             got = simulate(spec, theta, 500, rng=np.random.default_rng(seed))
-            want = simulate_oracle(spec, theta, 500, rng=np.random.default_rng(seed))
-            assert np.array_equal(got.x, want.x)
-            assert np.array_equal(got.y, want.y), f"seed {seed}"
+            assert np.array_equal(got.x, x[seed])
+            assert np.array_equal(got.y, y[seed]), f"seed {seed}"
 
 
 class TestSerialization:

@@ -26,7 +26,7 @@ from dcgof.stats import (
     v2_limit_cov,
 )
 from dcgof import stats
-from dcgof.stats import _cvm_1d, _cvm_2d, _ks_2d, _process_pairs, _ranked
+from dcgof.stats import _KS_TOP, _cvm_1d, _cvm_2d, _ks, _ks_2d, _ks_sweep, _process_pairs, _ranked
 
 U3 = np.array([0.25, 0.5, 0.75])
 
@@ -152,9 +152,12 @@ def lag_pairs(u, j):
 
 
 def ks_2d_of(u, i, k, n, denom):
-    """``_ks_2d`` on the pairs (u[i + t], u[k + t]), t < n, ranked in the
-    series' distinct values."""
+    """The bivariate KS of the pairs (u[i + t], u[k + t]), t < n, ranked in
+    the series' distinct values: ``_ks_sweep`` on a grid of at most _KS_TOP
+    lines, ``_ks_2d`` on a larger one."""
     grid, inverse = np.unique(u, return_inverse=True)
+    if grid.size < _KS_TOP:  # grid.size + 1 lines
+        return float(_ks_sweep(_ranked(u[np.newaxis]), [(i, k, n)])[0, 0] / denom)
     return _ks_2d(inverse[i : i + n] + 1, inverse[k : k + n] + 1, grid, denom)
 
 
@@ -353,6 +356,55 @@ class TestKernels:
         assert ks_2d_of(u, j, 0, T - j, denom) == ks_2d_dense(a, b, denom)
         a, b, denom = u[1 : T - 1], u[: T - 2], math.sqrt(T - 3)
         assert ks_2d_of(u, 1, 0, T - 2, denom) == ks_2d_dense(a, b, denom)
+
+    @pytest.mark.parametrize("min_T, max_T", [(5, _KS_TOP - 1), (_KS_TOP, 200)])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_ks_kinds_of_one_call_equal_dense_grid(self, min_T, max_T, data):
+        # T below _KS_TOP always takes the line sweep; above it, series
+        # without ties take the search and rounded ones the sweep
+        u = data.draw(residual_series(min_T=min_T, max_T=max_T))
+        T = u.shape[0]
+        kinds = [StatKind.from_name(name) for name in ("KS1", "KS2", "KS3", "KSp2")]
+        values = _ks(u[np.newaxis], kinds, _ranked(u[np.newaxis]))
+        for kind, value in zip(kinds, values):
+            i, k, n, denom = _process_pairs(T, kind)
+            assert value[0] == ks_2d_dense(u[i : i + n], u[k : k + n], denom), kind.name
+
+    def test_ks_rows_of_a_mixed_chunk_equal_their_own(self):
+        # rows with ties (fewer grid lines) and rows on both sides of
+        # _KS_TOP in one chunk: each row gives the value it has alone
+        T = 160
+        rng = substream(23, "ks-mixed")
+        rows = [rng.random(T), np.round(rng.random(T), 1), np.round(rng.random(T), 2)]
+        for distinct in (_KS_TOP - 2, _KS_TOP - 1, _KS_TOP, _KS_TOP + 1):
+            values = rng.random(distinct)
+            rows.append(rng.permutation(np.concatenate((values, rng.choice(values, T - distinct)))))
+        u = np.clip(np.stack(rows), U_CLAMP, 1.0 - U_CLAMP)
+        grids = _ranked(u)[2]
+        assert {g.size < _KS_TOP for g in grids} == {True, False}
+        kinds = [StatKind.from_name(name) for name in ("KS0", "KS1", "KS2", "KS3", "KSp2")]
+        batch = _ks(u, kinds, _ranked(u))
+        for r, row in enumerate(u):
+            alone = _ks(row[np.newaxis], kinds, _ranked(row[np.newaxis]))
+            for kind, got, want in zip(kinds, batch, alone):
+                assert got[r] == want[0], (r, kind.name)
+                if kind.name != "KS0":
+                    i, k, n, denom = _process_pairs(T, kind)
+                    assert got[r] == ks_2d_dense(row[i : i + n], row[k : k + n], denom)
+
+    def test_ks_sweep_on_hammersley_set(self):
+        # 127 evenly spread points, the most grid lines the sweep takes: the
+        # first coordinate (i + 1/2)/n, the second the base-2 radical
+        # inverse of i on the same values, in a shuffled order
+        n = _KS_TOP - 1
+        radical = [int(f"{i:07b}"[::-1], 2) for i in range(n)]
+        a = (np.arange(n) + 0.5) / n
+        b = (np.argsort(np.argsort(radical)) + 0.5) / n
+        perm = substream(24, "hammersley").permutation(n)
+        u = np.concatenate((b[perm], a[perm]))  # the pairs (u[n + t], u[t])
+        denom = math.sqrt(n)
+        assert ks_2d_of(u, n, 0, n, denom) == ks_2d_dense(a, b, denom)
 
     @given(residual_series(min_T=2100, max_T=3000), st.integers(1, 3))
     @settings(max_examples=10, deadline=None)
