@@ -21,6 +21,12 @@ propagates.  ``_map`` cuts the keys into near-equal contiguous chunks, at
 least one per worker process and none above ``CHUNK_POINTS`` points
 (replicates times periods), which keeps memory O(chunk * T * L).
 
+A p-value reads of a bootstrap draw only whether it is at least the
+observed statistic, so the user-facing test searches each bivariate KS
+draw only until that is decided (``dcgof.stats._ks_2d``); its p-values are
+those of exact draws.  The study pools its draws across replications and
+keeps them exact.
+
 Batch invariance: every stage computes each row of a chunk with the same
 float operations as that row alone, so a key's draws, estimate, iteration
 count, cause, residuals and statistics are identical in any chunk, and the
@@ -49,7 +55,7 @@ from .model import (
     simulate_x_ar1,
 )
 from .rng import substream
-from .stats import DEFAULT_STUDY_KINDS, StatKind, evaluate_statistics
+from .stats import CHUNK_POINTS, DEFAULT_STUDY_KINDS, StatKind, evaluate_statistics
 from .transform import _noise_draws
 
 __all__ = [
@@ -68,9 +74,6 @@ __all__ = [
 
 DEFAULT_LEVELS = (0.10, 0.05, 0.01)
 MAX_FAILURE_SHARE = 0.2
-# The most points (replicates times periods) one batched replicate step
-# takes at once: it bounds the step's memory, O(chunk * T * L).
-CHUNK_POINTS = 2**12
 # The cause of a failed replicate, as the `dcgof mc` progress line names it
 FAILURE_LABELS = {
     Cause.UNCONVERGED: "non-convergence",
@@ -165,16 +168,20 @@ def _needs_discrete(kinds) -> bool:
     return any(k.tag == "BPD_m" for k in kinds)
 
 
-def _statistics(spec: ModelSpec, vec, series, fz, kinds) -> tuple[np.ndarray, _FittedLaw]:
+def _statistics(spec: ModelSpec, vec, series, fz, kinds,
+                against=None) -> tuple[np.ndarray, _FittedLaw]:
     """The statistics (K, len(kinds)) of the fitted rows ``vec`` (K, L) on
     ``series``, one column per kind in ``kinds`` order, under the randomized
     PIT with applied noise ``fz`` (K, T), and the fitted law they come from;
-    rows it flags get NaN."""
+    rows it flags get NaN.  With ``against``, a mapping from kinds to their
+    observed values, a bivariate KS value is exact only in whether it
+    reaches its observed one (``dcgof.stats.evaluate_statistics``)."""
     law = _fitted_law(spec, vec, series, fz, _needs_discrete(kinds))
     keep = ~(law.floor | law.zero_var)
     stats = np.full((keep.size, len(kinds)), np.nan)
     if np.any(keep):
-        values = evaluate_statistics(kinds, law.u[keep], None if law.e is None else law.e[keep])
+        values = evaluate_statistics(kinds, law.u[keep], None if law.e is None else law.e[keep],
+                                     against=against)
         stats[keep] = np.column_stack([values[kind.name] for kind in kinds])
     return stats, law
 
@@ -189,6 +196,7 @@ def _replicate(
     master_seed: int,
     sim_keys: list,
     noise_keys: list,
+    against=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The replicate step over a chunk of K keys: simulate row ``k`` from
     ``(sim_spec, sim_vec[k])`` on the regressor path ``x[k]`` (K, T, k) with
@@ -199,6 +207,8 @@ def _replicate(
 
     A bootstrap draw refits the model it was simulated from, so its caller
     passes ``init=sim_vec``: the estimate lies within sampling error of it.
+    It also passes the observed statistics as ``against`` (see
+    ``_statistics``): a p-value reads of a draw only whether it reaches them.
 
     Returns the estimates (K, L), the statistics (K, len(kinds)) (NaN on
     failed rows) and each row's :class:`dcgof.estimate.Cause`.  A row fails
@@ -214,7 +224,7 @@ def _replicate(
     ok = np.flatnonzero(cause == Cause.CONVERGED)
     if ok.size:
         fz = np.array([_noise_draws(T, master_seed, *noise_keys[i]) for i in ok])
-        stats[ok], law = _statistics(fit_spec, fit.vec[ok], star.take(ok), fz, kinds)
+        stats[ok], law = _statistics(fit_spec, fit.vec[ok], star.take(ok), fz, kinds, against)
         cause[ok] = np.select([law.floor, law.zero_var], [Cause.FLOOR, Cause.ZERO_VARIANCE],
                               Cause.CONVERGED)
     return fit.vec, stats, cause
@@ -252,14 +262,16 @@ def _map(fn, args: tuple, n: int, T: int, threads: int) -> tuple:
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
-def _bootstrap_chunk(spec, vec, x, kinds, master_seed, lo, hi) -> tuple:
+def _bootstrap_chunk(spec, vec, x, kinds, master_seed, observed, lo, hi) -> tuple:
     """Causes and statistics of the bootstrap draws ``lo + 1 .. hi``, all
-    from and refitted at ``vec``."""
+    from and refitted at ``vec``, each decided against the ``observed``
+    statistics by kind (``_statistics``)."""
     keys = range(lo + 1, hi + 1)
     vecs = np.tile(vec, (hi - lo, 1))
     x = np.broadcast_to(x, (hi - lo,) + x.shape)
     _, stats, cause = _replicate(spec, vecs, x, spec, vecs, kinds, master_seed,
-                                 [("boot-sim", b) for b in keys], [("boot", b) for b in keys])
+                                 [("boot-sim", b) for b in keys], [("boot", b) for b in keys],
+                                 observed)
     return cause, stats
 
 
@@ -290,7 +302,7 @@ def bootstrap_test(
                                 fz[np.newaxis], kinds)
     law.check()
 
-    args = (spec, fit.theta_hat.to_vector(), series.x, kinds, master)
+    args = (spec, fit.theta_hat.to_vector(), series.x, kinds, master, dict(zip(kinds, observed[0])))
     cause, draws = _map(_bootstrap_chunk, args, config.B, series.T, threads)
     kept = draws[cause == Cause.CONVERGED]
     failed = config.B - len(kept)

@@ -24,7 +24,11 @@ of them in the worst case, and the result equals the full sweep's exactly.
 A grid of at most _KS_TOP lines would be evaluated whole anyway, so the
 series of a batch with such grids skip the search: one sweep over the grid
 lines, with a running count per series and process, gives every bivariate
-KS value of all of them, equal to the search's.
+KS value of all of them, equal to the search's; it takes the series in
+slices of at most CHUNK_POINTS points, which bounds its memory.  Given a
+value to decide against, the search only answers whether the sup reaches
+it, and stops once that is settled: a bootstrap p-value reads nothing else
+of a draw.
 
 Correlation-based statistics (Box-Pierce on uniform, Gaussian and discrete
 residuals, Jarque-Bera on Gaussian residuals) and the limiting covariance of
@@ -209,6 +213,10 @@ _KS_SPLIT = 4
 _KS_TOP = 128
 # Tiles refined per batch of the search, which bounds its memory.
 _KS_BATCH = 1024
+# The most points (series times periods) one batched step takes at once: it
+# bounds the memory of the line sweep here and of ``dcgof.boot``'s
+# replicate chunks.
+CHUNK_POINTS = 2**12
 
 
 def _cvm_1d(a: np.ndarray, denom: float) -> np.ndarray:
@@ -290,7 +298,20 @@ def _ks_1d(a: np.ndarray, denom: float) -> np.ndarray:
     return np.maximum(np.abs(np.arange(1, n + 1) - nv).max(axis=-1), before) / denom
 
 
-def _ks_2d(row: np.ndarray, col: np.ndarray, grid: np.ndarray, denom: float) -> float:
+def _least_reaching(against: float, denom: float) -> float:
+    """The least float ``x`` with ``x / denom >= against`` (``denom > 0``)."""
+    # x / denom is nondecreasing in x, so the floats that reach ``against``
+    # are those from this one up
+    x = against * denom
+    while x / denom < against:
+        x = math.nextafter(x, math.inf)
+    while math.nextafter(x, -math.inf) / denom >= against:
+        x = math.nextafter(x, -math.inf)
+    return x
+
+
+def _ks_2d(row: np.ndarray, col: np.ndarray, grid: np.ndarray, denom: float,
+           against: float | None = None) -> float:
     # Between jump coordinates the process is N - n*r1*r2 with N constant, so
     # its sup over each cell is N - n*r1*r2 at the cell's lower corner or
     # n*r1*r2 - N at its upper corner; corners live on the tensor grid of
@@ -308,7 +329,22 @@ def _ks_2d(row: np.ndarray, col: np.ndarray, grid: np.ndarray, denom: float) -> 
     # largest exact value found is dropped; the others split into
     # _KS_SPLIT x _KS_SPLIT sub-tiles, highest bound first, down to single
     # cells, so the result is the exact sup.
+    #
+    # With ``against``, the search only decides whether the sup reaches it.
+    # Division by ``denom`` is monotone, so a value x / denom reaches it
+    # exactly when x >= cut, the least such float.  Tiles whose bound is
+    # below cut are dropped too, and the search ends once the largest exact
+    # value found reaches cut.  Both rules keep every tile that holds a value
+    # reaching ``against``, so the result reaches it exactly when the sup
+    # does; below it, the result is a value of the process no larger than
+    # the sup.
     n = row.shape[0]
+    cut = math.inf if against is None else _least_reaching(against, denom)
+
+    def beats(bound, best):
+        # the tiles whose search may still change the answer; with
+        # ``against``, best < cut whenever this is asked
+        return bound > best if against is None else bound >= cut
     # lo carries one padding entry, read only for empty sub-tiles
     lo, hi = np.concatenate(([0.0], grid, [1.0])), np.concatenate((grid, [1.0]))
     n_rows = n_cols = hi.size
@@ -323,11 +359,11 @@ def _ks_2d(row: np.ndarray, col: np.ndarray, grid: np.ndarray, denom: float) -> 
         inner = M[1:, 1:]
         high = n * (hi[r] * hi[c])
         best = max(best, (inner - n * (lo[r] * lo[c])).max(), (high - inner).max())
-        if not split:
+        if not split or best >= cut:
             return best, None
         low = inner - n * (lo[rho[:-1, None] + 1] * lo[gam[None, :-1] + 1])
         bound = np.maximum(low, high - M[:-1, :-1])
-        keep = bound > best
+        keep = beats(bound, best)
         keep &= (rho[1:] > rho[:-1])[:, None] & (gam[1:] > gam[:-1])[None, :]  # not empty
         k, l, t = np.nonzero(keep)
         order = np.argsort(-bound[k, l, t])
@@ -346,12 +382,13 @@ def _ks_2d(row: np.ndarray, col: np.ndarray, grid: np.ndarray, denom: float) -> 
     np.cumsum(M, axis=1, out=M)
     rho = gam = np.minimum(np.arange(kr) * g - 1, n_rows - 1)[:, None]
     best, tiles = visit(M[:, :, None], rho, gam, 0.0, True)
-    pending = [(g, tiles)]
+    pending = [] if best >= cut else [(g, tiles)]
     strips = {}
     steps = np.arange(_KS_SPLIT + 1)[:, None]
     while pending:
         g, tiles = pending[-1]
-        live = np.count_nonzero(tiles[3] > best)  # tiles are in descending bound order
+        # tiles are in descending bound order, and both rules are monotone in it
+        live = np.count_nonzero(beats(tiles[3], best))
         take = min(live, _KS_BATCH)
         if take < live:
             pending[-1] = (g, tuple(x[take:live] for x in tiles))
@@ -383,6 +420,8 @@ def _ks_2d(row: np.ndarray, col: np.ndarray, grid: np.ndarray, denom: float) -> 
         rho = np.minimum(r0 - 1 + steps * g, n_rows - 1)
         gam = np.minimum(c0 - 1 + steps * g, n_cols - 1)
         best, tiles = visit(M, rho, gam, best, g > 1)
+        if best >= cut:
+            break
         if g > 1 and tiles[0].size:
             pending.append((g, tiles))
     return float(best / denom)
@@ -457,20 +496,29 @@ def _cvm(u: np.ndarray, kind: StatKind, ranked: tuple) -> np.ndarray:
     return _cvm_2d(a, b, rank_b, denom)
 
 
-def _ks(u: np.ndarray, kinds: Sequence[StatKind], ranked: tuple) -> list:
+def _ks(u: np.ndarray, kinds: Sequence[StatKind], ranked: tuple, *,
+        against: dict | None = None) -> list:
     """KS values (K,) of a batch ``u`` (K, T) for each of ``kinds``, read from
     ``ranked`` = ``_ranked(u)``.  The bivariate kinds of the rows whose grid
-    has at most _KS_TOP lines come from one sweep, the others' from the search."""
+    has at most _KS_TOP lines come from sweeps over slices of at most
+    CHUNK_POINTS points, the others' from the search.
+
+    ``against`` maps kinds to a value each: the search of such a kind then
+    only decides whether the value reaches it (``_ks_2d``).  The sweep and
+    the univariate kind stay exact."""
     # the 2-D candidates and bounds need the grid coordinates to be monotone
     if not (u.min() >= 0.0 and u.max() <= 1.0):
         raise ValueError("KS residuals must lie in [0, 1]")
+    against = against or {}
     order, rank, grids = ranked
     pairs = [_process_pairs(u.shape[-1], kind) for kind in kinds]
     out = [np.empty(u.shape[0]) for _ in kinds]
     two_d = [q for q, (_, k, _, _) in enumerate(pairs) if k is not None]
     small = np.array([g.size < _KS_TOP for g in grids])  # g.size + 1 lines
-    if two_d and small.any():
-        rows = np.flatnonzero(small)
+    sweep = np.flatnonzero(small) if two_d else np.empty(0, dtype=np.int64)
+    size = max(1, CHUNK_POINTS // u.shape[-1])
+    for start in range(0, sweep.size, size):
+        rows = sweep[start : start + size]
         sub = (order[rows], rank[rows], [grids[r] for r in rows])
         best = _ks_sweep(sub, [pairs[q][:3] for q in two_d])
         for q, b in zip(two_d, best):
@@ -479,8 +527,9 @@ def _ks(u: np.ndarray, kinds: Sequence[StatKind], ranked: tuple) -> list:
         if k is None:
             out[q][:] = _ks_1d(np.take_along_axis(u[:, i : i + n], _sub_order(order, i, n), -1), denom)
             continue
+        a = against.get(kinds[q])
         for r in np.flatnonzero(~small):
-            out[q][r] = _ks_2d(rank[r, i : i + n], rank[r, k : k + n], grids[r], denom)
+            out[q][r] = _ks_2d(rank[r, i : i + n], rank[r, k : k + n], grids[r], denom, a)
     return out
 
 
@@ -627,13 +676,17 @@ def v2_limit_cov(r: tuple[float, float], s: tuple[float, float]) -> float:
     )
 
 
-def evaluate_statistics(kinds: Sequence[StatKind], u, e=None) -> dict:
+def evaluate_statistics(kinds: Sequence[StatKind], u, e=None, *, against: dict | None = None) -> dict:
     """Evaluate the requested statistics on PIT residuals ``u`` (and discrete
     residuals ``e`` where needed).  Returns ``{name: value}``.
 
     ``u`` is one series (T,), with float values, or a batch (K, T), with an
     array (K,) of values per name.  A batch runs the same operations on each
     row as a series alone, so a row's values do not depend on the batch.
+
+    ``against`` (private) maps KS kinds to values: a bivariate KS value from
+    the search is then exact only in whether it reaches its kind's value
+    (see ``_ks``), which is all a bootstrap p-value reads of a draw.
     """
     u = _check_u(u, batch=True)
     U = u.reshape(-1, u.shape[-1])
@@ -644,7 +697,7 @@ def evaluate_statistics(kinds: Sequence[StatKind], u, e=None) -> dict:
     gaussian = functools.cache(lambda: residuals_gaussian(U))
     ranked = functools.cache(lambda: _ranked(U))
     ks_kinds = [k for k in kinds if k.tag in ("KS_p", "KS_2j")]
-    ks = functools.cache(lambda: dict(zip(ks_kinds, _ks(U, ks_kinds, ranked()))))
+    ks = functools.cache(lambda: dict(zip(ks_kinds, _ks(U, ks_kinds, ranked(), against=against))))
 
     @functools.cache
     def acf2(tag: str) -> tuple[int, list]:

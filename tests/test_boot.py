@@ -32,12 +32,12 @@ def every_call_after_the_first_raises():
     # observed data, or a chunk's data sets) succeeds, the later ones raise
     calls = 0
 
-    def evaluate(kinds, u, e=None):
+    def evaluate(kinds, u, e=None, **options):
         nonlocal calls
         calls += 1
         if calls > 1:
             raise ValueError("injected fault")
-        return evaluate_statistics(kinds, u, e)
+        return evaluate_statistics(kinds, u, e, **options)
 
     return evaluate
 
@@ -122,6 +122,26 @@ class TestBootstrapTest:
         stats_a = evaluate_statistics(SMALL_STATS, u_a.u, e)
         stats_b = evaluate_statistics(SMALL_STATS, u_b.u, e)
         assert stats_a == stats_b
+
+    def test_pvalues_equal_those_of_exact_draws(self):
+        # the bivariate KS draws are searched only until they are decided
+        # against the observed values; the p-values are those of exact draws
+        data = null_series(12, T=200)
+        kinds = tuple(StatKind.from_name(n) for n in ("KS0", "KS1", "KS2", "KSp2", "CvM1"))
+        config = BootstrapConfig(B=59, master_seed=4, stats=kinds)
+        report = bootstrap_test(STATIC, data, config)
+        observed = np.array([s.value for s in report.statistics])
+        vec = estimate.fit_mle(STATIC, data).theta_hat.to_vector()
+        args = (STATIC, vec, data.x, kinds, config.master_seed)
+        against = dict(zip(kinds, observed))
+        cause, decided = boot._map(boot._bootstrap_chunk, (*args, against), config.B, data.T, 1)
+        exact_cause, exact = boot._map(boot._bootstrap_chunk, (*args, None), config.B, data.T, 1)
+        assert np.array_equal(cause, exact_cause)
+        kept = cause == estimate.Cause.CONVERGED
+        assert np.any(decided[kept] != exact[kept])
+        for j, s in enumerate(report.statistics):
+            assert s.p_value == pvalue(observed[j], exact[kept, j]), s.name
+            assert np.array_equal(decided[kept, j] >= observed[j], exact[kept, j] >= observed[j])
 
     def test_unreliable_bootstrap_detected(self):
         # tiny lopsided sample: bootstrap redraws frequently produce an empty

@@ -90,7 +90,8 @@ class TestLoadSeries:
 
 class TestCmdTest:
     def test_smoke_and_reruns_identical(self, tmp_path):
-        # a dynamic probit, and a probit with index autoregression
+        # a dynamic probit, and a probit with index autoregression; at T=160
+        # and 300 the KS1 draws are searched against the observed value
         data_path = tmp_path / "data.csv"
         write_series_csv(data_path, seed=1)
         ar_path, model_path = write_ar_model_input(tmp_path)
@@ -98,7 +99,7 @@ class TestCmdTest:
                   "p_ar": ["--input", str(ar_path), "--model-file", str(model_path)]}
         for name, model_args in inputs.items():
             out1, out2 = tmp_path / f"{name}1", tmp_path / f"{name}3"
-            args = ["test", *model_args, "--B", "29", "--seed", "5", "--stats", "CvM0,KS0,BPD_1"]
+            args = ["test", *model_args, "--B", "29", "--seed", "5", "--stats", "CvM0,KS0,KS1,BPD_1"]
             assert main(args + ["--out", str(out1)]) == EXIT_OK
             assert main(args + ["--out", str(out2), "--threads", "3"]) == EXIT_OK
             assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()

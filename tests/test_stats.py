@@ -26,7 +26,17 @@ from dcgof.stats import (
     v2_limit_cov,
 )
 from dcgof import stats
-from dcgof.stats import _KS_TOP, _cvm_1d, _cvm_2d, _ks, _ks_2d, _ks_sweep, _process_pairs, _ranked
+from dcgof.stats import (
+    _KS_TOP,
+    CHUNK_POINTS,
+    _cvm_1d,
+    _cvm_2d,
+    _ks,
+    _ks_2d,
+    _ks_sweep,
+    _process_pairs,
+    _ranked,
+)
 
 U3 = np.array([0.25, 0.5, 0.75])
 
@@ -405,6 +415,59 @@ class TestKernels:
         u = np.concatenate((b[perm], a[perm]))  # the pairs (u[n + t], u[t])
         denom = math.sqrt(n)
         assert ks_2d_of(u, n, 0, n, denom) == ks_2d_dense(a, b, denom)
+
+    @given(residual_series(min_T=_KS_TOP, max_T=400), st.floats(0.5, 1.5))
+    @settings(max_examples=60, deadline=None)
+    def test_ks_search_decides_against_a_value(self, u, scale):
+        # against a value, each KS kind reaches it exactly when its exact
+        # value does, and never exceeds the exact value; rounded series take
+        # the sweep, which stays exact
+        kinds = [StatKind.from_name(name) for name in ("KS0", "KS1", "KS2", "KSp2")]
+        U = u[np.newaxis]
+        ranked = _ranked(U)
+        exact = [v[0] for v in _ks(U, kinds, ranked)]
+        for at in (lambda e: 0.0, lambda e: e * scale, lambda e: e,
+                   lambda e: math.nextafter(e, -math.inf), lambda e: math.nextafter(e, math.inf)):
+            against = {kind: at(e) for kind, e in zip(kinds, exact)}
+            values = _ks(U, kinds, ranked, against=against)
+            for kind, e, value in zip(kinds, exact, values):
+                a = against[kind]
+                assert (value[0] >= a) == (e >= a), (kind.name, a)
+                assert 0.0 <= value[0] <= e, kind.name
+                if kind.name == "KS0" or np.unique(u).size < _KS_TOP:  # the sweep
+                    assert value[0] == e, kind.name
+
+    @pytest.mark.parametrize("T", [300, 2500])
+    def test_ks_search_decides_at_every_level(self, T):
+        # thresholds across the values of 40 series at T=300 and of 8 at
+        # T=2500, whose search refines tiles of 64, 16 and 4 grid lines
+        kind = StatKind.from_name("KS1")
+        i, k, n, denom = _process_pairs(T, kind)
+        series = [substream(26, "ks-decide", T, s).random(T) for s in range(40 if T < 1000 else 8)]
+        ranks = [np.unique(u, return_inverse=True) for u in series]
+        exact = [_ks_2d(r[i : i + n] + 1, r[k : k + n] + 1, grid, denom) for grid, r in ranks]
+        for a in np.quantile(exact, [0.1, 0.5, 0.9]):
+            for (grid, r), e in zip(ranks, exact):
+                value = _ks_2d(r[i : i + n] + 1, r[k : k + n] + 1, grid, denom, a)
+                assert (value >= a) == (e >= a) and value <= e
+
+    def test_ks_sweep_memory_is_bounded_in_the_batch(self):
+        # the sweep takes the small-grid rows in slices of CHUNK_POINTS
+        # points, so a large batch needs a few copies of its input, and each
+        # row keeps the value it has alone
+        u = substream(25, "ks-sweep-mem").random((2000, 100))
+        kinds = [StatKind.from_name(name) for name in ("KS1", "KS2")]
+        tracemalloc.start()
+        try:
+            batch = evaluate_statistics(kinds, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * u.nbytes
+        size = CHUNK_POINTS // u.shape[1]
+        for r in sorted({0, size - 1, size, 2 * size - 1, *range(1, 2000, 97), 1999}):
+            for name, value in evaluate_statistics(kinds, u[r]).items():
+                assert batch[name][r] == value, (r, name)
 
     @given(residual_series(min_T=2100, max_T=3000), st.integers(1, 3))
     @settings(max_examples=10, deadline=None)
