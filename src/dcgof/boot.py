@@ -19,7 +19,9 @@ raised; only model failures (fit errors, unconverged fits, the probability
 floor, a zero conditional variance) count, and any other exception
 propagates.  ``_map`` cuts the keys into near-equal contiguous chunks, at
 least one per worker process and none above ``CHUNK_POINTS`` points
-(replicates times periods), which keeps memory O(chunk * T * L).
+(replicates times periods), which keeps memory O(chunk * T * L).  Each
+stage pays a fixed call overhead per chunk, whatever its rows, so the
+budget is as large as peak memory allows.
 
 A p-value reads of a bootstrap draw only whether it is at least the
 observed statistic, so the user-facing test searches each bivariate KS

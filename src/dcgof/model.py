@@ -873,12 +873,15 @@ def _simulate(spec: ModelSpec, vec: np.ndarray, x: np.ndarray, rngs) -> np.ndarr
     if not q:
         return table[..., 0]
     y = np.empty((K, T), dtype=np.int64)
-    step = (J + 1) ** (q - 1)
-    for row, outcomes in zip(y, table.tolist()):
+    S, step = len(lags), (J + 1) ** (q - 1)
+    for row, outcomes in zip(y, table):
+        # the row's table as one flat list: period t at state c is t*S + c
+        outcomes = outcomes.ravel().tolist()
         path, state = [], 0
-        for at_lags in outcomes:
-            path.append(at_lags[state])
-            state = path[-1] * step + state // (J + 1)
+        for at in range(0, T * S, S):
+            value = outcomes[at + state]
+            path.append(value)
+            state = value * step + state // (J + 1)
         row[:] = path
     return y
 

@@ -12,7 +12,8 @@ cube.  Their closed forms are built from
 ``int_0^1 1{a<=r} 1{b<=r} dr = 1 - max(a, b)``, summed over all pairs of
 points; from one sort of each residual series, which every CvM and KS
 functional reads, the pair sums take O(T log T) time and O(T) memory (a
-rank formula in one dimension, a dominance count in two).
+rank formula in one dimension, a dominance count in two, whose dense stage
+takes at most _TILE tiles of _TILE points at once).
 Kolmogorov-Smirnov functionals take the sup of the absolute process, which is
 attained on the finite candidate set of jump points and their one-sided
 limits (a tensor grid in the bivariate case), because the process is
@@ -215,8 +216,10 @@ _KS_TOP = 128
 _KS_BATCH = 1024
 # The most points (series times periods) one batched step takes at once: it
 # bounds the memory of the line sweep here and of ``dcgof.boot``'s
-# replicate chunks.
-CHUNK_POINTS = 2**12
+# replicate chunks.  Each stage of a chunk pays a fixed call overhead
+# whatever its rows, so larger chunks are faster; beyond 2**13 peak memory
+# grows with the ordered likelihood's temporaries on (K, T, params).
+CHUNK_POINTS = 2**13
 
 
 def _cvm_1d(a: np.ndarray, denom: float) -> np.ndarray:
@@ -240,13 +243,21 @@ def _dominance(rank: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     R[:, :n] = rank
     W = np.zeros((K, m))
     W[:, :n] = w
+    # At most _TILE tiles at a time, so that the (tiles, _TILE, _TILE)
+    # temporaries keep one size for any batch.
     R, W = R.reshape(-1, _TILE), W.reshape(-1, _TILE)
-    le = R[:, :, None] <= R[:, None, :]
-    cnt = (le & _EARLIER).sum(axis=1).reshape(K, m)[:, :n].ravel()
-    np.logical_not(le, out=le)
-    le &= _EARLIER
-    sw = np.einsum("ti,tik->tk", W, le).reshape(K, m)[:, :n].ravel()
+    cnt = np.empty(R.shape, dtype=np.int64)
+    sw = np.empty(R.shape)
+    for lo in range(0, len(R), _TILE):
+        tiles = slice(lo, lo + _TILE)
+        le = R[tiles, :, None] <= R[tiles, None, :]
+        cnt[tiles] = (le & _EARLIER).sum(axis=1)
+        np.logical_not(le, out=le)
+        le &= _EARLIER
+        sw[tiles] = np.einsum("ti,tik->tk", W[tiles], le)
     del le
+    cnt = cnt.reshape(K, m)[:, :n].ravel()
+    sw = sw.reshape(K, m)[:, :n].ravel()
     # Merge levels: each point of an odd block of size s is compared with the
     # whole even block before it, by binary search in the keys
     # (row, block, rank) sorted per level.  From the second level on, the

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcgof import boot, estimate, model
+from dcgof import boot, estimate, model, stats
 from dcgof.boot import (
     BootstrapConfig,
     UnreliableBootstrapError,
@@ -278,7 +278,7 @@ class TestOneLawEvaluation:
         monkeypatch.setattr(boot, "_fit", fitting(boot._fit))
         once = ["fit", "_index_kernel", "_tails"]
 
-        config = BootstrapConfig(B=19, master_seed=1, stats=DEFAULT_STUDY_KINDS)
+        config = BootstrapConfig(B=59, master_seed=1, stats=DEFAULT_STUDY_KINDS)
         bootstrap_test(STATIC, null_series(3, T=300), config)
         chunks = len(boot._chunks(config.B, 300, 1))
         assert chunks >= 2
@@ -468,6 +468,50 @@ class TestBatchInvariance:
         for k in (0, 2):
             assert_same(d[k], np.linalg.solve(-H[k], g[k]))
         assert np.all(np.isfinite(d[:3])) and np.all(np.sum(d[:3] * g[:3], axis=1) > 0.0)
+
+
+class TestChunkBudget:
+    """Results do not depend on how many points a replicate chunk holds."""
+
+    BUDGETS = (2**10, 2**12, 2**13)
+
+    def under_each_budget(self, monkeypatch, run, n, T):
+        results, chunkings = [], []
+        for points in self.BUDGETS:
+            monkeypatch.setattr(stats, "CHUNK_POINTS", points)
+            monkeypatch.setattr(boot, "CHUNK_POINTS", points)
+            chunkings.append(len(boot._chunks(n, T, 1)))
+            results.append(run())
+        assert len(set(chunkings)) == len(self.BUDGETS)  # three chunkings
+        return results
+
+    @pytest.mark.parametrize("spec, theta, T", [
+        # a binary dynamic probit: its KS draws are searched against the
+        # observed values
+        (ModelSpec(link="probit", q=1, n_regressors=1),
+         Theta(pi0=0.2, delta=(0.5,), beta=(0.8,)), 300),
+        (ModelSpec(link="probit", support_size=2, ordered=True, q=1, n_regressors=1),
+         Theta(delta=(0.5,), beta=(1.0,), mu=(-0.5, 1.0)), 600),
+    ], ids=["dynamic-T300", "ordered-T600"])
+    def test_report(self, monkeypatch, spec, theta, T):
+        rng = substream(30, "budget", T)
+        x = simulate_x_ar1(0.5, T, rng).reshape(-1, 1)
+        data = simulate(spec, theta, T, x=x, rng=rng)
+        config = BootstrapConfig(B=19, master_seed=6, stats=DEFAULT_STUDY_KINDS)
+        reports = self.under_each_budget(
+            monkeypatch, lambda: bootstrap_test(spec, data, config).dumps(), config.B, T)
+        assert reports[1:] == reports[:1] * 2
+
+    def test_scenario_table(self, monkeypatch):
+        # at T=100 the bivariate KS values come from the line sweep, which
+        # takes its slices of the chunk by the same budget
+        scenario = scenario_registry()[1]
+        tables = self.under_each_budget(
+            monkeypatch, lambda: run_scenario(scenario, 100, 50, master_seed=7), 50, 100)
+        for table in tables[1:]:
+            assert np.array_equal(table.rates, tables[0].rates)
+            assert table.to_json_dict() == tables[0].to_json_dict()
+            assert table.failures == tables[0].failures
 
 
 class TestScenarioRegistry:

@@ -28,9 +28,11 @@ from dcgof.stats import (
 from dcgof import stats
 from dcgof.stats import (
     _KS_TOP,
+    _TILE,
     CHUNK_POINTS,
     _cvm_1d,
     _cvm_2d,
+    _dominance,
     _ks,
     _ks_2d,
     _ks_sweep,
@@ -450,6 +452,25 @@ class TestKernels:
             for (grid, r), e in zip(ranks, exact):
                 value = _ks_2d(r[i : i + n] + 1, r[k : k + n] + 1, grid, denom, a)
                 assert (value >= a) == (e >= a) and value <= e
+
+    def test_dominance_over_many_tiles(self):
+        # (70, 300) pads to 5 tiles a row, 350 tiles in all, so the dense
+        # stage takes 6 slices of _TILE tiles; rows 12, 25, 38 and 51 span a
+        # slice edge and rows 63 and 64 meet at one.  Each row gives what it
+        # gives alone, and the counts are those of the pairs, ties included.
+        rng = substream(27, "dominance")
+        u = np.round(rng.random((70, 300)), 2)
+        rank = np.unique(u, return_inverse=True)[1].reshape(u.shape) + 1
+        w = rng.random(u.shape)
+        assert u.size > _TILE**2
+        cnt, sw = _dominance(rank, w)
+        earlier = np.tri(300, k=-1, dtype=bool)  # [k, i]: i < k
+        for r in range(70):
+            alone = _dominance(rank[r : r + 1], w[r : r + 1])
+            assert np.array_equal(cnt[r], alone[0][0]) and np.array_equal(sw[r], alone[1][0]), r
+            le = rank[r, np.newaxis, :] <= rank[r, :, np.newaxis]  # [k, i]: rank_i <= rank_k
+            assert np.array_equal(cnt[r], (le & earlier).sum(axis=1)), r
+            np.testing.assert_allclose(sw[r], (~le & earlier) @ w[r], rtol=1e-13, atol=1e-13)
 
     def test_ks_sweep_memory_is_bounded_in_the_batch(self):
         # the sweep takes the small-grid rows in slices of CHUNK_POINTS
