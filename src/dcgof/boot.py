@@ -53,8 +53,8 @@ from .model import (
     _FittedLaw,
     _fitted_law,
     _simulate,
+    _x_ar1,
     simulate,
-    simulate_x_ar1,
 )
 from .rng import substream
 from .stats import CHUNK_POINTS, DEFAULT_STUDY_KINDS, StatKind, evaluate_statistics
@@ -440,8 +440,7 @@ def _warp_replications(scenario: Scenario, T: int, kinds, master_seed: int, lo: 
     and on one bootstrap draw from the fitted null, as ``(cause, observed,
     draws)``; a replication fails with the cause of its first failed step."""
     rs = range(lo, hi)
-    x = np.array([simulate_x_ar1(scenario.x_ar1, T, substream(master_seed, "mc-x", r))
-                  for r in rs])[..., np.newaxis]
+    x = _x_ar1(scenario.x_ar1, T, [substream(master_seed, "mc-x", r) for r in rs])[..., np.newaxis]
     null = scenario.null_spec
     dgp = np.tile(scenario.dgp_theta.to_vector(), (hi - lo, 1))
     theta_hat, observed, cause = _replicate(

@@ -780,19 +780,29 @@ def simulate_x_ar1(alpha1: float, T: int, rng: np.random.Generator) -> np.ndarra
     ``X_0`` (presample) is drawn from the stationary law
     ``N(0, 1 / (1 - alpha1^2))``.
     """
+    return _x_ar1(alpha1, T, [rng])[0]
+
+
+def _x_ar1(alpha1: float, T: int, rngs) -> np.ndarray:
+    """``simulate_x_ar1`` on each of ``rngs``: paths (len(rngs), T), row ``k``
+    equal to ``simulate_x_ar1(alpha1, T, rngs[k])``."""
     alpha1 = float(alpha1)
     if not abs(alpha1) < 1.0:
         raise ValueError(f"AR(1) coefficient must satisfy |alpha1| < 1, got {alpha1}")
     if T < 1:
         raise ValueError("T must be positive")
-    x0 = rng.standard_normal() * math.sqrt(1.0 / (1.0 - alpha1 * alpha1))
-    e = rng.standard_normal(T)
-    out = np.empty(T)
-    prev = x0
-    for t, e_t in enumerate(e.tolist()):
-        prev = e_t + alpha1 * prev
+    x0 = np.empty(len(rngs))
+    e = np.empty((len(rngs), T))
+    for k, rng in enumerate(rngs):
+        x0[k] = rng.standard_normal()
+        e[k] = rng.standard_normal(T)
+    # the recursion of one path, elementwise across the rows
+    out = np.empty((T, len(rngs)))
+    prev = x0 * math.sqrt(1.0 / (1.0 - alpha1 * alpha1))
+    for t in range(T):
+        prev = e[:, t] + alpha1 * prev
         out[t] = prev
-    return out
+    return np.ascontiguousarray(out.T)
 
 
 def _latent_errors(link: LinkKind, T: int, rngs) -> np.ndarray:

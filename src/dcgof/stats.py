@@ -12,8 +12,12 @@ cube.  Their closed forms are built from
 ``int_0^1 1{a<=r} 1{b<=r} dr = 1 - max(a, b)``, summed over all pairs of
 points; from one sort of each residual series, which every CvM and KS
 functional reads, the pair sums take O(T log T) time and O(T) memory (a
-rank formula in one dimension, a dominance count in two, whose dense stage
-takes at most _TILE tiles of _TILE points at once).
+rank formula in one dimension, a dominance count in two).  The dominance
+count compares the points densely within tiles of _TILE points, on the
+narrowest integer type that holds the ranks and at most _TILE tiles at once;
+above the tiles, each merge level reads its counts from two orders of the
+points, by (block, rank) at its block size and at twice that, which stable
+sorts on narrow block ids take from one sort of the points by rank.
 Kolmogorov-Smirnov functionals take the sup of the absolute process, which is
 attained on the finite candidate set of jump points and their one-sided
 limits (a tensor grid in the bivariate case), because the process is
@@ -232,57 +236,94 @@ def _cvm_1d(a: np.ndarray, denom: float) -> np.ndarray:
     return total / (denom * denom)
 
 
+def _narrow(x: np.ndarray, size: int) -> np.ndarray:
+    """``x``, of values in ``range(size)``, in the narrowest unsigned type that
+    holds them: numpy's stable sort is a radix sort on 16 bits or fewer."""
+    return x.astype(np.min_scalar_type(size - 1), copy=False)
+
+
 def _dominance(rank: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each point k of each row (K, n), ``#{i < k : rank_i <= rank_k}`` and
-    the sum of ``w_i`` over ``i < k`` with ``rank_i > rank_k`` (ranks from 1)."""
+    the sum of ``w_i`` over ``i < k`` with ``rank_i > rank_k`` (ranks from 1).
+
+    Pairs within a tile of _TILE consecutive points are compared densely, on
+    the narrowest integer type that holds the ranks.  Merge level s then
+    adds, for each point of an odd block of s points, the even block before
+    it: those ranked at or below the point are read from its places in two
+    orders of the row, by (block of s, rank, position) and by (block of 2s,
+    rank, position).  Every level's order comes from one stable sort of the
+    points by rank, by a stable sort on block ids; both keys take the
+    narrowest unsigned type, on which numpy's stable sort is a radix sort
+    while they fit 16 bits."""
     K, n = rank.shape
+    span = int(rank.max()) + 1
     # Dense comparisons within tiles of consecutive points.  The padding sits
     # after every real point of the last tile, so it is never counted.
     m = -(-n // _TILE) * _TILE
-    R = np.zeros((K, m), dtype=np.int64)
+    R = np.zeros((K, m), dtype=np.min_scalar_type(-span))
     R[:, :n] = rank
     W = np.zeros((K, m))
     W[:, :n] = w
     # At most _TILE tiles at a time, so that the (tiles, _TILE, _TILE)
-    # temporaries keep one size for any batch.
+    # temporaries keep one size for any batch.  gt[t, i, k] marks the
+    # earlier points i of tile t ranked above k: their weights are summed,
+    # and k's count is the rest of the points before it, the marks being
+    # summed on bytes.
     R, W = R.reshape(-1, _TILE), W.reshape(-1, _TILE)
-    cnt = np.empty(R.shape, dtype=np.int64)
+    above = np.empty(R.shape, dtype=np.uint8)
     sw = np.empty(R.shape)
     for lo in range(0, len(R), _TILE):
         tiles = slice(lo, lo + _TILE)
-        le = R[tiles, :, None] <= R[tiles, None, :]
-        cnt[tiles] = (le & _EARLIER).sum(axis=1)
-        np.logical_not(le, out=le)
-        le &= _EARLIER
-        sw[tiles] = np.einsum("ti,tik->tk", W[tiles], le)
-    del le
-    cnt = cnt.reshape(K, m)[:, :n].ravel()
+        gt = R[tiles, :, None] > R[tiles, None, :]
+        gt &= _EARLIER
+        above[tiles] = np.einsum("tik->tk", gt.view(np.uint8))
+        sw[tiles] = np.einsum("ti,tik->tk", W[tiles], gt)
+    del gt
+    cnt = (np.arange(_TILE) - above).reshape(K, m)[:, :n].ravel()
     sw = sw.reshape(K, m)[:, :n].ravel()
-    # Merge levels: each point of an odd block of size s is compared with the
-    # whole even block before it, by binary search in the keys
-    # (row, block, rank) sorted per level.  From the second level on, the
-    # keys in the previous level's order form two sorted runs per block,
-    # which the stable sort merges in linear time.  The rows lie side by
-    # side in one order; the cumulative sums of w are taken per row.
+    if n <= _TILE:
+        return cnt.reshape(K, n), sw.reshape(K, n)
+    # Merge levels.  Sorted by (block of s, rank, position), a row's point k
+    # stands at P_s(k).  The order by blocks of 2s merges k's odd block with
+    # the even block before it, whose points ranked at or below k's then
+    # come before k: with the even block starting at `start`, k's count is
+    # idx - start, idx = start + s + P_2s(k) - P_s(k), and the weights of
+    # the others are the cumulative sums of w in the level-s order between
+    # idx and start + s.  The rows lie side by side in flat orders, so the
+    # row offsets of P_2s and P_s cancel.
     pos = np.arange(n)
-    order = np.arange(K * n)
+    rows = np.arange(K)[:, None]
     w = w.ravel()
-    span = int(rank.max()) + 2
-    row = np.arange(K)[:, None] * ((n // _TILE + 1) * span)
+    by_rank = np.argsort(_narrow(rows * span + rank, K * span).ravel(), kind="stable")
+    ranked_pos = _narrow(by_rank.reshape(K, n) - rows * n, n)  # [r, j]: row r's j-th by rank
+
+    def level(s):
+        # the flat order by (row, block of s, rank, position), and the
+        # place of each point in it
+        blocks = -(-n // s)
+        if blocks == 1:  # the top level: the order by rank itself
+            order = by_rank
+        else:
+            key = ranked_pos // s + _narrow(rows * blocks, K * blocks)
+            order = by_rank[np.argsort(_narrow(key, K * blocks).ravel(), kind="stable")]
+        place = np.empty(K * n, dtype=np.intp)
+        place[order] = np.arange(K * n)
+        return order, place
+
     s = _TILE
+    order, place = level(s)
     while s < n:
-        blk = pos // s
-        key = (blk * span + rank + row).ravel()
-        order = order[np.argsort(key[order], kind="stable")]
+        up_order, up_place = level(2 * s)
         cw = np.zeros((K, n + 1))
         np.cumsum(w[order].reshape(K, n), axis=-1, out=cw[:, 1:])
-        k = (pos[s:][blk[s:] % 2 == 1] + np.arange(0, K * n, n)[:, None]).ravel()
-        start = (blk[k % n] - 1) * s
-        idx = np.searchsorted(key[order], key[k] - span, side="right") - k // n * n
-        cnt[k] += idx - start
+        odd = pos[pos // s % 2 == 1]
+        k = (odd + rows * n).ravel()
+        d = up_place[k] - place[k]  # idx - (start + s)
+        cnt[k] += s + d
+        end = (odd // s * s + rows * (n + 1)).ravel()  # start + s, in the flat cw
         cw = cw.ravel()
-        base = k // n * (n + 1)
-        sw[k] += cw[base + start + s] - cw[base + idx]
+        sw[k] += cw[end] - cw[end + d]
+        order, place = up_order, up_place
         s *= 2
     return cnt.reshape(K, n), sw.reshape(K, n)
 

@@ -14,6 +14,7 @@ from dcgof.model import (
     Series,
     Theta,
     _index_kernel,
+    _x_ar1,
     cond_law,
     index_path,
     link_cdf,
@@ -322,6 +323,27 @@ class TestSimulateXAr1:
     def test_nonstationary_rejected(self):
         with pytest.raises(ValueError):
             simulate_x_ar1(1.0, 10, substream(0, "ar"))
+
+    @pytest.mark.parametrize("alpha1, T", [(0.8, 1), (0.8, 100), (-0.5, 300), (0.0, 7)])
+    def test_batch_rows_equal_one_path_each(self, alpha1, T):
+        # each row of a batch is the path of its own generator: x0 and then
+        # e drawn from it, and the scalar recursion of the stationary start
+        paths = _x_ar1(alpha1, T, [substream(4, "ar", r) for r in range(9)])
+        assert paths.shape == (9, T) and paths.flags.c_contiguous
+        for r, row in enumerate(paths):
+            assert np.array_equal(row, simulate_x_ar1(alpha1, T, substream(4, "ar", r)))
+            rng = substream(4, "ar", r)
+            prev = rng.standard_normal() * math.sqrt(1.0 / (1.0 - alpha1 * alpha1))
+            want = []
+            for e_t in rng.standard_normal(T).tolist():
+                prev = e_t + alpha1 * prev
+                want.append(prev)
+            assert row.tolist() == want, r
+
+    def test_batch_checks_its_arguments(self):
+        for alpha1, T in ((-1.0, 10), (0.5, 0)):
+            with pytest.raises(ValueError):
+                _x_ar1(alpha1, T, [substream(0, "ar")])
 
 
 class TestSimulate:

@@ -145,6 +145,22 @@ def ks_2d_sweep(a, b, denom):
     return float(best / denom)
 
 
+def dominance_pairs(rank, w, block=256):
+    """``_dominance`` of one row from every pair (i, k), i < k, ``block``
+    points k at a time: the count of ``rank_i <= rank_k`` and the sum of
+    ``w_i`` over the others."""
+    n = rank.shape[0]
+    cnt, sw = np.empty(n, dtype=np.int64), np.empty(n)
+    for lo in range(0, n, block):
+        k = np.arange(lo, min(lo + block, n))
+        i = np.arange(k[-1])
+        earlier = i[None, :] < k[:, None]
+        le = rank[None, i] <= rank[k, None]
+        cnt[k] = (le & earlier).sum(axis=1)
+        sw[k] = np.einsum("ki,i->k", ~le & earlier, w[i])
+    return cnt, sw
+
+
 @st.composite
 def residual_series(draw, min_T=4, max_T=200):
     """PIT-like residuals with ties (rounding) and clamped extremes."""
@@ -452,6 +468,48 @@ class TestKernels:
             for (grid, r), e in zip(ranks, exact):
                 value = _ks_2d(r[i : i + n] + 1, r[k : k + n] + 1, grid, denom, a)
                 assert (value >= a) == (e >= a) and value <= e
+
+    def check_dominance(self, rank, w):
+        # the pair counts, and each row alone gives what it gives in the
+        # batch; the weight sums are differences of cumulative sums over the
+        # row, so their rounding scales with the row's total weight
+        cnt, sw = _dominance(rank, w)
+        assert cnt.dtype == np.int64 and sw.dtype == np.float64
+        for r in range(rank.shape[0]):
+            alone = _dominance(rank[r : r + 1], w[r : r + 1])
+            assert np.array_equal(cnt[r], alone[0][0]) and np.array_equal(sw[r], alone[1][0]), r
+            want_cnt, want_sw = dominance_pairs(rank[r], w[r])
+            assert np.array_equal(cnt[r], want_cnt), r
+            np.testing.assert_allclose(sw[r], want_sw, rtol=1e-13, atol=1e-13 * max(1.0, w[r].sum()))
+
+    @pytest.mark.parametrize("n", [2, 63, 64, 65, 127, 128, 129, 4097])
+    def test_dominance_at_tile_and_level_edges(self, n):
+        # on both sides of a tile and of a merge level; rows with distinct
+        # ranks, with ties, all equal, and with the gaps of a sub-series'
+        # ranks within its whole series; n off a multiple of _TILE pads
+        rng = substream(28, "dominance-edges", n)
+        rows = [rng.permutation(n) + 1, rng.integers(1, 4, n), np.full(n, 7),
+                np.unique(np.round(rng.random(n), 2), return_inverse=True)[1] + 1,
+                rng.choice(3 * n, n, replace=False) + 1]
+        self.check_dominance(np.stack(rows), rng.random((len(rows), n)))
+
+    def test_dominance_on_a_wide_flat_key(self):
+        # 3 rows of ranks up to 30000: the batch's sort key (row, rank) takes
+        # more than 16 bits, a row's alone does not
+        rng = substream(29, "dominance-wide-key")
+        rank = np.stack([rng.choice(30000, 300, replace=False) + 1 for _ in range(3)])
+        rank[:, :20] = rank[:, 20:40]  # ties
+        assert 3 * (int(rank.max()) + 1) > 2**16 >= int(rank.max()) + 1
+        self.check_dominance(rank, rng.random(rank.shape))
+
+    def test_dominance_past_the_int16_ranks(self):
+        # one row of 2**15 + 100 points, ranked up to past 2**15 - 1 with
+        # ties: the dense stage compares 32-bit ranks
+        rng = substream(30, "dominance-int16")
+        n = 2**15 + 100
+        rank = rng.integers(1, n + 1, (1, n))
+        assert rank.max() > np.iinfo(np.int16).max
+        self.check_dominance(rank, rng.random(rank.shape))
 
     def test_dominance_over_many_tiles(self):
         # (70, 300) pads to 5 tiles a row, 350 tiles in all, so the dense
