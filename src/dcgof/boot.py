@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimate import Cause, NonConvergenceError, _check_length, _fit, fit_mle
+from .estimate import Cause, NonConvergenceError, _check_fittable, _fit, fit_mle
 from .model import (
     LinkKind,
     ModelSpec,
@@ -476,7 +476,7 @@ def run_scenario(
     for level in levels:
         if not 0.0 < level < 1.0:
             raise ValueError(f"level {level} outside (0, 1)")
-    _check_length(scenario.null_spec, T)
+    _check_fittable(scenario.null_spec, T)
     stat_names = tuple(k.name for k in stats)
     cause, observed, draws = _map(_warp_replications, (scenario, T, stats, master_seed), R, T, threads)
     kept = cause == Cause.CONVERGED

@@ -306,7 +306,7 @@ def _option_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default=None, help="CSV input with columns y, x1..xk")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--model-file", default=None, help="model JSON file instead of flags")
-    p.add_argument("--link", default=None, choices=["probit", "logit", "chisq1"])
+    p.add_argument("--link", default=None, choices=["probit", "logit"])
     p.add_argument("--ylags", type=int, default=None, help="number of outcome lags q")
     p.add_argument("--interactions", action="store_true", default=None)
     p.add_argument("--J", type=int, default=None, dest="support_size",

@@ -36,12 +36,13 @@ the batch it runs in.  Each point the loop tries (the start, a line-search
 trial, a raw step) costs one pass, and an accepted point keeps the score
 and Hessian of that pass for the next step.
 
-Public functions check the series and the parameter; underscore kernels
-(``_loglik_pass``, the Newton loop) take checked arrays.  The line search
-has one trial rule instead: a step that is not finite, whose thresholds are
-not strictly increasing, or that is not stationary scores ``-inf`` and is
-rejected, so a fit that fails this way raises a ``NonConvergenceError`` (a
-failed bootstrap replicate), not a ``ValueError``.
+Public functions check the link (one without a density slope in the link
+table, ``chisq1``, has no regular likelihood), the series and the parameter;
+underscore kernels (``_loglik_pass``, the Newton loop) take checked arrays.
+The line search has one trial rule instead: a step that is not finite, whose
+thresholds are not strictly increasing, or that is not stationary scores
+``-inf`` and is rejected, so a fit that fails this way raises a
+``NonConvergenceError`` (a failed bootstrap replicate), not a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -155,8 +156,13 @@ def _window_start(spec: ModelSpec) -> int:
     return max(spec.q, 1)
 
 
-def _check_length(spec: ModelSpec, T: int) -> None:
-    if T <= spec.n_params + spec.max_lag:
+def _check_fittable(spec: ModelSpec, T: int | None = None) -> None:
+    """Rejects a link without a density slope in the link table and, given
+    ``T``, a series too short to fit."""
+    if _LINKS[spec.link].pdf_slope is None:
+        raise ValueError(f"the {spec.link.value} link cannot be fitted: its errors start at "
+                         "-1/sqrt(2), where its likelihood has square-root cusps")
+    if T is not None and T <= spec.n_params + spec.max_lag:
         raise ValueError(
             f"need T > {spec.n_params + spec.max_lag} observations to fit {spec.n_params} parameters"
         )
@@ -234,6 +240,7 @@ def loglik(spec: ModelSpec, theta: Theta, series: Series) -> float:
 
     Returns ``-inf`` when a realized cell probability is below ``PROB_FLOOR_HARD``.
     """
+    _check_fittable(spec)
     theta.validate(spec)
     series.validate(spec)
     return float(_loglik_pass(spec, theta.to_vector()[None], _Batch.of(series))[0][0])
@@ -241,6 +248,7 @@ def loglik(spec: ModelSpec, theta: Theta, series: Series) -> float:
 
 def score_contributions(spec: ModelSpec, theta: Theta, series: Series) -> np.ndarray:
     """Per-observation score vectors in natural coordinates, shape (n, L)."""
+    _check_fittable(spec)
     theta.validate(spec)
     series.validate(spec)
     return _loglik_pass(spec, theta.to_vector()[None], _Batch.of(series))[1][0]
@@ -443,8 +451,8 @@ def fit_mle(
     NonConvergenceError
         When the start has a degenerate likelihood.
     """
+    _check_fittable(spec, series.T)
     series.validate(spec)
-    _check_length(spec, series.T)
     if init is not None:
         init.validate(spec)
         init = init.to_vector()[np.newaxis]

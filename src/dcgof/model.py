@@ -99,7 +99,9 @@ class LinkKind(str, enum.Enum):
     ``CHISQ1`` is the distribution of ``(chi2_1 - 1)/sqrt(2)``, a standardized
     chi-square with one degree of freedom (mean zero, variance one).  Unlike
     the probit and logistic links it is asymmetric and supported on
-    ``[-1/sqrt(2), inf)``.
+    ``[-1/sqrt(2), inf)``, so a cell probability reaches 0 or 1 at a finite
+    index with a square-root cusp: a data-generating process only, whose
+    irregular likelihood ``dcgof.estimate`` rejects.
     """
 
     PROBIT = "probit"
@@ -130,28 +132,19 @@ def _chisq1_tails(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _chisq1_pdf(x: np.ndarray) -> np.ndarray:
     v = _SQRT2 * x + 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dens = _SQRT2 * np.exp(-np.maximum(v, 1e-300) / 2.0) / np.sqrt(
-            2.0 * math.pi * np.maximum(v, 1e-300)
-        )
-    return np.where(v > 0.0, dens, 0.0)
-
-
-def _chisq1_pdf_slope(x: np.ndarray, pdf: np.ndarray) -> np.ndarray:
-    v = _SQRT2 * x + 1.0
-    inside = v > 0.0
-    return np.where(inside, -pdf * (1.0 + 1.0 / np.where(inside, v, 1.0)) / _SQRT2, 0.0)
+    w = np.maximum(v, 1e-300)
+    return np.where(v > 0.0, _SQRT2 * np.exp(-w / 2.0) / np.sqrt(2.0 * math.pi * w), 0.0)
 
 
 class _Link(NamedTuple):
     """Unchecked array functions of one latent error law.  ``tails(x)`` is
     the pair ``(P(eps <= x), P(eps > x))`` from one evaluation, each without
     cancellation; ``pdf_slope(x, f)`` is the derivative of the density at
-    ``x`` given ``f = pdf(x)``."""
+    ``x`` given ``f = pdf(x)``, ``None`` for a link that cannot be fitted."""
 
     tails: Callable
     pdf: Callable
-    pdf_slope: Callable
+    pdf_slope: Callable | None
 
 
 _LINKS = {
@@ -163,7 +156,7 @@ _LINKS = {
         _special.expit_pair,
         lambda x: np.multiply(*_special.expit_pair(x)), lambda x, f: f * np.tanh(-0.5 * x),
     ),
-    LinkKind.CHISQ1: _Link(_chisq1_tails, _chisq1_pdf, _chisq1_pdf_slope),
+    LinkKind.CHISQ1: _Link(_chisq1_tails, _chisq1_pdf, None),
 }
 
 

@@ -148,10 +148,7 @@ class StatValue:
     value: float
 
     def __post_init__(self) -> None:
-        v = float(self.value)
-        if not np.isfinite(v) or v < -1e-12:
-            raise ValueError(f"statistic value must be finite and nonnegative, got {v}")
-        object.__setattr__(self, "value", max(v, 0.0))
+        object.__setattr__(self, "value", float(_nonnegative(np.float64(self.value))))
 
 
 def study_kinds(m: Sequence[int]) -> tuple[StatKind, ...]:
@@ -586,7 +583,8 @@ def _ks(u: np.ndarray, kinds: Sequence[StatKind], ranked: tuple, *,
 
 
 def _nonnegative(values: np.ndarray) -> np.ndarray:
-    """The rule of :class:`StatValue` on a batch of values."""
+    """The rule of every statistic value: finite and at least -1e-12, with
+    the rounding below zero cut to zero."""
     if not np.all(np.isfinite(values)) or np.any(values < -1e-12):
         raise ValueError(f"statistic value must be finite and nonnegative, got {values}")
     return np.maximum(values, 0.0)

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from dcgof import estimate
 from dcgof.cli import (
     EXIT_BOOTSTRAP,
     EXIT_FIT,
@@ -190,6 +191,26 @@ class TestCmdFit:
         code = main([command, "--input", str(data_path), "--model-file", str(model_path),
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_PARSE
+
+    @pytest.mark.parametrize("command", ["fit", "test"])
+    @pytest.mark.parametrize("via", ["--link", "--model-file"])
+    def test_chisq1_cannot_be_fitted(self, tmp_path, capsys, monkeypatch, command, via):
+        # a data-generating process only: rejected before any likelihood pass
+        def no_pass(*args):
+            raise AssertionError("a likelihood pass ran")
+
+        monkeypatch.setattr(estimate, "_loglik_pass", no_pass)
+        data_path = tmp_path / "data.csv"
+        write_series_csv(data_path, seed=3)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(ModelSpec(link="chisq1", q=1, n_regressors=1).dumps())
+        flags = ["--link", "chisq1", "--ylags", "1"] if via == "--link" else \
+            ["--model-file", str(model_path)]
+        code = main([command, "--input", str(data_path), *flags, "--out", str(tmp_path / "o")])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert ("invalid choice: 'chisq1'" if via == "--link" else "-1/sqrt(2)") in err
+        assert not (tmp_path / "o").exists()
 
     def test_model_file_switch_takes_json_booleans(self, tmp_path):
         # "false" in quotes once meant interactions=True

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from dcgof import estimate
-from dcgof.boot import scenario_registry
+from dcgof.boot import BootstrapConfig, Scenario, bootstrap_test, run_scenario, scenario_registry
 from dcgof import model
 from dcgof.estimate import (
     NonConvergenceError,
@@ -114,13 +114,10 @@ def loglik_and_scores_oracle(spec, theta, series):
 
 @st.composite
 def perturbed_models(draw):
-    """A model over links x J 1-3 x q 0-2 x p_ar 0-2 x interactions, a
-    series simulated at a truth, and a point perturbed away from it.
-
-    For ``chisq1`` the thresholds sit high above the index so that every
-    finite ``sqrt(2)(mu - pi) + 1`` stays above 0.1: the density is
-    singular at 0, where central differences are no oracle."""
-    link = draw(st.sampled_from(["probit", "logistic", "chisq1"]))
+    """A model over the fittable links x J 1-3 x q 0-2 x p_ar 0-2 x
+    interactions, a series simulated at a truth, and a point perturbed away
+    from it."""
+    link = draw(st.sampled_from(["probit", "logistic"]))
     J = draw(st.integers(1, 3))
     q = draw(st.integers(0, 2))
     p = draw(st.integers(0, 2))
@@ -128,10 +125,9 @@ def perturbed_models(draw):
     spec = ModelSpec(link=link, support_size=J, q=q, p_ar=p, n_regressors=1,
                      interactions=interactions, ordered=J >= 2)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    base = 2.5 if link == "chisq1" else -0.5
-    mu = tuple(base + np.cumsum(rng.uniform(0.5, 1.0, J)) - 0.5) if J >= 2 else ()
+    mu = tuple(np.cumsum(rng.uniform(0.5, 1.0, J)) - 1.0) if J >= 2 else ()
     truth = Theta(
-        pi0=0.0 if J >= 2 else (-base if link == "chisq1" else 0.2),
+        pi0=0.0 if J >= 2 else 0.2,
         delta=tuple(rng.uniform(-0.4, 0.4, q)),
         alpha=tuple(rng.uniform(-0.3, 0.3, p)),
         beta=(rng.uniform(0.2, 0.6),),
@@ -144,10 +140,6 @@ def perturbed_models(draw):
     w = wmap.to_working(truth.to_vector()) + rng.uniform(-0.1, 0.1, wmap.n_free)
     theta = wmap.to_theta(w)
     assume(_index_ar_stationary(theta.alpha))
-    if link == "chisq1":
-        pi = _index_kernel(spec, theta.to_vector(), series)[0][_window_start(spec):]
-        v = math.sqrt(2.0) * (_thresholds(theta.mu)[None, :] - pi[:, None]) + 1.0
-        assume(v.min() > 0.1)
     assume(np.isfinite(loglik(spec, theta, series)))
     return spec, series, w
 
@@ -424,11 +416,12 @@ class TestFitMle:
 
 class TestInputChecks:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("link, J, seed", [("probit", 3, 268), ("chisq1", 2, 5)])
+    @pytest.mark.parametrize("link, J, seed", [("probit", 3, 268)])
     def test_degenerate_trial_step_is_a_rejected_step(self, link, J, seed):
-        # warm-started short-series ordered fits, as a bootstrap refit runs
-        # them; a trial step's log gap underflows to equal thresholds
-        # (probit) or its exp overflows to an infinite threshold (chisq1)
+        # a warm-started short-series ordered fit, as a bootstrap refit runs
+        # it; in four of its trial steps the first log gap's exp overflows,
+        # so both upper thresholds are infinite, and the trial rule rejects
+        # the step without a warning
         spec = ModelSpec(link=link, support_size=J, ordered=True, q=1, n_regressors=1)
         rng = np.random.default_rng(seed)
         T = int(rng.integers(20, 80))
@@ -493,6 +486,41 @@ class TestInputChecks:
             assert calls["Theta.validate"] <= 1 and calls["Series.validate"] <= 1, calls
             assert calls["Theta.from_vector"] <= 1, calls
             assert calls["_check_finite"] == 0 and calls["_as_link"] == 0, calls
+
+
+CHISQ1 = ModelSpec(link="chisq1", q=1, n_regressors=1)
+
+
+class TestUnfittableLink:
+    """``chisq1`` is a data-generating process only: every entry point of
+    the likelihood layer rejects it, naming the support edge, before any
+    likelihood pass (and so before any Newton iteration)."""
+
+    @pytest.mark.parametrize("entry", ["fit_mle", "fit_mle_warm", "loglik", "score",
+                                       "score_contributions", "bootstrap_test", "run_scenario"])
+    def test_rejected_before_any_likelihood_pass(self, monkeypatch, entry):
+        theta = Theta(pi0=0.3, delta=(0.5,), beta=(1.0,))
+        series = simulate(CHISQ1, theta, 300, rng=substream(0, "chisq"))
+        scenario = Scenario(id=5, label="chi2 null", dgp_spec=CHISQ1, dgp_theta=theta,
+                            null_spec=CHISQ1)
+        call = {
+            "fit_mle": lambda: fit_mle(CHISQ1, series),
+            "fit_mle_warm": lambda: fit_mle(CHISQ1, series, init=theta),
+            "loglik": lambda: loglik(CHISQ1, theta, series),
+            "score": lambda: score(CHISQ1, theta, series),
+            "score_contributions": lambda: score_contributions(CHISQ1, theta, series),
+            "bootstrap_test": lambda: bootstrap_test(CHISQ1, series, BootstrapConfig(B=19)),
+            "run_scenario": lambda: run_scenario(scenario, 300, 50),
+        }[entry]
+
+        def no_pass(*args):
+            raise AssertionError("a likelihood pass ran")
+
+        monkeypatch.setattr(estimate, "_loglik_pass", no_pass)
+        with pytest.raises(AssertionError, match="likelihood pass"):
+            fit_mle(DYNAMIC, series)  # the patched pass is the one a fit runs
+        with pytest.raises(ValueError, match=r"chisq1 link cannot be fitted.*-1/sqrt\(2\)"):
+            call()
 
 
 def study_series(scenario_id: int, T: int, seed: int) -> tuple[ModelSpec, Theta, Series]:

@@ -17,12 +17,15 @@ from dcgof.model import (
     _x_ar1,
     cond_law,
     index_path,
+    law_path,
     link_cdf,
+    link_pdf,
     link_tail,
     simulate,
     simulate_x_ar1,
 )
 from dcgof.rng import substream
+from dcgof.transform import NoiseStream, randomized_pit
 
 
 def normal_quadrature_cdf(x: float) -> float:
@@ -379,6 +382,25 @@ class TestSimulate:
         law = cond_law(spec, theta, 0.4)
         se = math.sqrt(law.probs[1] * law.probs[0] / 200_000)
         assert abs(data.y.mean() - law.probs[1]) < 4.0 * se
+
+    @pytest.mark.parametrize("entry", ["simulate", "randomized_pit", "law_path", "cond_law",
+                                       "link_pdf"])
+    def test_chisq1_is_evaluated_at_a_given_parameter(self, entry):
+        # chisq1 cannot be fitted, but it is simulated from and its laws,
+        # PIT and density are evaluated at a given parameter like any link's
+        spec = ModelSpec(link="chisq1", q=1, n_regressors=1)
+        theta = Theta(pi0=0.3, delta=(0.5,), beta=(1.0,))
+        series = simulate(spec, theta, 300, rng=substream(0, "chisq"))
+        noise = NoiseStream.from_seed(300, 1, "chisq")
+        check = {
+            "simulate": lambda: set(series.y.tolist()) == {0, 1},
+            "randomized_pit": lambda: np.all(
+                np.abs(randomized_pit(spec, theta, series, noise).u - 0.5) < 0.5),
+            "law_path": lambda: np.allclose(law_path(spec, theta, series)[0].sum(axis=1), 1.0),
+            "cond_law": lambda: cond_law(spec, theta, 0.3).probs[0] == link_cdf("chisq1", -0.3),
+            "link_pdf": lambda: link_pdf("chisq1", -1.0) == 0.0 < link_pdf("chisq1", 0.0),
+        }[entry]
+        assert check()
 
 
     @pytest.mark.parametrize("spec,theta", SIM_GRID)

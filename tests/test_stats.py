@@ -799,6 +799,15 @@ class TestStatKind:
         with pytest.raises(ValueError):
             StatValue(StatKind.from_name("JB"), -0.5)
 
+    @pytest.mark.parametrize("value", [math.nan, -1e-11])
+    def test_nonfinite_or_negative_beyond_rounding_rejected(self, value):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            StatValue(StatKind.from_name("JB"), value)
+
+    def test_rounding_below_zero_is_cut_to_zero(self):
+        value = StatValue(StatKind.from_name("JB"), -1e-13).value
+        assert value == 0.0 and type(value) is float
+
 
 class TestEvaluateStatistics:
     def test_requires_discrete_residuals_for_bpd(self):
