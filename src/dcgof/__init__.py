@@ -50,7 +50,6 @@ from .boot import (
     bootstrap_test,
     run_scenario,
     scenario_registry,
-    simulate_null,
 )
 from .rng import substream
 

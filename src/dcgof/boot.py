@@ -54,7 +54,6 @@ from .model import (
     _fitted_law,
     _simulate,
     _x_ar1,
-    simulate,
 )
 from .rng import substream
 from .stats import CHUNK_POINTS, DEFAULT_STUDY_KINDS, StatKind, evaluate_statistics
@@ -67,7 +66,6 @@ __all__ = [
     "Scenario",
     "RejectionTable",
     "UnreliableBootstrapError",
-    "simulate_null",
     "bootstrap_test",
     "scenario_registry",
     "run_scenario",
@@ -104,6 +102,8 @@ class BootstrapConfig:
     def __post_init__(self) -> None:
         if self.B < 19:
             raise ValueError("B must be >= 19")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
         if not self.stats:
             raise ValueError("statistic list must be nonempty")
 
@@ -145,17 +145,6 @@ class TestReport:
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
-
-def simulate_null(
-    spec: ModelSpec, theta_hat: Theta, x: np.ndarray, rng: np.random.Generator
-) -> Series:
-    """Simulate from the fitted null family on the observed regressor path.
-
-    Lagged outcomes in the information set are the simulated ones; presample
-    initialization is identical to :func:`dcgof.model.simulate`.
-    """
-    return simulate(spec, theta_hat, len(x), x=x, rng=rng)
 
 
 def pvalue(observed, replicates: np.ndarray):
@@ -473,6 +462,8 @@ def run_scenario(
     """
     if R < 50:
         raise ValueError("need R >= 50 replications")
+    if master_seed < 0:
+        raise ValueError(f"master_seed must be nonnegative, got {master_seed}")
     for level in levels:
         if not 0.0 < level < 1.0:
             raise ValueError(f"level {level} outside (0, 1)")

@@ -55,7 +55,6 @@ class RunConfig:
     ylags: int = 0
     interactions: bool = False
     support_size: int = 1
-    ordered: bool = False
     B: int = 199
     seed: int = 0
     levels: tuple[float, ...] = DEFAULT_LEVELS
@@ -104,6 +103,9 @@ def load_series(path: str, support_size: int = 1) -> Series:
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        repeated = [h for i, h in enumerate(header) if h in header[:i]]
+        if repeated:
+            raise ParseError(f"{path}: header names column {repeated[0]!r} more than once")
         if "y" not in header:
             raise ParseError(f"{path}: header must contain a column named 'y'")
         y_col = header.index("y")
@@ -173,7 +175,6 @@ def _load_input(config: RunConfig) -> tuple[Series, ModelSpec]:
         q=config.ylags,
         n_regressors=series.n_regressors,
         interactions=config.interactions,
-        ordered=config.ordered or config.support_size >= 2,
     )
 
 
@@ -289,7 +290,7 @@ def _name_list(text: str) -> tuple[str, ...]:
 # Options whose text is a comma list, and its conversion
 _LISTS = {"levels": _float_list, "stats": _name_list, "m": _int_list, "scenarios": _scenario_ids,
           "T": _int_list}
-_SWITCHES = ("interactions", "ordered")
+_SWITCHES = ("interactions",)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -311,7 +312,6 @@ def _option_parser() -> argparse.ArgumentParser:
     p.add_argument("--interactions", action="store_true", default=None)
     p.add_argument("--J", type=int, default=None, dest="support_size",
                    help="support size (outcomes in 0..J)")
-    p.add_argument("--ordered", action="store_true", default=None)
     p.add_argument("--B", type=int, default=None, help="bootstrap replications")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--levels", type=str, default=None, help="comma list, e.g. 0.1,0.05,0.01")
@@ -386,6 +386,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig(**given)
     if config.threads < 1:
         raise ParseError(f"{where('threads')} must be at least 1, got {config.threads}")
+    if config.seed < 0:
+        raise ParseError(f"{where('seed')} must be nonnegative, got {config.seed}")
     for level in config.levels:
         if not 0.0 < level < 1.0:
             raise ParseError(f"level {level} outside (0, 1)")

@@ -228,10 +228,10 @@ class ModelSpec:
         Number of exogenous regressor columns.
     interactions : bool
         Include ``Y_{t-1} * x_t`` terms (requires ``q >= 1`` and regressors).
-    ordered : bool
-        Thresholds are free parameters and the intercept is fixed at zero.
-        Required when ``support_size >= 2``; the binary model uses a single
-        implicit threshold at zero with a free intercept.
+
+    The model is ordered (free thresholds, intercept fixed at zero) exactly
+    when ``support_size >= 2``; the binary model has a free intercept and its
+    one threshold at zero.
     """
 
     link: LinkKind
@@ -240,7 +240,6 @@ class ModelSpec:
     p_ar: int = 0
     n_regressors: int = 0
     interactions: bool = False
-    ordered: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "link", _as_link(self.link))
@@ -250,8 +249,11 @@ class ModelSpec:
             raise ValueError("lag orders and regressor count must be nonnegative")
         if self.interactions and (self.q < 1 or self.n_regressors < 1):
             raise ValueError("interactions require q >= 1 and at least one regressor")
-        if self.support_size >= 2 and not self.ordered:
-            raise ValueError("support_size >= 2 requires ordered=True")
+
+    @property
+    def ordered(self) -> bool:
+        """Free thresholds and no intercept: ``support_size >= 2``."""
+        return self.support_size >= 2
 
     @property
     def n_thresholds(self) -> int:
@@ -294,15 +296,19 @@ class ModelSpec:
     def from_json_dict(cls, data: dict) -> "ModelSpec":
         if not isinstance(data, dict):
             raise ValueError(f"a model must be a JSON object, got {data!r}")
-        return cls(
+        spec = cls(
             link=LinkKind(data["link"]),
             support_size=_json_field(data, "support_size", 1, int),
             q=_json_field(data, "q", 0, int),
             p_ar=_json_field(data, "p_ar", 0, int),
             n_regressors=_json_field(data, "n_regressors", 0, int),
             interactions=_json_field(data, "interactions", False, bool),
-            ordered=_json_field(data, "ordered", False, bool),
         )
+        # written by to_json_dict; it must agree with support_size
+        if _json_field(data, "ordered", spec.ordered, bool) != spec.ordered:
+            raise ValueError(f"'ordered' must be {str(spec.ordered).lower()} "
+                             f"at support_size {spec.support_size}")
+        return spec
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)

@@ -47,7 +47,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -610,16 +610,9 @@ def bartlett_weight(j: int, m: int) -> float:
     return 1.0 - j / (m + 1.0)
 
 
-def aggregate(
-    values: Sequence[StatValue],
-    weights: Callable[[int, int], float] | None = None,
-    m: int | None = None,
-) -> StatValue:
-    """Weighted sum ``sum_{j=1}^{m} k(j) D_j`` across orders or lags.
-
-    ``values`` must share the CvM or the KS family; ``weights`` takes
-    ``(j, m)`` and defaults to the Bartlett kernel ``1 - j/(m+1)``.
-    """
+def aggregate(values: Sequence[StatValue], m: int | None = None) -> StatValue:
+    """Bartlett-weighted sum ``sum_{j=1}^{m} (1 - j/(m+1)) D_j`` across
+    orders or lags; ``values`` must share the CvM or the KS family."""
     if not values:
         raise ValueError("aggregate of an empty statistic list")
     m = len(values) if m is None else int(m)
@@ -628,8 +621,7 @@ def aggregate(
     families = {v.kind.tag.split("_")[0] for v in values}
     if len(families) != 1:
         raise ValueError("aggregated statistics must share the CvM or KS family")
-    weights = weights or bartlett_weight
-    total = sum(weights(j, m) * values[j - 1].value for j in range(1, m + 1))
+    total = sum(bartlett_weight(j, m) * values[j - 1].value for j in range(1, m + 1))
     tag = "ADJ" if all(v.kind.tag.endswith("_2j") for v in values) else "ADP"
     return StatValue(kind=StatKind(tag=tag, m=m), value=total)
 

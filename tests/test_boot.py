@@ -17,7 +17,6 @@ from dcgof.boot import (
     rejection_tables_to_csv,
     run_scenario,
     scenario_registry,
-    simulate_null,
 )
 from dcgof.model import LinkKind, ModelSpec, Series, Theta, simulate, simulate_x_ar1
 from dcgof.rng import substream
@@ -75,10 +74,11 @@ class TestPvalue:
 
 
 class TestSimulateNull:
+    # the bootstrap's null draws: the fitted model on the observed regressors
     def test_static_frequencies(self):
         theta = Theta(pi0=0.3, beta=(0.0,))
         x = np.zeros((10_000, 1))
-        star = simulate_null(STATIC, theta, x, substream(2, "null"))
+        star = simulate(STATIC, theta, len(x), x=x, rng=substream(2, "null"))
         from scipy.special import ndtr
         p = float(ndtr(0.3))
         se = math.sqrt(p * (1 - p) / 10_000)
@@ -87,13 +87,14 @@ class TestSimulateNull:
     def test_deterministic(self):
         data = null_series(3)
         theta = Theta(pi0=0.1, beta=(0.5,))
-        a = simulate_null(STATIC, theta, data.x, substream(4, "null"))
-        b = simulate_null(STATIC, theta, data.x, substream(4, "null"))
+        a = simulate(STATIC, theta, data.T, x=data.x, rng=substream(4, "null"))
+        b = simulate(STATIC, theta, data.T, x=data.x, rng=substream(4, "null"))
         assert np.array_equal(a.y, b.y)
 
     def test_reuses_observed_regressors(self):
         data = null_series(5)
-        star = simulate_null(STATIC, Theta(pi0=0.0, beta=(1.0,)), data.x, substream(6, "null"))
+        star = simulate(STATIC, Theta(pi0=0.0, beta=(1.0,)), data.T, x=data.x,
+                        rng=substream(6, "null"))
         assert np.array_equal(star.x, data.x)
 
 
@@ -159,6 +160,8 @@ class TestBootstrapTest:
             BootstrapConfig(B=5)
         with pytest.raises(ValueError):
             BootstrapConfig(B=99, stats=())
+        with pytest.raises(ValueError, match="master_seed must be nonnegative"):
+            BootstrapConfig(B=99, master_seed=-1)
 
     def test_programming_errors_propagate(self, monkeypatch):
         # only model failures count as failed replicates; a bug in a
@@ -340,7 +343,7 @@ def replicate_chunks(draw):
     J, q, p = draw(st.integers(1, 3)), draw(st.integers(0, 2)), draw(st.integers(0, 2))
     interactions = q >= 1 and draw(st.booleans())
     spec = ModelSpec(link=link, support_size=J, q=q, p_ar=p, n_regressors=1,
-                     interactions=interactions, ordered=J >= 2)
+                     interactions=interactions)
     K = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     base = 2.5 if link == "chisq1" else -0.5
@@ -497,7 +500,7 @@ class TestChunkBudget:
         # observed values
         (ModelSpec(link="probit", q=1, n_regressors=1),
          Theta(pi0=0.2, delta=(0.5,), beta=(0.8,)), 300),
-        (ModelSpec(link="probit", support_size=2, ordered=True, q=1, n_regressors=1),
+        (ModelSpec(link="probit", support_size=2, q=1, n_regressors=1),
          Theta(delta=(0.5,), beta=(1.0,), mu=(-0.5, 1.0)), 600),
     ], ids=["dynamic-T300", "ordered-T600"])
     def test_report(self, monkeypatch, spec, theta, T):
@@ -582,6 +585,12 @@ class TestRunScenario:
         registry = {s.id: s for s in scenario_registry()}
         with pytest.raises(ValueError):
             run_scenario(registry[1], T=60, R=10, master_seed=0)
+
+    def test_negative_seed_rejected_on_entry(self, monkeypatch):
+        monkeypatch.setattr(boot, "_map", None)  # no replication may start
+        scenario = {s.id: s for s in scenario_registry()}[1]
+        with pytest.raises(ValueError, match="master_seed must be nonnegative"):
+            run_scenario(scenario, T=60, R=50, master_seed=-1)
 
     @pytest.mark.filterwarnings("ignore::dcgof.model.ProbabilityFloorWarning")
     def test_dynamic_size_at_large_t(self):

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from dcgof import estimate
+from dcgof import boot, cli, estimate
 from dcgof.cli import (
     EXIT_BOOTSTRAP,
     EXIT_FIT,
@@ -87,6 +87,16 @@ class TestLoadSeries:
         path.write_text("y,x1\n0,abc\n")
         with pytest.raises(ParseError, match="column x1"):
             load_series(str(path))
+
+    @pytest.mark.parametrize("header, repeated", [("y,x1,x1", "x1"), ("y,x1,y", "y")])
+    def test_repeated_header_name_is_parse_error(self, tmp_path, capsys, header, repeated):
+        # the repeat once loaded without a word: its column was dropped
+        path = tmp_path / "d.csv"
+        path.write_text(f"{header}\n0,0.1,0.2\n1,-0.2,0.3\n")
+        with pytest.raises(ParseError, match=f"column '{repeated}' more than once"):
+            load_series(str(path))
+        assert main(["fit", "--input", str(path), "--out", str(tmp_path / "o")]) == EXIT_PARSE
+        assert f"column '{repeated}' more than once" in capsys.readouterr().err
 
 
 class TestCmdTest:
@@ -223,9 +233,22 @@ class TestCmdFit:
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_PARSE
 
+    def test_model_file_ordered_must_follow_support_size(self, tmp_path, capsys):
+        # a binary model file with "ordered": true once fitted pi0 = 0 and a free mu0
+        data_path = tmp_path / "data.csv"
+        write_series_csv(data_path, seed=3)
+        model_path = tmp_path / "model.json"
+        spec = ModelSpec(link="probit", q=1, n_regressors=1)
+        model_path.write_text(json.dumps({**spec.to_json_dict(), "ordered": True}))
+        code = main(["fit", "--input", str(data_path), "--model-file", str(model_path),
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_PARSE
+        assert "'ordered'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_model_file_sets_the_outcome_bound(self, tmp_path):
         # an ordered J = 2 model file accepts y = 2 without --J 2
-        spec = ModelSpec(link="probit", support_size=2, ordered=True, n_regressors=1)
+        spec = ModelSpec(link="probit", support_size=2, n_regressors=1)
         data = simulate(spec, Theta(beta=(1.0,), mu=(-0.5, 0.5)), 200, rng=substream(3, "j2"))
         assert data.y.max() == 2
         data_path = tmp_path / "ordered.csv"
@@ -239,7 +262,7 @@ class TestCmdFit:
         assert json.loads((tmp_path / "o" / "fit.json").read_text())["model"]["support_size"] == 2
 
     def test_ordered_stderr_in_fit_json(self, tmp_path):
-        spec = ModelSpec(link="probit", support_size=2, ordered=True, q=1, n_regressors=1)
+        spec = ModelSpec(link="probit", support_size=2, q=1, n_regressors=1)
         data = simulate(spec, Theta(delta=(0.5,), beta=(1.0,), mu=(-0.5, 1.0)), 2000,
                         rng=substream(1, "o"))
         data_path = tmp_path / "ordered.csv"
@@ -317,7 +340,8 @@ class TestCmdMc:
         code = main(["mc", "--out", str(tmp_path / "o")])
         assert code == EXIT_PARSE
 
-    @pytest.mark.parametrize("flags", [["--threads", "abc"], ["--link", "probitt"], ["--bogus"], []])
+    @pytest.mark.parametrize("flags", [["--threads", "abc"], ["--link", "probitt"], ["--bogus"],
+                                       ["--ordered"], []])
     def test_usage_errors_exit_1(self, tmp_path, flags):
         # exit 2 is reserved for model fit failures
         argv = ["mc", *flags] if flags else []
@@ -341,6 +365,31 @@ class TestCmdMc:
         argv = ["mc", "--scenarios", "1", "--T", "60", "--R", "50", "--out", str(tmp_path / "o")]
         assert main(argv + [flag, value]) == EXIT_PARSE
         assert capsys.readouterr().err == f"error: {flag} lists {repeated} more than once\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "test", "mc"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_negative_seed_is_parse_error(self, tmp_path, capsys, monkeypatch, command, via):
+        # `test --seed -1` once fitted the data first and then failed on the
+        # substream key; `fit --seed -5` exited 0
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit ran")
+
+        monkeypatch.setattr(cli, "fit_mle", no_fit)
+        monkeypatch.setattr(boot, "fit_mle", no_fit)
+        monkeypatch.setattr(boot, "_fit", no_fit)
+        data_path = tmp_path / "data.csv"
+        write_series_csv(data_path, seed=3)
+        conf = {"input": str(data_path), "scenarios": [1], "T": [60], "R": 50}
+        if via == "config":
+            conf["seed"] = -1
+        conf_path = tmp_path / "conf.json"
+        conf_path.write_text(json.dumps(conf))
+        argv = [command, "--config", str(conf_path), "--out", str(tmp_path / "o")]
+        argv += ["--seed", "-1"] if via == "flag" else []
+        assert main(argv) == EXIT_PARSE
+        where = "--seed" if via == "flag" else f"config {conf_path}: key 'seed'"
+        assert capsys.readouterr().err == f"error: {where} must be nonnegative, got -1\n"
         assert not (tmp_path / "o").exists()
 
     def test_help_exits_0(self, capsys):
@@ -387,7 +436,7 @@ class TestConfigFile:
         assert self.resolve(tmp_path, {"T": [100, 200], "scenarios": "all"}).T == (100, 200)
 
     @pytest.mark.parametrize("conf", [
-        {"B": 29.5}, {"ordered": "false"}, {"interactions": 1}, {"R": True}, {"link": "probitt"},
+        {"B": 29.5}, {"interactions": "false"}, {"interactions": 1}, {"R": True}, {"link": "probitt"},
         {"threads": "abc"}, ["B", 29],
     ])
     def test_values_its_flag_would_reject(self, tmp_path, conf):
@@ -415,13 +464,19 @@ class TestConfigFile:
         assert len(getattr(_resolve_config(args), key)) == 1
 
     def test_switches_take_json_booleans(self, tmp_path):
-        assert self.resolve(tmp_path, {"ordered": True, "interactions": False}).ordered is True
-        # a quoted "false" once fitted an ordered model
+        assert self.resolve(tmp_path, {"interactions": True}).interactions is True
+        assert self.resolve(tmp_path, {"interactions": False}).interactions is False
+        # a quoted "false" once switched the option on
         data_path = tmp_path / "data.csv"
         write_series_csv(data_path, seed=6)
         conf = tmp_path / "fit.json"
-        conf.write_text(json.dumps({"input": str(data_path), "ordered": "false"}))
+        conf.write_text(json.dumps({"input": str(data_path), "ylags": 1, "interactions": "false"}))
         assert main(["fit", "--config", str(conf), "--out", str(tmp_path / "o")]) == EXIT_PARSE
+
+    def test_ordered_is_no_key(self, tmp_path):
+        # ordered follows from J; a config file cannot set it
+        with pytest.raises(ParseError, match="'ordered'"):
+            self.resolve(tmp_path, {"ordered": True, "J": 2}, command="fit")
 
     def test_bad_level_rejected(self, tmp_path):
         data_path = tmp_path / "data.csv"

@@ -123,7 +123,7 @@ def perturbed_models(draw):
     p = draw(st.integers(0, 2))
     interactions = q >= 1 and draw(st.booleans())
     spec = ModelSpec(link=link, support_size=J, q=q, p_ar=p, n_regressors=1,
-                     interactions=interactions, ordered=J >= 2)
+                     interactions=interactions)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     mu = tuple(np.cumsum(rng.uniform(0.5, 1.0, J)) - 1.0) if J >= 2 else ()
     truth = Theta(
@@ -241,7 +241,7 @@ class TestScore:
     def test_matches_finite_differences_ordered(self):
         # the fixed intercept cannot be perturbed, so difference only the
         # free coordinates (slopes and thresholds)
-        spec = ModelSpec(link="logistic", support_size=2, n_regressors=1, ordered=True)
+        spec = ModelSpec(link="logistic", support_size=2, n_regressors=1)
         theta0 = Theta(mu=(-0.4, 0.9), beta=(0.7,))
         rng = substream(2, "ord")
         data = simulate(spec, theta0, 300, x=rng.standard_normal((300, 1)), rng=rng)
@@ -365,7 +365,7 @@ class TestFitMle:
         assert gaps[5000] < gaps[500]
 
     def test_ordered_fit_recovers_thresholds(self):
-        spec = ModelSpec(link="probit", support_size=2, n_regressors=1, ordered=True)
+        spec = ModelSpec(link="probit", support_size=2, n_regressors=1)
         truth = Theta(mu=(-0.5, 0.8), beta=(1.0,))
         rng = substream(10, "ordfit")
         data = simulate(spec, truth, 4000, x=rng.standard_normal((4000, 1)), rng=rng)
@@ -375,7 +375,7 @@ class TestFitMle:
         assert np.all(err <= 3.0 * np.maximum(fit.stderr(spec), 1e-3))
 
     def test_ordered_stderr_leaves_out_the_fixed_intercept(self):
-        spec = ModelSpec(link="probit", support_size=2, ordered=True, q=1, n_regressors=1)
+        spec = ModelSpec(link="probit", support_size=2, q=1, n_regressors=1)
         truth = Theta(delta=(0.5,), beta=(1.0,), mu=(-0.5, 1.0))
         rng = substream(1, "o")
         data = simulate(spec, truth, 2000, x=rng.standard_normal((2000, 1)), rng=rng)
@@ -385,7 +385,7 @@ class TestFitMle:
         assert np.all(se[1:] > 0.0) and np.all(se[-2:] < 0.2)
 
     def test_ordered_stderr_with_index_autoregression(self):
-        spec = ModelSpec(link="logistic", support_size=2, ordered=True, p_ar=2, n_regressors=1)
+        spec = ModelSpec(link="logistic", support_size=2, p_ar=2, n_regressors=1)
         truth = Theta(alpha=(0.3, 0.2), beta=(1.0,), mu=(-0.5, 1.0))
         rng = substream(2, "o2")
         data = simulate(spec, truth, 1000, x=rng.standard_normal((1000, 1)), rng=rng)
@@ -397,7 +397,7 @@ class TestFitMle:
         assert np.all(err[1:] <= 3.0 * se[1:])
 
     def test_empty_middle_category_collapses(self):
-        spec = ModelSpec(link="probit", support_size=2, n_regressors=0, ordered=True)
+        spec = ModelSpec(link="probit", support_size=2, n_regressors=0)
         y = np.array([0] * 20 + [2] * 20)
         with pytest.raises(ThresholdCollapseError):
             fit_mle(spec, Series(y=y, x=np.zeros((40, 0))))
@@ -422,7 +422,7 @@ class TestInputChecks:
         # it; in four of its trial steps the first log gap's exp overflows,
         # so both upper thresholds are infinite, and the trial rule rejects
         # the step without a warning
-        spec = ModelSpec(link=link, support_size=J, ordered=True, q=1, n_regressors=1)
+        spec = ModelSpec(link=link, support_size=J, q=1, n_regressors=1)
         rng = np.random.default_rng(seed)
         T = int(rng.integers(20, 80))
         mu = tuple(np.cumsum(np.r_[0.0, rng.uniform(0.01, 0.3, J - 1)]))
@@ -437,7 +437,7 @@ class TestInputChecks:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_nonfinite_parameter_rejected_at_the_boundary(self, field, bad):
         if field == "mu":
-            spec = ModelSpec(link="probit", support_size=2, ordered=True, n_regressors=1)
+            spec = ModelSpec(link="probit", support_size=2, n_regressors=1)
             good = Theta(beta=(1.0,), mu=(-0.5, 0.5))
         else:
             spec = ModelSpec(link="probit", q=1, p_ar=1, n_regressors=1, interactions=True)
@@ -610,7 +610,7 @@ class TestWarmStart:
         for scenario_id, T in ((1, 100), (2, 300), (3, 300)):
             for seed in range(30):
                 yield study_series(scenario_id, T, seed)
-        ordered = ModelSpec(link="probit", support_size=2, ordered=True, q=1, n_regressors=1)
+        ordered = ModelSpec(link="probit", support_size=2, q=1, n_regressors=1)
         ordered_truth = Theta(delta=(0.5,), beta=(1.0,), mu=(-0.5, 1.0))
         par = ModelSpec(link="probit", p_ar=1, n_regressors=1)
         par_truth = Theta(pi0=0.2, alpha=(0.5,), beta=(0.8,))

