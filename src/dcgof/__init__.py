@@ -32,7 +32,6 @@ from .transform import (
 from .stats import (
     StatKind,
     StatValue,
-    aggregate,
     box_pierce,
     cvm_stat,
     jarque_bera,

@@ -56,7 +56,7 @@ from .model import (
     _x_ar1,
 )
 from .rng import substream
-from .stats import CHUNK_POINTS, DEFAULT_STUDY_KINDS, StatKind, evaluate_statistics
+from .stats import CHUNK_POINTS, DEFAULT_STUDY_KINDS, StatKind, _check_length, evaluate_statistics
 from .transform import _noise_draws
 
 __all__ = [
@@ -283,6 +283,7 @@ def bootstrap_test(
     UnreliableBootstrapError
         If more than 20% of bootstrap fits fail.
     """
+    _check_length(config.stats, series.T)
     fit = fit_mle(spec, series)
     if not fit.converged:
         raise NonConvergenceError("fit on observed data did not converge", fit.theta_hat)
@@ -468,6 +469,7 @@ def run_scenario(
         if not 0.0 < level < 1.0:
             raise ValueError(f"level {level} outside (0, 1)")
     _check_fittable(scenario.null_spec, T)
+    _check_length(stats, T)
     stat_names = tuple(k.name for k in stats)
     cause, observed, draws = _map(_warp_replications, (scenario, T, stats, master_seed), R, T, threads)
     kept = cause == Cause.CONVERGED

@@ -28,7 +28,7 @@ from .boot import (
 )
 from .estimate import NonConvergenceError, fit_mle
 from .model import AssumptionViolationError, LinkKind, ModelSpec, Series
-from .stats import StatKind, study_kinds
+from .stats import StatKind, _check_length, study_kinds
 
 __all__ = ["RunConfig", "load_series", "cmd_fit", "cmd_test", "cmd_mc", "main"]
 
@@ -147,7 +147,12 @@ def load_series(path: str, support_size: int = 1) -> Series:
             xs.append(x_row)
         if not ys:
             raise ParseError(f"{path}: no data rows")
-    return Series(y=np.array(ys), x=np.array(xs).reshape(len(ys), len(x_cols)))
+    x = np.array(xs).reshape(len(ys), len(x_cols))
+    bad = np.argwhere(~np.isfinite(x))
+    if bad.size:
+        row, k = bad[0]
+        raise ParseError(f"{path}: row {row + 1}, column x{k + 1}: value {x[row, k]} is not finite")
+    return Series(y=np.array(ys), x=x)
 
 
 def _load_input(config: RunConfig) -> tuple[Series, ModelSpec]:
@@ -231,6 +236,9 @@ def cmd_mc(config: RunConfig) -> int:
             raise ParseError(f"unknown scenario id {sid}; valid ids are 1..11")
     if not config.scenarios or not config.T or config.R <= 0:
         raise ParseError("mc requires --scenarios, --T and --R")
+    kinds = config.stat_kinds()
+    for T in config.T:  # every sample size before the first cell runs
+        _check_length(kinds, T)
     tables: list[RejectionTable] = []
     for T in config.T:
         for sid in config.scenarios:
@@ -240,7 +248,7 @@ def cmd_mc(config: RunConfig) -> int:
                 T=T,
                 R=config.R,
                 master_seed=config.seed,
-                stats=config.stat_kinds(),
+                stats=kinds,
                 levels=config.levels,
                 threads=config.threads,
             )
@@ -336,24 +344,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_argv(conf) -> list[str]:
-    """The flags a config file stands for: a key takes its flag's text, a
-    list the comma list of its items, and a switch only true or false."""
+def _config_args(conf) -> argparse.Namespace:
+    """The options a config file stands for: a key names a flag in full and
+    takes its text, a list the comma list of its items, and a switch only
+    true or false."""
     if not isinstance(conf, dict):
         raise ParseError("a config file holds one JSON object")
+    options = _option_parser()
     argv = []
     for key, value in conf.items():
+        flag = "--" + key.replace("_", "-")
+        if flag not in options._option_string_actions:
+            raise ParseError(f"unknown key {key!r}")
         if (key in _SWITCHES) != isinstance(value, bool):
             want = "true or false" if key in _SWITCHES else "the text of its flag"
             raise ParseError(f"key {key!r} takes {want}, got {json.dumps(value)}")
-        flag = "--" + key.replace("_", "-")
         if isinstance(value, bool):
             argv += [flag] if value else []
         elif isinstance(value, list):
             argv.append(f"{flag}={','.join(map(str, value))}")
         else:
             argv.append(f"{flag}={value}")
-    return argv
+    return options.parse_args(argv)
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -370,7 +382,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         except (OSError, json.JSONDecodeError) as exc:
             raise ParseError(f"cannot read config {args.config}: {exc}") from exc
         try:
-            file_args = _option_parser().parse_args(_config_argv(file_conf))
+            file_args = _config_args(file_conf)
         except ParseError as exc:
             raise ParseError(f"config {args.config}: {exc}") from None
         # flags override the file's keys

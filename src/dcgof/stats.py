@@ -61,7 +61,6 @@ __all__ = [
     "study_kinds",
     "cvm_stat",
     "ks_stat",
-    "aggregate",
     "residuals_gaussian",
     "residuals_discrete",
     "box_pierce",
@@ -70,18 +69,21 @@ __all__ = [
     "evaluate_statistics",
 ]
 
-_TAGS = ("CvM_p", "KS_p", "CvM_2j", "KS_2j", "ADP", "ADJ", "BPU_m", "BPN_m", "BPD_m", "JB")
+# Each tag and the one field it reads, if any
+_TAGS = {"CvM_p": "p", "KS_p": "p", "CvM_2j": "j", "KS_2j": "j", "ADP": None, "ADJ": None,
+         "BPU_m": "m", "BPN_m": "m", "BPD_m": "m", "JB": None}
 
 
 @dataclass(frozen=True)
 class StatKind:
-    """Identifies one test statistic.
+    """Identifies one test statistic: one kind per name, one name per kind.
 
     ``CvM_p``/``KS_p`` use the joint process of ``p`` consecutive residuals
     (``p`` in {1, 2}); ``CvM_2j``/``KS_2j`` use the lag-``j`` pairwise
     process; ``BP*_m`` are Box-Pierce statistics with ``m`` autocorrelations
     on uniform (U), Gaussian (N) or discrete (D) residuals; ``ADP``/``ADJ``
-    aggregate CvM statistics across ``p`` or ``j`` with Bartlett weights.
+    are the Bartlett sums 2/3 CvM0 + 1/3 CvMp2 and 2/3 CvM1 + 1/3 CvM2.  A
+    kind sets only the field its tag reads, to an int.
     """
 
     tag: str
@@ -92,54 +94,54 @@ class StatKind:
     def __post_init__(self) -> None:
         if self.tag not in _TAGS:
             raise ValueError(f"unknown statistic tag {self.tag!r}")
-        if self.tag in ("CvM_p", "KS_p"):
-            if self.p not in (1, 2):
-                raise ValueError("joint-process statistics require p in {1, 2}")
-        if self.tag in ("CvM_2j", "KS_2j"):
-            if self.j is None or self.j < 1:
-                raise ValueError("pairwise statistics require lag j >= 1")
-        if self.tag in ("BPU_m", "BPN_m", "BPD_m", "ADP", "ADJ"):
-            if self.m is None or self.m < 1:
-                raise ValueError(f"{self.tag} requires m >= 1")
+        field = _TAGS[self.tag]
+        for other in ("p", "j", "m"):
+            if other != field and getattr(self, other) is not None:
+                raise ValueError(f"{self.tag} takes no {other}")
+        if field is None:
+            return
+        value = getattr(self, field)
+        if type(value) is not int or value < 1 or (field == "p" and value > 2):
+            want = "p in {1, 2}" if field == "p" else f"an integer {field} >= 1"
+            raise ValueError(f"{self.tag} requires {want}")
 
     @property
     def name(self) -> str:
         """Report column name (CvM0, CvM1, ..., BPD_25, JB)."""
-        if self.tag == "CvM_p":
-            return "CvM0" if self.p == 1 else "CvMp2"
-        if self.tag == "KS_p":
-            return "KS0" if self.p == 1 else "KSp2"
-        if self.tag == "CvM_2j":
-            return f"CvM{self.j}"
-        if self.tag == "KS_2j":
-            return f"KS{self.j}"
-        if self.tag in ("BPU_m", "BPN_m", "BPD_m"):
-            return f"{self.tag[:3]}_{self.m}"
+        family = self.tag.split("_")[0]
+        if self.tag.endswith("_p"):
+            return family + ("0" if self.p == 1 else "p2")
+        if self.tag.endswith("_2j"):
+            return f"{family}{self.j}"
+        if self.tag.endswith("_m"):
+            return f"{family}_{self.m}"
         return self.tag  # JB, ADP, ADJ
 
     @classmethod
     def from_name(cls, name: str) -> "StatKind":
-        name = name.strip()
-        if name == "JB":
-            return cls(tag="JB")
-        if name in ("ADP", "ADJ"):
-            return cls(tag=name, m=2)
-        if name == "CvM0":
-            return cls(tag="CvM_p", p=1)
-        if name == "KS0":
-            return cls(tag="KS_p", p=1)
-        if name == "CvMp2":
-            return cls(tag="CvM_p", p=2)
-        if name == "KSp2":
-            return cls(tag="KS_p", p=2)
-        m = re.fullmatch(r"(CvM|KS)(\d+)", name)
+        """The kind whose ``name`` is ``name``; orders have no leading zero."""
+        if name in ("JB", "ADP", "ADJ"):
+            return cls(tag=name)
+        m = re.fullmatch(r"(CvM|KS)(0|p2)", name)
         if m:
-            tag = "CvM_2j" if m.group(1) == "CvM" else "KS_2j"
-            return cls(tag=tag, j=int(m.group(2)))
-        m = re.fullmatch(r"(BPU|BPN|BPD)_(\d+)", name)
+            return cls(tag=f"{m.group(1)}_p", p=1 if m.group(2) == "0" else 2)
+        m = re.fullmatch(r"(CvM|KS)([1-9][0-9]*)", name)
+        if m:
+            return cls(tag=f"{m.group(1)}_2j", j=int(m.group(2)))
+        m = re.fullmatch(r"(BPU|BPN|BPD)_([1-9][0-9]*)", name)
         if m:
             return cls(tag=f"{m.group(1)}_m", m=int(m.group(2)))
         raise ValueError(f"unknown statistic name {name!r}")
+
+
+def _check_length(kinds: Sequence[StatKind], T: int) -> None:
+    """Each statistic's least series length: a process of order p, lag j or
+    m autocorrelations needs that + 2 periods, ADP and ADJ 4 and JB 8."""
+    for kind in kinds:
+        field = _TAGS[kind.tag]
+        need = getattr(kind, field) + 2 if field else (8 if kind.tag == "JB" else 4)
+        if T < need:
+            raise ValueError(f"{kind.name} needs T >= {need}, got {T}")
 
 
 @dataclass(frozen=True)
@@ -182,8 +184,6 @@ def _process_pairs(T: int, kind: StatKind) -> tuple[int, int | None, int, float]
     else:
         i, k, n = (0, None, T - 1) if kind.p == 1 else (1, 0, T - 2)
         df = n - 1
-    if n < 2:
-        raise ValueError(f"need T >= {T - n + 2} for {kind.name}")
     return i, k, n, math.sqrt(df)
 
 
@@ -595,6 +595,7 @@ def cvm_stat(u, kind: StatKind) -> StatValue:
     if kind.tag not in ("CvM_p", "CvM_2j"):
         raise ValueError(f"not a CvM kind: {kind}")
     u = _check_u(u)[np.newaxis]
+    _check_length([kind], u.shape[-1])
     return StatValue(kind=kind, value=_cvm(u, kind, _ranked(u))[0])
 
 
@@ -603,27 +604,8 @@ def ks_stat(u, kind: StatKind) -> StatValue:
     if kind.tag not in ("KS_p", "KS_2j"):
         raise ValueError(f"not a KS kind: {kind}")
     u = _check_u(u)[np.newaxis]
+    _check_length([kind], u.shape[-1])
     return StatValue(kind=kind, value=_ks(u, [kind], _ranked(u))[0][0])
-
-
-def bartlett_weight(j: int, m: int) -> float:
-    return 1.0 - j / (m + 1.0)
-
-
-def aggregate(values: Sequence[StatValue], m: int | None = None) -> StatValue:
-    """Bartlett-weighted sum ``sum_{j=1}^{m} (1 - j/(m+1)) D_j`` across
-    orders or lags; ``values`` must share the CvM or the KS family."""
-    if not values:
-        raise ValueError("aggregate of an empty statistic list")
-    m = len(values) if m is None else int(m)
-    if m < 1 or m > len(values):
-        raise ValueError(f"truncation m={m} incompatible with {len(values)} values")
-    families = {v.kind.tag.split("_")[0] for v in values}
-    if len(families) != 1:
-        raise ValueError("aggregated statistics must share the CvM or KS family")
-    total = sum(bartlett_weight(j, m) * values[j - 1].value for j in range(1, m + 1))
-    tag = "ADJ" if all(v.kind.tag.endswith("_2j") for v in values) else "ADP"
-    return StatValue(kind=StatKind(tag=tag, m=m), value=total)
 
 
 def residuals_gaussian(u) -> np.ndarray:
@@ -658,8 +640,6 @@ def _acf2_sums(resid, m: int) -> tuple[int, list]:
     of the mean-centered residuals (along the last axis)."""
     x = np.asarray(resid, dtype=float)
     T = x.shape[-1]
-    if T <= m + 1:
-        raise ValueError(f"need T > m + 1 = {m + 1}, got {T}")
     xc = x - x.mean(axis=-1, keepdims=True)
     denom = _dot(xc, xc)
     if np.any(denom <= 0.0):
@@ -673,20 +653,17 @@ def _acf2_sums(resid, m: int) -> tuple[int, list]:
     return T, sums
 
 
-def box_pierce(resid, m: int, kind: StatKind | None = None) -> StatValue:
+def box_pierce(resid, m: int) -> StatValue:
     """Box-Pierce statistic ``T * sum_{j=1}^{m} acf(j)^2`` on mean-centered residuals."""
-    m = int(m)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    T, sums = _acf2_sums(_check_u(resid), m)
-    return StatValue(kind=kind or StatKind(tag="BPU_m", m=m), value=T * sums[-1])
+    kind, resid = StatKind(tag="BPU_m", m=int(m)), _check_u(resid)
+    _check_length([kind], resid.shape[-1])
+    T, sums = _acf2_sums(resid, kind.m)
+    return StatValue(kind=kind, value=T * sums[-1])
 
 
 def _jarque_bera(x: np.ndarray):
     """Jarque-Bera statistic along the last axis."""
     T = x.shape[-1]
-    if T < 8:
-        raise ValueError("need T >= 8")
     xc = x - x.mean(axis=-1, keepdims=True)
     m2 = np.mean(xc * xc, axis=-1)
     if np.any(m2 <= 0.0):
@@ -700,7 +677,9 @@ def _jarque_bera(x: np.ndarray):
 
 def jarque_bera(values) -> StatValue:
     """Jarque-Bera normality statistic from moment skewness and kurtosis."""
-    return StatValue(kind=StatKind(tag="JB"), value=_jarque_bera(_check_u(values)))
+    kind, values = StatKind(tag="JB"), _check_u(values)
+    _check_length([kind], values.shape[-1])
+    return StatValue(kind=kind, value=_jarque_bera(values))
 
 
 def v2_limit_cov(r: tuple[float, float], s: tuple[float, float]) -> float:
@@ -732,6 +711,7 @@ def evaluate_statistics(kinds: Sequence[StatKind], u, e=None, *, against: dict |
     """
     u = _check_u(u, batch=True)
     U = u.reshape(-1, u.shape[-1])
+    _check_length(kinds, U.shape[-1])
     out: dict = {}
     # Each computed at most once: one sort of each series serves every CvM
     # and KS kind, one KS call every KS kind, one autocorrelation pass up to
@@ -753,10 +733,10 @@ def evaluate_statistics(kinds: Sequence[StatKind], u, e=None, *, against: dict |
             x = np.asarray(e, dtype=float).reshape(U.shape)
         return _acf2_sums(x, max(k.m for k in kinds if k.tag == tag))
 
-    def aggregate_of(kind: StatKind, family: str, field: str) -> np.ndarray:
-        # the Bartlett-weighted sum of aggregate(), term by term
-        terms = (_cvm(U, StatKind(family, **{field: j}), ranked()) for j in range(1, kind.m + 1))
-        return sum(bartlett_weight(j, kind.m) * _nonnegative(v) for j, v in enumerate(terms, 1))
+    def aggregate_of(family: str, field: str) -> np.ndarray:
+        # the Bartlett sum over orders or lags 1 and 2, weights 1 - j/3
+        terms = (_cvm(U, StatKind(family, **{field: j}), ranked()) for j in (1, 2))
+        return sum((1.0 - j / 3.0) * _nonnegative(v) for j, v in enumerate(terms, 1))
 
     for kind in kinds:
         if kind.tag in ("CvM_p", "CvM_2j"):
@@ -769,11 +749,9 @@ def evaluate_statistics(kinds: Sequence[StatKind], u, e=None, *, against: dict |
         elif kind.tag == "JB":
             value = _jarque_bera(gaussian())
         elif kind.tag == "ADP":
-            value = aggregate_of(kind, "CvM_p", "p")
-        elif kind.tag == "ADJ":
-            value = aggregate_of(kind, "CvM_2j", "j")
-        else:  # pragma: no cover
-            raise ValueError(f"unhandled kind {kind}")
+            value = aggregate_of("CvM_p", "p")
+        else:  # ADJ
+            value = aggregate_of("CvM_2j", "j")
         out[kind.name] = _nonnegative(value)
     if u.ndim == 1:
         return {name: float(value[0]) for name, value in out.items()}

@@ -98,6 +98,18 @@ class TestLoadSeries:
         assert main(["fit", "--input", str(path), "--out", str(tmp_path / "o")]) == EXIT_PARSE
         assert f"column '{repeated}' more than once" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value, shown", [
+        ("nan", "nan"), ("inf", "inf"), ("-inf", "-inf"), ("1e400", "inf"),
+    ])
+    def test_nonfinite_regressor_names_row_and_column(self, tmp_path, capsys, value, shown):
+        # `Series` once rejected it with a message naming neither
+        path = tmp_path / "d.csv"
+        path.write_text(f"y,x1,x2\n0,0.1,0.2\n1,0.3,{value}\n0,nan,0.4\n")
+        with pytest.raises(ParseError, match=f"row 2, column x2: value {shown} is not finite"):
+            load_series(str(path))
+        assert main(["fit", "--input", str(path), "--out", str(tmp_path / "o")]) == EXIT_PARSE
+        assert "row 2, column x2" in capsys.readouterr().err
+
 
 class TestCmdTest:
     def test_smoke_and_reruns_identical(self, tmp_path):
@@ -130,6 +142,15 @@ class TestCmdTest:
                 "--out", str(tmp_path / "o"), flag, value]
         assert main(argv) == EXIT_PARSE
         assert capsys.readouterr().err == f"error: {flag} lists {repeated} more than once\n"
+
+    def test_stats_name_with_leading_zero_is_parse_error(self, tmp_path, capsys):
+        # CvM01 was once read as CvM1, which the report then listed once
+        data_path = tmp_path / "data.csv"
+        write_series_csv(data_path, seed=2)
+        argv = ["test", "--input", str(data_path), "--ylags", "1", "--B", "19",
+                "--out", str(tmp_path / "o"), "--stats", "CvM1,CvM01"]
+        assert main(argv) == EXIT_PARSE
+        assert capsys.readouterr().err == "error: unknown statistic name 'CvM01'\n"
 
     def test_fit_failure_exit_code(self, tmp_path):
         path = tmp_path / "ones.csv"
@@ -392,6 +413,23 @@ class TestCmdMc:
         assert capsys.readouterr().err == f"error: {where} must be nonnegative, got -1\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["test", "mc"])
+    def test_series_too_short_fails_before_any_fit(self, tmp_path, capsys, monkeypatch, command):
+        # BPN_25 once failed only after a fit or a chunk of replicates, with
+        # a message that did not name it; mc checks T=20 before the T=60 cell
+        def no_call(*args, **kwargs):
+            raise AssertionError("a fit or replicate ran")
+
+        monkeypatch.setattr(boot, "fit_mle", no_call)
+        monkeypatch.setattr(boot, "_replicate", no_call)
+        data_path = tmp_path / "data.csv"
+        write_series_csv(data_path, T=20, seed=3)
+        argv = {"test": ["test", "--input", str(data_path), "--ylags", "1"],
+                "mc": ["mc", "--scenarios", "1", "--T", "60,20", "--R", "50"]}[command]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_PARSE
+        assert capsys.readouterr().err == "error: BPN_25 needs T >= 27, got 20\n"
+        assert not (tmp_path / "o").exists()
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["mc", "--help"])
@@ -437,7 +475,7 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("conf", [
         {"B": 29.5}, {"interactions": "false"}, {"interactions": 1}, {"R": True}, {"link": "probitt"},
-        {"threads": "abc"}, ["B", 29],
+        {"threads": "abc"}, ["B", 29], {"scen": [1]},
     ])
     def test_values_its_flag_would_reject(self, tmp_path, conf):
         with pytest.raises(ParseError):
@@ -477,6 +515,16 @@ class TestConfigFile:
         # ordered follows from J; a config file cannot set it
         with pytest.raises(ParseError, match="'ordered'"):
             self.resolve(tmp_path, {"ordered": True, "J": 2}, command="fit")
+
+    @pytest.mark.parametrize("value", [True, False, 3, "x", [1]])
+    def test_unknown_key_is_unknown_whatever_its_type(self, tmp_path, capsys, value):
+        # a JSON boolean once got "takes the text of its flag", other types
+        # argparse's "unrecognized arguments"
+        with pytest.raises(ParseError, match="unknown key 'bogus'"):
+            self.resolve(tmp_path, {"R": 50, "bogus": value})
+        path = tmp_path / "conf.json"
+        assert main(["mc", "--config", str(path)]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: config {path}: unknown key 'bogus'\n"
 
     def test_bad_level_rejected(self, tmp_path):
         data_path = tmp_path / "data.csv"

@@ -15,7 +15,6 @@ from dcgof.transform import U_CLAMP
 from dcgof.stats import (
     StatKind,
     StatValue,
-    aggregate,
     box_pierce,
     cvm_stat,
     evaluate_statistics,
@@ -30,6 +29,7 @@ from dcgof.stats import (
     _KS_TOP,
     _TILE,
     CHUNK_POINTS,
+    _check_length,
     _cvm_1d,
     _cvm_2d,
     _dominance,
@@ -620,8 +620,9 @@ class TestKernels:
         assert _process_pairs(10, StatKind.from_name("KSp2")) == (1, 0, 8, math.sqrt(7))
         assert _process_pairs(10, StatKind.from_name("KS3")) == (3, 0, 7, math.sqrt(7))
         for name, T in (("CvM0", 2), ("KSp2", 3), ("CvM3", 4)):
-            with pytest.raises(ValueError, match=f"need T >= {T + 1}"):
-                _process_pairs(T, StatKind.from_name(name))
+            with pytest.raises(ValueError, match=f"^{name} needs T >= {T + 1}, got {T}$"):
+                _check_length([StatKind.from_name(name)], T)
+            _check_length([StatKind.from_name(name)], T + 1)
 
     @pytest.mark.parametrize("T", [2000, 5000])
     def test_cvm_matches_outer_products_at_large_t(self, T):
@@ -654,27 +655,6 @@ class TestKernels:
         finally:
             tracemalloc.stop()
         assert peak < 32e6
-
-
-class TestAggregate:
-    def test_single_value_identity(self):
-        v = StatValue(StatKind.from_name("CvM1"), 0.42)
-        assert aggregate([v]).value == 0.5 * 0.42  # Bartlett weight 1 - 1/2
-
-    def test_bartlett_hand_value(self):
-        vals = [StatValue(StatKind.from_name("CvM1"), 1.0), StatValue(StatKind.from_name("CvM2"), 2.0)]
-        assert aggregate(vals).value == pytest.approx(4.0 / 3.0, abs=1e-14)
-
-    def test_zeros(self):
-        vals = [StatValue(StatKind.from_name("KS1"), 0.0), StatValue(StatKind.from_name("KS2"), 0.0)]
-        assert aggregate(vals).value == 0.0
-
-    def test_empty_and_mixed_family_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate([])
-        with pytest.raises(ValueError):
-            aggregate([StatValue(StatKind.from_name("CvM1"), 1.0),
-                       StatValue(StatKind.from_name("KS2"), 1.0)])
 
 
 class TestResiduals:
@@ -795,6 +775,41 @@ class TestStatKind:
         with pytest.raises(ValueError):
             StatKind(tag="CvM_2j", j=0)
 
+    def test_every_kind_has_one_name(self):
+        kinds = [StatKind(tag, **({field: n} if field else {}))
+                 for tag, field in stats._TAGS.items()
+                 for n in ((1, 2) if field == "p" else range(1, 31) if field else (None,))]
+        assert len({kind.name for kind in kinds}) == len(kinds)
+        for kind in kinds:
+            assert StatKind.from_name(kind.name) == kind
+        # each of these strings that from_name accepts is its kind's name
+        for prefix in ("CvM", "KS", "CvMp", "KSp", "BPU_", "BPN_", "BPD_", "AD", "J", ""):
+            for order in ("", "0", "1", "2", "3", "9", "10", "25", "B", "P", "J", "01", "007",
+                          "+1", "-1", " 1", "1 ", "1.0", "\u0661"):
+                name = prefix + order
+                try:
+                    kind = StatKind.from_name(name)
+                except ValueError:
+                    continue
+                assert kind.name == name
+
+    @pytest.mark.parametrize("fields", [
+        dict(tag="ADJ", m=3), dict(tag="ADP", m=2), dict(tag="ADP", p=2), dict(tag="JB", m=1),
+        dict(tag="CvM_p", p=1, m=5), dict(tag="KS_2j", j=1, p=1), dict(tag="BPN_m", m=2, j=2),
+        dict(tag="CvM_2j", j=1.0), dict(tag="CvM_p", p=True), dict(tag="BPD_m", m=np.int64(2)),
+        dict(tag="BPU_m"),
+    ])
+    def test_a_kind_sets_only_the_field_its_tag_reads(self, fields):
+        # StatKind("ADJ", m=3) was once named ADJ, as the m = 2 kind is
+        with pytest.raises(ValueError):
+            StatKind(**fields)
+
+    @pytest.mark.parametrize("name", ["CvM01", "KS007", "BPU_01", "BPD_00", "KS00", " CvM1", "JB "])
+    def test_names_are_exact(self, name):
+        # CvM01 was once CvM1 under a second name
+        with pytest.raises(ValueError, match="unknown statistic name"):
+            StatKind.from_name(name)
+
     def test_negative_statistic_rejected(self):
         with pytest.raises(ValueError):
             StatValue(StatKind.from_name("JB"), -0.5)
@@ -861,7 +876,22 @@ class TestEvaluateStatistics:
 
     def test_adj_equals_manual_aggregate(self):
         u = substream(13, "ev4").random(80)
-        out = evaluate_statistics([StatKind(tag="ADJ", m=2)], u)
+        out = evaluate_statistics([StatKind.from_name("ADJ")], u)
         c1 = cvm_stat(u, StatKind.from_name("CvM1")).value
         c2 = cvm_stat(u, StatKind.from_name("CvM2")).value
         assert out["ADJ"] == pytest.approx((2.0 / 3.0) * c1 + (1.0 / 3.0) * c2, abs=1e-12)
+
+    def test_adp_equals_manual_aggregate(self):
+        u = substream(13, "ev4").random(80)
+        out = evaluate_statistics([StatKind.from_name("ADP")], u)
+        c0 = cvm_stat(u, StatKind.from_name("CvM0")).value
+        cp2 = cvm_stat(u, StatKind.from_name("CvMp2")).value
+        assert out["ADP"] == pytest.approx((2.0 / 3.0) * c0 + (1.0 / 3.0) * cp2, abs=1e-12)
+
+    @pytest.mark.parametrize("name, T", [("ADP", 3), ("ADJ", 3), ("JB", 7), ("BPN_25", 26), ("KSp2", 3)])
+    def test_series_too_short_is_named(self, name, T):
+        u = substream(23, "ev8").random((2, T))
+        with pytest.raises(ValueError, match=f"^{name} needs T >= {T + 1}, got {T}$"):
+            evaluate_statistics([StatKind.from_name("CvM0"), StatKind.from_name(name)], u)
+        u = substream(24, "ev9").random((2, T + 1))
+        assert name in evaluate_statistics([StatKind.from_name(name)], u)
