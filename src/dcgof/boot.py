@@ -56,7 +56,7 @@ from .model import (
     _x_ar1,
 )
 from .rng import substream
-from .stats import CHUNK_POINTS, DEFAULT_STUDY_KINDS, StatKind, _check_length, evaluate_statistics
+from .stats import CHUNK_POINTS, DEFAULT_STUDY_KINDS, StatKind, _check_stats, evaluate_statistics
 from .transform import _noise_draws
 
 __all__ = [
@@ -283,7 +283,7 @@ def bootstrap_test(
     UnreliableBootstrapError
         If more than 20% of bootstrap fits fail.
     """
-    _check_length(config.stats, series.T)
+    _check_stats(config.stats, series.T)
     fit = fit_mle(spec, series)
     if not fit.converged:
         raise NonConvergenceError("fit on observed data did not converge", fit.theta_hat)
@@ -302,16 +302,14 @@ def bootstrap_test(
         raise UnreliableBootstrapError(
             f"{failed} of {config.B} bootstrap fits failed; report would be unreliable"
         )
-    # a statistic named twice is reported once
-    columns = {kind.name: j for j, kind in enumerate(kinds)}
     results = tuple(
         StatResult(
-            name=name,
+            name=kind.name,
             value=float(observed[0, j]),
             p_value=pvalue(observed[0, j], kept[:, j]),
             n_replicates=len(kept),
         )
-        for name, j in columns.items()
+        for j, kind in enumerate(kinds)
     )
     return TestReport(
         statistics=results,
@@ -324,16 +322,20 @@ def bootstrap_test(
 
 # --- Monte Carlo study ---------------------------------------------------------
 
+# The AR(1) coefficient of the regressor path of every study replication
+X_AR1 = 0.8
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """One (data generating process, null model) pairing of the study."""
+    """One (data generating process, null model) pairing of the study, whose
+    replications draw their regressor as an AR(1) path at ``X_AR1``."""
 
     id: int
     label: str
     dgp_spec: ModelSpec
     dgp_theta: Theta
     null_spec: ModelSpec
-    x_ar1: float = 0.8
 
 
 def _study_spec(link: LinkKind, dynamics: str) -> ModelSpec:
@@ -430,7 +432,7 @@ def _warp_replications(scenario: Scenario, T: int, kinds, master_seed: int, lo: 
     and on one bootstrap draw from the fitted null, as ``(cause, observed,
     draws)``; a replication fails with the cause of its first failed step."""
     rs = range(lo, hi)
-    x = _x_ar1(scenario.x_ar1, T, [substream(master_seed, "mc-x", r) for r in rs])[..., np.newaxis]
+    x = _x_ar1(X_AR1, T, [substream(master_seed, "mc-x", r) for r in rs])[..., np.newaxis]
     null = scenario.null_spec
     dgp = np.tile(scenario.dgp_theta.to_vector(), (hi - lo, 1))
     theta_hat, observed, cause = _replicate(
@@ -469,7 +471,7 @@ def run_scenario(
         if not 0.0 < level < 1.0:
             raise ValueError(f"level {level} outside (0, 1)")
     _check_fittable(scenario.null_spec, T)
-    _check_length(stats, T)
+    _check_stats(stats, T)
     stat_names = tuple(k.name for k in stats)
     cause, observed, draws = _map(_warp_replications, (scenario, T, stats, master_seed), R, T, threads)
     kept = cause == Cause.CONVERGED

@@ -28,7 +28,7 @@ from .boot import (
 )
 from .estimate import NonConvergenceError, fit_mle
 from .model import AssumptionViolationError, LinkKind, ModelSpec, Series
-from .stats import StatKind, _check_length, study_kinds
+from .stats import DEFAULT_STUDY_KINDS, StatKind, _check_stats
 
 __all__ = ["RunConfig", "load_series", "cmd_fit", "cmd_test", "cmd_mc", "main"]
 
@@ -59,32 +59,16 @@ class RunConfig:
     seed: int = 0
     levels: tuple[float, ...] = DEFAULT_LEVELS
     stats: tuple[str, ...] | None = None
-    m: tuple[int, ...] = (1, 2, 25)
     scenarios: tuple[int, ...] = ()
     T: tuple[int, ...] = ()
     R: int = 0
     threads: int = 1
 
     def stat_kinds(self) -> tuple[StatKind, ...]:
-        if self.stats:
-            return tuple(StatKind.from_name(n) for n in self.stats)
-        return study_kinds(self.m)
-
-    def echo(self) -> dict:
-        """Configuration echo for reports; worker count omitted on purpose
-        so outputs are byte-identical across --threads settings."""
-        out = {
-            "command": self.command,
-            "B": self.B,
-            "seed": self.seed,
-            "levels": list(self.levels),
-            "m": list(self.m),
-        }
-        if self.command == "mc":
-            out["scenarios"] = list(self.scenarios)
-            out["T"] = list(self.T)
-            out["R"] = self.R
-        return out
+        """The statistics ``--stats`` names, or the study's."""
+        if self.stats is None:
+            return DEFAULT_STUDY_KINDS
+        return tuple(StatKind.from_name(n) for n in self.stats)
 
 
 def load_series(path: str, support_size: int = 1) -> Series:
@@ -197,7 +181,7 @@ def cmd_fit(config: RunConfig) -> int:
     except np.linalg.LinAlgError:  # singular information: no standard errors
         stderr = None
     fit = {**result.to_json_dict(), "stderr": stderr}
-    payload = {"config": config.echo(), "fit": fit, "model": spec.to_json_dict()}
+    payload = {"fit": fit, "model": spec.to_json_dict()}
     _write(os.path.join(config.out, "fit.json"), json.dumps(payload, indent=2, sort_keys=True) + "\n")
     theta = result.theta_hat
     print(f"log-likelihood {result.loglik:.4g} after {result.iterations} iterations "
@@ -221,7 +205,7 @@ def cmd_test(config: RunConfig) -> int:
     series, spec = _load_input(config)
     boot_config = BootstrapConfig(B=config.B, master_seed=config.seed, stats=config.stat_kinds())
     report = bootstrap_test(spec, series, boot_config, threads=config.threads)
-    payload = {"config": config.echo(), "model": spec.to_json_dict(), "report": report.to_json_dict()}
+    payload = {"model": spec.to_json_dict(), "report": report.to_json_dict()}
     _write(os.path.join(config.out, "report.json"), json.dumps(payload, indent=2, sort_keys=True) + "\n")
     text = _report_text(report)
     _write(os.path.join(config.out, "report.txt"), text)
@@ -238,7 +222,7 @@ def cmd_mc(config: RunConfig) -> int:
         raise ParseError("mc requires --scenarios, --T and --R")
     kinds = config.stat_kinds()
     for T in config.T:  # every sample size before the first cell runs
-        _check_length(kinds, T)
+        _check_stats(kinds, T)
     tables: list[RejectionTable] = []
     for T in config.T:
         for sid in config.scenarios:
@@ -260,7 +244,7 @@ def cmd_mc(config: RunConfig) -> int:
                   f"[{time.perf_counter() - start:.1f}s]", file=sys.stderr, flush=True)
     csv_text = rejection_tables_to_csv(tables)
     _write(os.path.join(config.out, "rejections.csv"), csv_text)
-    payload = {"config": config.echo(), "tables": [t.to_json_dict() for t in tables]}
+    payload = {"tables": [t.to_json_dict() for t in tables]}
     _write(os.path.join(config.out, "rejections.json"),
            json.dumps(payload, indent=2, sort_keys=True) + "\n")
     lines = []
@@ -296,13 +280,16 @@ def _name_list(text: str) -> tuple[str, ...]:
 
 
 # Options whose text is a comma list, and its conversion
-_LISTS = {"levels": _float_list, "stats": _name_list, "m": _int_list, "scenarios": _scenario_ids,
-          "T": _int_list}
+_LISTS = {"levels": _float_list, "stats": _name_list, "scenarios": _scenario_ids, "T": _int_list}
 _SWITCHES = ("interactions",)
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as a :class:`ParseError` (exit 1), not by exit 2."""
+    """Takes a flag by its full name only, and reports a usage error as a
+    :class:`ParseError` (exit 1), not by exit 2."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message: str):
         raise ParseError(message)
@@ -324,7 +311,6 @@ def _option_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--levels", type=str, default=None, help="comma list, e.g. 0.1,0.05,0.01")
     p.add_argument("--stats", type=str, default=None, help="comma list of statistic names")
-    p.add_argument("--m", type=str, default=None, help="comma list of Box-Pierce lags")
     p.add_argument("--scenarios", type=str, default=None, help="comma list of scenario ids, or all")
     p.add_argument("--T", type=str, default=None, help="comma list of sample sizes")
     p.add_argument("--R", type=int, default=None, help="Monte Carlo replications")
@@ -345,16 +331,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_args(conf) -> argparse.Namespace:
-    """The options a config file stands for: a key names a flag in full and
-    takes its text, a list the comma list of its items, and a switch only
-    true or false."""
+    """The options a config file stands for: a key names a flag other than
+    --config in full and takes its text, a list the comma list of its items,
+    and a switch only true or false."""
     if not isinstance(conf, dict):
         raise ParseError("a config file holds one JSON object")
     options = _option_parser()
     argv = []
     for key, value in conf.items():
         flag = "--" + key.replace("_", "-")
-        if flag not in options._option_string_actions:
+        if flag == "--config" or flag not in options._option_string_actions:
             raise ParseError(f"unknown key {key!r}")
         if (key in _SWITCHES) != isinstance(value, bool):
             want = "true or false" if key in _SWITCHES else "the text of its flag"

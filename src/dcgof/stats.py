@@ -38,7 +38,9 @@ of a draw.
 Correlation-based statistics (Box-Pierce on uniform, Gaussian and discrete
 residuals, Jarque-Bera on Gaussian residuals) and the limiting covariance of
 the bivariate process are also provided.  Everything here is a deterministic
-function of its inputs.
+function of its inputs.  Every function that takes statistics checks their
+list by one rule, ``_check_stats``, before it computes any: the list is
+nonempty, names each statistic once, and fits the series length.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ __all__ = [
     "StatKind",
     "StatValue",
     "DEFAULT_STUDY_KINDS",
-    "study_kinds",
     "cvm_stat",
     "ks_stat",
     "residuals_gaussian",
@@ -134,10 +135,15 @@ class StatKind:
         raise ValueError(f"unknown statistic name {name!r}")
 
 
-def _check_length(kinds: Sequence[StatKind], T: int) -> None:
-    """Each statistic's least series length: a process of order p, lag j or
-    m autocorrelations needs that + 2 periods, ADP and ADJ 4 and JB 8."""
-    for kind in kinds:
+def _check_stats(kinds: Sequence[StatKind], T: int) -> None:
+    """The rule of a statistic list: nonempty, each statistic named once, and
+    each one's least series length: a process of order p, lag j or m
+    autocorrelations needs that + 2 periods, ADP and ADJ 4 and JB 8."""
+    if not kinds:
+        raise ValueError("statistic list must be nonempty")
+    for i, kind in enumerate(kinds):
+        if kind in kinds[:i]:
+            raise ValueError(f"statistic {kind.name} is listed more than once")
         field = _TAGS[kind.tag]
         need = getattr(kind, field) + 2 if field else (8 if kind.tag == "JB" else 4)
         if T < need:
@@ -153,18 +159,10 @@ class StatValue:
         object.__setattr__(self, "value", float(_nonnegative(np.float64(self.value))))
 
 
-def study_kinds(m: Sequence[int]) -> tuple[StatKind, ...]:
-    """The statistics of the study tables, in column order, with Box-Pierce
-    lags ``m``."""
-    names = ["CvM0", "CvM1", "CvM2", "KS0", "KS1", "KS2"]
-    names += [f"BPN_{lag}" for lag in m]
-    names += ["JB"]
-    names += [f"BPD_{lag}" for lag in m]
-    return tuple(StatKind.from_name(n) for n in names)
-
-
-# Tables 2-4 column order
-DEFAULT_STUDY_KINDS: tuple[StatKind, ...] = study_kinds((1, 2, 25))
+# The statistics of the study tables, in the column order of Tables 2-4
+DEFAULT_STUDY_KINDS: tuple[StatKind, ...] = tuple(StatKind.from_name(n) for n in (
+    "CvM0", "CvM1", "CvM2", "KS0", "KS1", "KS2", "BPN_1", "BPN_2", "BPN_25", "JB",
+    "BPD_1", "BPD_2", "BPD_25"))
 
 
 def _check_u(u, batch: bool = False) -> np.ndarray:
@@ -595,7 +593,7 @@ def cvm_stat(u, kind: StatKind) -> StatValue:
     if kind.tag not in ("CvM_p", "CvM_2j"):
         raise ValueError(f"not a CvM kind: {kind}")
     u = _check_u(u)[np.newaxis]
-    _check_length([kind], u.shape[-1])
+    _check_stats([kind], u.shape[-1])
     return StatValue(kind=kind, value=_cvm(u, kind, _ranked(u))[0])
 
 
@@ -604,7 +602,7 @@ def ks_stat(u, kind: StatKind) -> StatValue:
     if kind.tag not in ("KS_p", "KS_2j"):
         raise ValueError(f"not a KS kind: {kind}")
     u = _check_u(u)[np.newaxis]
-    _check_length([kind], u.shape[-1])
+    _check_stats([kind], u.shape[-1])
     return StatValue(kind=kind, value=_ks(u, [kind], _ranked(u))[0][0])
 
 
@@ -656,7 +654,7 @@ def _acf2_sums(resid, m: int) -> tuple[int, list]:
 def box_pierce(resid, m: int) -> StatValue:
     """Box-Pierce statistic ``T * sum_{j=1}^{m} acf(j)^2`` on mean-centered residuals."""
     kind, resid = StatKind(tag="BPU_m", m=int(m)), _check_u(resid)
-    _check_length([kind], resid.shape[-1])
+    _check_stats([kind], resid.shape[-1])
     T, sums = _acf2_sums(resid, kind.m)
     return StatValue(kind=kind, value=T * sums[-1])
 
@@ -678,7 +676,7 @@ def _jarque_bera(x: np.ndarray):
 def jarque_bera(values) -> StatValue:
     """Jarque-Bera normality statistic from moment skewness and kurtosis."""
     kind, values = StatKind(tag="JB"), _check_u(values)
-    _check_length([kind], values.shape[-1])
+    _check_stats([kind], values.shape[-1])
     return StatValue(kind=kind, value=_jarque_bera(values))
 
 
@@ -711,7 +709,7 @@ def evaluate_statistics(kinds: Sequence[StatKind], u, e=None, *, against: dict |
     """
     u = _check_u(u, batch=True)
     U = u.reshape(-1, u.shape[-1])
-    _check_length(kinds, U.shape[-1])
+    _check_stats(kinds, U.shape[-1])
     out: dict = {}
     # Each computed at most once: one sort of each series serves every CvM
     # and KS kind, one KS call every KS kind, one autocorrelation pass up to

@@ -155,6 +155,17 @@ class TestBootstrapTest:
         with pytest.raises(UnreliableBootstrapError):
             bootstrap_test(spec, series, config)
 
+    def test_repeated_statistic_fails_before_any_fit(self, monkeypatch):
+        # it was once reported once, its second column dropped
+        def no_call(*args, **kwargs):
+            raise AssertionError("a fit or replicate ran")
+
+        monkeypatch.setattr(boot, "fit_mle", no_call)
+        monkeypatch.setattr(boot, "_replicate", no_call)
+        kinds = tuple(StatKind.from_name(n) for n in ("KS1", "CvM0", "KS1"))
+        with pytest.raises(ValueError, match="^statistic KS1 is listed more than once$"):
+            bootstrap_test(STATIC, null_series(), BootstrapConfig(B=19, stats=kinds))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BootstrapConfig(B=5)
@@ -551,7 +562,7 @@ class TestScenarioRegistry:
     def test_study_parameter_values(self):
         s = {s.id: s for s in scenario_registry()}[3]
         assert s.dgp_theta == Theta(pi0=0.0, delta=(0.8,), beta=(1.0,), gamma=(-2.0,))
-        assert s.x_ar1 == 0.8
+        assert boot.X_AR1 == 0.8
 
 
 class TestRunScenario:
@@ -599,6 +610,22 @@ class TestRunScenario:
         tab = run_scenario(registry[2], T=500, R=300, master_seed=8, threads=2)
         for name in tab.stat_names:
             assert 2.0 <= tab.rate(0.05, name) <= 9.0
+
+    @pytest.mark.parametrize("names, message", [
+        (("CvM0", "KS0", "CvM0"), "statistic CvM0 is listed more than once"),
+        ((), "statistic list must be nonempty"),
+    ])
+    def test_statistic_list_checked_before_any_replicate(self, monkeypatch, names, message):
+        # a repeated statistic once gave two CSV columns but one JSON key,
+        # and an empty list failed in np.concatenate after a chunk was fitted
+        def no_call(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(boot, "_replicate", no_call)
+        scenario = {s.id: s for s in scenario_registry()}[1]
+        kinds = tuple(StatKind.from_name(n) for n in names)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_scenario(scenario, T=60, R=50, stats=kinds)
 
     def test_programming_errors_propagate(self, monkeypatch):
         monkeypatch.setattr(boot, "evaluate_statistics", every_call_after_the_first_raises())

@@ -127,12 +127,13 @@ class TestCmdTest:
             assert main(args + ["--out", str(out2), "--threads", "3"]) == EXIT_OK
             assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
             payload = json.loads((out1 / "report.json").read_text())
+            assert set(payload) == {"model", "report"}  # no echo of the flags
             for entry in payload["report"]["statistics"]:
                 assert 0.0 < entry["p_value"] <= 1.0
             assert (out1 / "report.txt").exists()
 
     @pytest.mark.parametrize("flag, value, repeated", [
-        ("--stats", "CvM0,CvM0", "CvM0"), ("--m", "2,1,2", "2"), ("--levels", "0.1,0.1", "0.1"),
+        ("--stats", "CvM0,CvM0", "CvM0"), ("--levels", "0.1,0.1", "0.1"),
     ])
     def test_repeated_list_entry_is_parse_error(self, tmp_path, capsys, flag, value, repeated):
         # a repeated statistic was once reported once by `test` but twice by `mc`
@@ -197,6 +198,7 @@ class TestCmdFit:
         code = main(["fit", "--input", str(data_path), "--ylags", "1", "--out", str(out)])
         assert code == EXIT_OK
         payload = json.loads((out / "fit.json").read_text())
+        assert set(payload) == {"fit", "model"}  # fit reads no bootstrap setting
         assert payload["fit"]["converged"] is True
         assert payload["model"]["q"] == 1
 
@@ -327,7 +329,9 @@ class TestCmdMc:
         assert main(args + ["--out", str(out2), "--threads", "2"]) == EXIT_OK
         assert (out1 / "rejections.csv").read_bytes() == (out2 / "rejections.csv").read_bytes()
         assert (out1 / "rejections.json").read_bytes() == (out2 / "rejections.json").read_bytes()
+        assert (out1 / "summary.txt").read_bytes() == (out2 / "summary.txt").read_bytes()
         payload = json.loads((out1 / "rejections.json").read_text())
+        assert set(payload) == {"tables"}  # each table holds the settings it used
         rates = payload["tables"][0]["rates"]
         for level_cells in rates.values():
             for value in level_cells.values():
@@ -377,7 +381,7 @@ class TestCmdMc:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("flag, value, repeated", [
-        ("--stats", "CvM0,KS0,CvM0", "CvM0"), ("--m", "1,1", "1"), ("--levels", "0.05,0.050", "0.05"),
+        ("--stats", "CvM0,KS0,CvM0", "CvM0"), ("--levels", "0.05,0.050", "0.05"),
         ("--scenarios", "1,2,1", "1"), ("--T", "60,60", "60"),
     ])
     def test_repeated_list_entry_is_parse_error(self, tmp_path, capsys, flag, value, repeated):
@@ -386,6 +390,18 @@ class TestCmdMc:
         argv = ["mc", "--scenarios", "1", "--T", "60", "--R", "50", "--out", str(tmp_path / "o")]
         assert main(argv + [flag, value]) == EXIT_PARSE
         assert capsys.readouterr().err == f"error: {flag} lists {repeated} more than once\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--m", "1,2"], "unrecognized arguments: --m 1,2"),
+        (["--stats", ""], "statistic list must be nonempty"),
+    ])
+    def test_stats_alone_chooses_statistics(self, tmp_path, capsys, flags, message):
+        # --m once set the Box-Pierce lags of the default list; without it,
+        # argparse read `--m` as an abbreviation of --model-file, which mc ignores
+        argv = ["mc", "--scenarios", "1", "--T", "60", "--R", "50", "--out", str(tmp_path / "o")]
+        assert main(argv + flags) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["fit", "test", "mc"])
@@ -467,9 +483,9 @@ class TestConfigFile:
         return _resolve_config(_build_parser().parse_args([command, "--config", str(path)]))
 
     def test_numbers_and_lists_are_their_flag_text(self, tmp_path):
-        config = self.resolve(tmp_path, {"T": 100, "m": [1, 2], "levels": [0.1, 0.05],
+        config = self.resolve(tmp_path, {"T": 100, "levels": [0.1, 0.05],
                                          "stats": ["CvM0", "KS1"], "B": "29", "R": 50})
-        assert (config.T, config.m, config.levels) == ((100,), (1, 2), (0.1, 0.05))
+        assert (config.T, config.levels) == ((100,), (0.1, 0.05))
         assert (config.stats, config.B, config.R) == (("CvM0", "KS1"), 29, 50)
         assert self.resolve(tmp_path, {"T": [100, 200], "scenarios": "all"}).T == (100, 200)
 
@@ -488,8 +504,8 @@ class TestConfigFile:
             self.resolve(tmp_path, conf)
 
     @pytest.mark.parametrize("key, value", [
-        ("stats", ["CvM0", "CvM0"]), ("m", "1,1"), ("levels", [0.05, 0.05]), ("scenarios", [3, 3]),
-        ("T", [60, 60]),
+        ("stats", ["CvM0", "CvM0"]), ("stats", "CvM0,CvM0"), ("levels", [0.05, 0.05]),
+        ("scenarios", [3, 3]), ("T", [60, 60]),
     ])
     def test_repeated_list_entry_is_parse_error(self, tmp_path, key, value):
         conf = {"scenarios": [1], "T": [60], "R": 50, key: value}
@@ -525,6 +541,18 @@ class TestConfigFile:
         path = tmp_path / "conf.json"
         assert main(["mc", "--config", str(path)]) == EXIT_PARSE
         assert capsys.readouterr().err == f"error: config {path}: unknown key 'bogus'\n"
+
+    @pytest.mark.parametrize("key", ["m", "config"])
+    def test_removed_and_nested_keys_are_unknown(self, tmp_path, capsys, key):
+        # a config key once named a second config file, which was never read
+        inner = tmp_path / "inner.json"
+        inner.write_text(json.dumps({"B": 25}))
+        value = {"m": [1, 2], "config": str(inner)}[key]
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps({key: value, "scenarios": [1], "T": [60], "R": 50}))
+        assert main(["mc", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: config {path}: unknown key {key!r}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_bad_level_rejected(self, tmp_path):
         data_path = tmp_path / "data.csv"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from dcgof import estimate
-from dcgof.boot import BootstrapConfig, Scenario, bootstrap_test, run_scenario, scenario_registry
+from dcgof.boot import X_AR1, BootstrapConfig, Scenario, bootstrap_test, run_scenario, scenario_registry
 from dcgof import model
 from dcgof.estimate import (
     NonConvergenceError,
@@ -527,7 +527,7 @@ def study_series(scenario_id: int, T: int, seed: int) -> tuple[ModelSpec, Theta,
     """The null model, truth and a series of a study scenario whose DGP is
     its null."""
     sc = scenario_registry()[scenario_id - 1]
-    x = simulate_x_ar1(sc.x_ar1, T, substream(seed, "fit-x", scenario_id))
+    x = simulate_x_ar1(X_AR1, T, substream(seed, "fit-x", scenario_id))
     series = simulate(sc.dgp_spec, sc.dgp_theta, T, x=x, rng=substream(seed, "fit-y", scenario_id))
     return sc.null_spec, sc.dgp_theta, series
 
@@ -579,7 +579,7 @@ class TestOnePassPerPoint:
     def test_batched_fit_of_a_chunk(self, monkeypatch, scenario_id, warm):
         sc = scenario_registry()[scenario_id - 1]
         K, T = 40, 100
-        x = np.array([simulate_x_ar1(sc.x_ar1, T, substream(7, "chunk-x", k))
+        x = np.array([simulate_x_ar1(X_AR1, T, substream(7, "chunk-x", k))
                       for k in range(K)])[..., np.newaxis]
         truth = np.tile(sc.dgp_theta.to_vector(), (K, 1))
         y = model._simulate(sc.dgp_spec, truth, x, [substream(7, "chunk-y", k) for k in range(K)])

@@ -29,7 +29,7 @@ from dcgof.stats import (
     _KS_TOP,
     _TILE,
     CHUNK_POINTS,
-    _check_length,
+    _check_stats,
     _cvm_1d,
     _cvm_2d,
     _dominance,
@@ -621,8 +621,8 @@ class TestKernels:
         assert _process_pairs(10, StatKind.from_name("KS3")) == (3, 0, 7, math.sqrt(7))
         for name, T in (("CvM0", 2), ("KSp2", 3), ("CvM3", 4)):
             with pytest.raises(ValueError, match=f"^{name} needs T >= {T + 1}, got {T}$"):
-                _check_length([StatKind.from_name(name)], T)
-            _check_length([StatKind.from_name(name)], T + 1)
+                _check_stats([StatKind.from_name(name)], T)
+            _check_stats([StatKind.from_name(name)], T + 1)
 
     @pytest.mark.parametrize("T", [2000, 5000])
     def test_cvm_matches_outer_products_at_large_t(self, T):
@@ -829,6 +829,17 @@ class TestEvaluateStatistics:
         u = substream(10, "ev").random(50)
         with pytest.raises(ValueError):
             evaluate_statistics([StatKind.from_name("BPD_1")], u, None)
+
+    @pytest.mark.parametrize("names, message", [
+        (("CvM0", "CvM0"), "statistic CvM0 is listed more than once"),
+        (("BPN_2", "KS1", "JB", "BPN_2"), "statistic BPN_2 is listed more than once"),
+        ((), "statistic list must be nonempty"),
+    ])
+    def test_statistic_list_rule(self, names, message):
+        # a repeated statistic once gave one key for two requests
+        u = substream(13, "ev4").random(60)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            evaluate_statistics([StatKind.from_name(n) for n in names], u)
 
     def test_all_names_present(self):
         u = substream(11, "ev2").random(60)
