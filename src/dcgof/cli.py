@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
+import functools
 import json
 import os
 import sys
@@ -104,39 +106,52 @@ def load_series(path: str, support_size: int = 1) -> Series:
         extra = set(header) - expected
         if extra:
             raise ParseError(f"{path}: unexpected columns {sorted(extra)}; use y, x1..xk")
-        ys: list[int] = []
-        xs: list[list[float]] = []
-        for row_num, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise ParseError(f"{path}: row {row_num} has {len(row)} fields, expected {len(header)}")
-            raw = row[y_col].strip()
-            try:
-                y_val = int(raw)
-            except ValueError:
-                raise ParseError(f"{path}: row {row_num}, column y: {raw!r} is not an integer") from None
-            if not 0 <= y_val <= support_size:
-                raise ParseError(
-                    f"{path}: row {row_num}, column y: value {y_val} outside {{0..{support_size}}}"
-                )
-            ys.append(y_val)
-            x_row = []
-            for k, col in enumerate(x_cols, start=1):
-                raw = row[col].strip()
-                try:
-                    x_row.append(float(raw))
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: row {row_num}, column x{k}: {raw!r} is not a number"
-                    ) from None
-            xs.append(x_row)
-        if not ys:
-            raise ParseError(f"{path}: no data rows")
-    x = np.array(xs).reshape(len(ys), len(x_cols))
+        rows = list(reader)
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    try:  # one conversion per column
+        if set(map(len, rows)) != {len(header)}:
+            raise ValueError("ragged rows")
+        columns = list(zip(*rows))
+        ys = list(map(int, columns[y_col]))
+        xs = [list(map(float, columns[col])) for col in x_cols]
+        if not 0 <= min(ys) <= max(ys) <= support_size:
+            raise ValueError("outcome out of range")
+    except ValueError:
+        _check_rows(path, rows, len(header), y_col, x_cols, support_size)
+        raise
+    x = np.array(xs, dtype=float).reshape(len(x_cols), len(ys)).T.copy()
     bad = np.argwhere(~np.isfinite(x))
     if bad.size:
         row, k = bad[0]
         raise ParseError(f"{path}: row {row + 1}, column x{k + 1}: value {x[row, k]} is not finite")
     return Series(y=np.array(ys), x=x)
+
+
+def _check_rows(path: str, rows: list[list[str]], width: int, y_col: int,
+                x_cols: list[int], support_size: int) -> None:
+    """Raise :class:`ParseError` naming the first field, in row order, that
+    fails its check."""
+    for row_num, row in enumerate(rows, start=1):
+        if len(row) != width:
+            raise ParseError(f"{path}: row {row_num} has {len(row)} fields, expected {width}")
+        raw = row[y_col].strip()
+        try:
+            y_val = int(raw)
+        except ValueError:
+            raise ParseError(f"{path}: row {row_num}, column y: {raw!r} is not an integer") from None
+        if not 0 <= y_val <= support_size:
+            raise ParseError(
+                f"{path}: row {row_num}, column y: value {y_val} outside {{0..{support_size}}}"
+            )
+        for k, col in enumerate(x_cols, start=1):
+            raw = row[col].strip()
+            try:
+                float(raw)
+            except ValueError:
+                raise ParseError(
+                    f"{path}: row {row_num}, column x{k}: {raw!r} is not a number"
+                ) from None
 
 
 def _load_input(config: RunConfig) -> tuple[Series, ModelSpec]:
@@ -295,26 +310,39 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-def _option_parser() -> argparse.ArgumentParser:
-    """The options of every command; a config file's keys go through it too."""
+# The options each command reads; any other is a usage error, not ignored
+_MODEL_OPTIONS = ("input", "model-file", "link", "ylags", "interactions", "J")
+_COMMAND_OPTIONS = {
+    "fit": ("out", *_MODEL_OPTIONS),
+    "test": ("out", *_MODEL_OPTIONS, "B", "seed", "stats", "threads"),
+    "mc": ("out", "scenarios", "T", "R", "seed", "stats", "levels", "threads"),
+}
+
+
+def _option_parser(command: str) -> argparse.ArgumentParser:
+    """The options ``command`` reads; a config file's keys go through it too."""
     p = _Parser(add_help=False)
     p.add_argument("--config", default=None, help="JSON config file; flags override its keys")
-    p.add_argument("--input", default=None, help="CSV input with columns y, x1..xk")
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--model-file", default=None, help="model JSON file instead of flags")
-    p.add_argument("--link", default=None, choices=["probit", "logit"])
-    p.add_argument("--ylags", type=int, default=None, help="number of outcome lags q")
-    p.add_argument("--interactions", action="store_true", default=None)
-    p.add_argument("--J", type=int, default=None, dest="support_size",
-                   help="support size (outcomes in 0..J)")
-    p.add_argument("--B", type=int, default=None, help="bootstrap replications")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--levels", type=str, default=None, help="comma list, e.g. 0.1,0.05,0.01")
-    p.add_argument("--stats", type=str, default=None, help="comma list of statistic names")
-    p.add_argument("--scenarios", type=str, default=None, help="comma list of scenario ids, or all")
-    p.add_argument("--T", type=str, default=None, help="comma list of sample sizes")
-    p.add_argument("--R", type=int, default=None, help="Monte Carlo replications")
-    p.add_argument("--threads", type=int, default=None)
+
+    def option(name: str, **kwargs) -> None:
+        if name in _COMMAND_OPTIONS[command]:
+            p.add_argument(f"--{name}", default=None, **kwargs)
+
+    option("input", help="CSV input with columns y, x1..xk")
+    option("out", help="output directory")
+    option("model-file", help="model JSON file instead of flags")
+    option("link", choices=["probit", "logit"])
+    option("ylags", type=int, help="number of outcome lags q")
+    option("interactions", action="store_true")
+    option("J", type=int, dest="support_size", help="support size (outcomes in 0..J)")
+    option("B", type=int, help="bootstrap replications")
+    option("seed", type=int)
+    option("levels", help="comma list, e.g. 0.1,0.05,0.01")
+    option("stats", help="comma list of statistic names")
+    option("scenarios", help="comma list of scenario ids, or all")
+    option("T", help="comma list of sample sizes")
+    option("R", type=int, help="Monte Carlo replications")
+    option("threads", type=int)
     return p
 
 
@@ -324,19 +352,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Adequacy tests for the conditional distribution of dynamic discrete choice models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    options = _option_parser()
-    for name in ("fit", "test", "mc"):
-        sub.add_parser(name, parents=[options])
+    for command in _COMMAND_OPTIONS:
+        sub.add_parser(command, parents=[_option_parser(command)])
     return parser
 
 
-def _config_args(conf) -> argparse.Namespace:
-    """The options a config file stands for: a key names a flag other than
-    --config in full and takes its text, a list the comma list of its items,
-    and a switch only true or false."""
+def _config_args(conf, command: str) -> argparse.Namespace:
+    """The options a config file stands for: a key names a flag of
+    ``command`` other than --config in full and takes its text, a list the
+    comma list of its items, and a switch only true or false."""
     if not isinstance(conf, dict):
         raise ParseError("a config file holds one JSON object")
-    options = _option_parser()
+    options = _option_parser(command)
     argv = []
     for key, value in conf.items():
         flag = "--" + key.replace("_", "-")
@@ -368,7 +395,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         except (OSError, json.JSONDecodeError) as exc:
             raise ParseError(f"cannot read config {args.config}: {exc}") from exc
         try:
-            file_args = _config_args(file_conf)
+            file_args = _config_args(file_conf, args.command)
         except ParseError as exc:
             raise ParseError(f"config {args.config}: {exc}") from None
         # flags override the file's keys
@@ -394,9 +421,38 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
+# mallopt(3) parameters of glibc's malloc.h
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _keep_heap() -> None:
+    """Let freed memory stay in the heap for the next step of the run.
+
+    Each bootstrap step (simulate, refit, statistics) allocates and frees
+    arrays of a few hundred KB.  Under glibc's dynamic thresholds the freed
+    top of the heap goes back to the kernel after each step, and the next
+    step faults it in again: 7-11k page faults per ``dcgof test`` call on an
+    ordered probit at T=2000.  With fixed thresholds, blocks under 4 MiB
+    come from the heap and the heap keeps up to 64 MiB of free top.  Pool
+    workers started by fork inherit the setting.  It changes no result.
+    Without glibc's ``mallopt`` (musl, macOS, Windows) it does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 4 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         config = _resolve_config(_build_parser().parse_args(argv))
+        _keep_heap()
         if config.command == "fit":
             return cmd_fit(config)
         if config.command == "test":

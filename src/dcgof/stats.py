@@ -663,13 +663,15 @@ def _jarque_bera(x: np.ndarray):
     """Jarque-Bera statistic along the last axis."""
     T = x.shape[-1]
     xc = x - x.mean(axis=-1, keepdims=True)
-    m2 = np.mean(xc * xc, axis=-1)
+    xc2 = xc * xc
+    m2 = np.mean(xc2, axis=-1)
     if np.any(m2 <= 0.0):
         raise ValueError("series has zero variance")
     # Python's pow, not numpy's: the two differ in the last bit
     m2_15 = np.reshape([v**1.5 for v in np.ravel(m2).tolist()], m2.shape)
-    skew = np.mean(xc**3, axis=-1) / m2_15
-    kurt = np.mean(xc**4, axis=-1) / (m2 * m2)
+    # products, not xc**3 and xc**4, which call libm's pow per element
+    skew = np.mean(xc2 * xc, axis=-1) / m2_15
+    kurt = np.mean(xc2 * xc2, axis=-1) / (m2 * m2)
     return T / 6.0 * (skew * skew + (kurt - 3.0) ** 2 / 4.0)
 
 

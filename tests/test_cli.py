@@ -1,8 +1,10 @@
+import ctypes
 import json
 import os
 import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -132,9 +134,7 @@ class TestCmdTest:
                 assert 0.0 < entry["p_value"] <= 1.0
             assert (out1 / "report.txt").exists()
 
-    @pytest.mark.parametrize("flag, value, repeated", [
-        ("--stats", "CvM0,CvM0", "CvM0"), ("--levels", "0.1,0.1", "0.1"),
-    ])
+    @pytest.mark.parametrize("flag, value, repeated", [("--stats", "CvM0,CvM0", "CvM0")])
     def test_repeated_list_entry_is_parse_error(self, tmp_path, capsys, flag, value, repeated):
         # a repeated statistic was once reported once by `test` but twice by `mc`
         data_path = tmp_path / "data.csv"
@@ -408,7 +408,7 @@ class TestCmdMc:
     @pytest.mark.parametrize("via", ["flag", "config"])
     def test_negative_seed_is_parse_error(self, tmp_path, capsys, monkeypatch, command, via):
         # `test --seed -1` once fitted the data first and then failed on the
-        # substream key; `fit --seed -5` exited 0
+        # substream key; `fit --seed -5` exited 0, and `fit` reads no seed
         def no_fit(*args, **kwargs):
             raise AssertionError("a fit ran")
 
@@ -417,7 +417,8 @@ class TestCmdMc:
         monkeypatch.setattr(boot, "_fit", no_fit)
         data_path = tmp_path / "data.csv"
         write_series_csv(data_path, seed=3)
-        conf = {"input": str(data_path), "scenarios": [1], "T": [60], "R": 50}
+        conf = {"input": str(data_path)} if command != "mc" else \
+            {"scenarios": [1], "T": [60], "R": 50}
         if via == "config":
             conf["seed"] = -1
         conf_path = tmp_path / "conf.json"
@@ -425,8 +426,13 @@ class TestCmdMc:
         argv = [command, "--config", str(conf_path), "--out", str(tmp_path / "o")]
         argv += ["--seed", "-1"] if via == "flag" else []
         assert main(argv) == EXIT_PARSE
-        where = "--seed" if via == "flag" else f"config {conf_path}: key 'seed'"
-        assert capsys.readouterr().err == f"error: {where} must be nonnegative, got -1\n"
+        if command == "fit":
+            message = "unrecognized arguments: --seed -1" if via == "flag" else \
+                f"config {conf_path}: unknown key 'seed'"
+        else:
+            where = "--seed" if via == "flag" else f"config {conf_path}: key 'seed'"
+            message = f"{where} must be nonnegative, got -1"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["test", "mc"])
@@ -463,6 +469,106 @@ class TestCmdMc:
             scenarios("1,all")
 
 
+class TestCommandOptions:
+    @pytest.mark.parametrize("command", ["fit", "test", "mc"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_unread_option_is_usage_error(self, tmp_path, capsys, command, via):
+        # every command once took all 16 options and ignored those it does not
+        # read: `fit --stats XYZ` and `mc --B 999 --input nowhere.csv` exited 0
+        every = {name for names in cli._COMMAND_OPTIONS.values() for name in names}
+        unread = sorted(every - set(cli._COMMAND_OPTIONS[command]))
+        assert unread
+        path = tmp_path / "conf.json"
+        for name in unread:
+            switch = name == "interactions"
+            if via == "flag":
+                argv = [f"--{name}"] + ([] if switch else ["1"])
+                message = "unrecognized arguments: " + " ".join(argv)
+            else:
+                key = name.replace("-", "_")
+                path.write_text(json.dumps({key: True if switch else "1"}))
+                argv, message = ["--config", str(path)], f"config {path}: unknown key {key!r}"
+            assert main([command, *argv, "--out", str(tmp_path / "o")]) == EXIT_PARSE
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+class TestKeepHeap:
+    def test_sets_both_thresholds(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        def cdll(name):
+            assert name is None  # the symbols already loaded into the process
+            return SimpleNamespace(mallopt=mallopt)
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        cli._keep_heap.__wrapped__()
+        assert calls == [(-3, 4 * 2**20), (-1, 64 * 2**20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+        assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+        assert mallopt.restype is ctypes.c_int
+
+    @pytest.mark.parametrize("error", [None, OSError, TypeError])
+    def test_does_nothing_without_mallopt(self, monkeypatch, error):
+        # no mallopt symbol (macOS, musl), or no C library to open (Windows)
+        def cdll(name):
+            if error is not None:
+                raise error("no C library")
+            return object()
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        assert cli._keep_heap.__wrapped__() is None
+
+    def test_runs_only_once_the_arguments_resolve(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_keep_heap", lambda: calls.append(1))
+        with pytest.raises(SystemExit):
+            main(["mc", "--help"])
+        assert main(["mc", "--bogus"]) == EXIT_PARSE
+        assert main(["mc", "--threads", "0"]) == EXIT_PARSE
+        assert calls == []
+        # resolved, then mc finds no --T
+        assert main(["mc", "--out", str(tmp_path / "o")]) == EXIT_PARSE
+        assert calls == [1]
+
+    @pytest.mark.skipif(not _has_mallopt(), reason="no mallopt in the C library")
+    def test_second_call_faults_few_pages(self, tmp_path):
+        # glibc's dynamic trim threshold once gave the freed top of the heap
+        # back after each bootstrap step: about 9k page faults per call here
+        spec = ModelSpec(link="probit", support_size=2, q=1, n_regressors=1)
+        theta = Theta(delta=(0.5,), beta=(1.0,), mu=(-0.5, 1.0))
+        data = simulate(spec, theta, 2000, rng=substream(1, "o"))
+        path = tmp_path / "ord.csv"
+        path.write_text("y,x1\n" + "".join(
+            f"{yi},{xi:.17g}\n" for yi, xi in zip(data.y, data.x[:, 0])))
+        code = (
+            "import resource, sys\n"
+            "from dcgof.cli import main\n"
+            "argv = ['test', '--input', sys.argv[1], '--J', '2', '--ylags', '1', '--B', '19',\n"
+            "        '--out', sys.argv[2]]\n"
+            "assert main(argv) == 0\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "assert main(argv) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        out = subprocess.run([sys.executable, "-c", code, str(path), str(tmp_path / "o")],
+                             env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                             text=True, check=True, timeout=120)
+        faults = int(out.stdout.splitlines()[-1])
+        assert faults < 1000, faults
+
+
 class TestConfigFile:
     def test_flags_override_config(self, tmp_path):
         data_path = tmp_path / "data.csv"
@@ -484,9 +590,10 @@ class TestConfigFile:
 
     def test_numbers_and_lists_are_their_flag_text(self, tmp_path):
         config = self.resolve(tmp_path, {"T": 100, "levels": [0.1, 0.05],
-                                         "stats": ["CvM0", "KS1"], "B": "29", "R": 50})
+                                         "stats": ["CvM0", "KS1"], "R": 50})
         assert (config.T, config.levels) == ((100,), (0.1, 0.05))
-        assert (config.stats, config.B, config.R) == (("CvM0", "KS1"), 29, 50)
+        assert (config.stats, config.R) == (("CvM0", "KS1"), 50)
+        assert self.resolve(tmp_path, {"input": "d.csv", "B": "29"}, command="test").B == 29
         assert self.resolve(tmp_path, {"T": [100, 200], "scenarios": "all"}).T == (100, 200)
 
     @pytest.mark.parametrize("conf", [
@@ -494,8 +601,8 @@ class TestConfigFile:
         {"threads": "abc"}, ["B", 29], {"scen": [1]},
     ])
     def test_values_its_flag_would_reject(self, tmp_path, conf):
-        with pytest.raises(ParseError):
-            self.resolve(tmp_path, conf)
+        with pytest.raises(ParseError, match="takes|invalid|one JSON object|unknown key 'scen'"):
+            self.resolve(tmp_path, conf, command="mc" if "R" in conf else "test")
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_below_one_is_parse_error(self, tmp_path, threads):
@@ -518,8 +625,9 @@ class TestConfigFile:
         assert len(getattr(_resolve_config(args), key)) == 1
 
     def test_switches_take_json_booleans(self, tmp_path):
-        assert self.resolve(tmp_path, {"interactions": True}).interactions is True
-        assert self.resolve(tmp_path, {"interactions": False}).interactions is False
+        for value in (True, False):
+            conf = {"input": "d.csv", "interactions": value}
+            assert self.resolve(tmp_path, conf, command="fit").interactions is value
         # a quoted "false" once switched the option on
         data_path = tmp_path / "data.csv"
         write_series_csv(data_path, seed=6)
@@ -555,9 +663,7 @@ class TestConfigFile:
         assert not (tmp_path / "o").exists()
 
     def test_bad_level_rejected(self, tmp_path):
-        data_path = tmp_path / "data.csv"
-        write_series_csv(data_path, seed=5)
-        code = main(["test", "--input", str(data_path), "--levels", "1.5",
+        code = main(["mc", "--scenarios", "1", "--T", "60", "--R", "50", "--levels", "1.5",
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_PARSE
 
