@@ -18,10 +18,13 @@ that fails is marked with its cause code (``dcgof.estimate.Cause``), not
 raised; only model failures (fit errors, unconverged fits, the probability
 floor, a zero conditional variance) count, and any other exception
 propagates.  ``_map`` cuts the keys into near-equal contiguous chunks, at
-least one per worker process and none above ``CHUNK_POINTS`` points
-(replicates times periods), which keeps memory O(chunk * T * L).  Each
-stage pays a fixed call overhead per chunk, whatever its rows, so the
-budget is as large as peak memory allows.
+least one per worker and none above ``CHUNK_POINTS`` points (replicates
+times periods), which keeps memory O(chunk * T * L).  Each stage pays a
+fixed call overhead per chunk, whatever its rows, so the budget is as large
+as peak memory allows.  With ``threads > 1`` the calling process is the
+first worker: it computes one share of the chunks while ``threads - 1``
+processes forked with ``os.fork`` (Linux only, and never more than there
+are chunks) compute the others and send them back through pipes.
 
 A p-value reads of a bootstrap draw only whether it is at least the
 observed statistic, so the user-facing test searches each bivariate KS
@@ -39,6 +42,9 @@ from __future__ import annotations
 
 import collections
 import json
+import os
+import pickle
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -236,21 +242,92 @@ def _chunks(n: int, T: int, threads: int) -> list[tuple[int, int]]:
 
 def _map(fn, args: tuple, n: int, T: int, threads: int) -> tuple:
     """The arrays of the tuples ``fn(*args, lo, hi)``, each concatenated over
-    the chunks of :func:`_chunks`, computed in ``threads`` worker processes when
-    ``threads > 1``, but in no more processes than there are chunks: the
-    pool starts all its workers at the first task.  The chunks keep their
-    order.  Each row is computed the same in any chunk, so the result does
-    not depend on ``threads``."""
-    chunks = _chunks(n, T, threads)
-    if threads == 1:
-        parts = [fn(*args, lo, hi) for lo, hi in chunks]
-    else:
-        # imported here: a serial run does not load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    the chunks of :func:`_chunks` in their order.  The chunks are cut into
+    ``min(threads, len(chunks))`` contiguous shares: the calling process
+    computes the first, and one forked worker process each of the others
+    (see :func:`_work`), which all start before the caller computes.  Workers
+    fork only on Linux; elsewhere every share runs in the calling process.
+    Each row is computed the same in any chunk, so the result does not
+    depend on ``threads``.
 
-        with ProcessPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
-            parts = list(pool.map(fn, *zip(*((*args, lo, hi) for lo, hi in chunks))))
+    A worker's exception is raised here with its own type (see
+    :func:`_received`), and any exception here, ``KeyboardInterrupt``
+    included, first kills and reaps every worker that is left."""
+    chunks = _chunks(n, T, threads)
+    workers = min(threads, len(chunks)) if sys.platform == "linux" else 1
+    shares = [chunks[len(chunks) * i // workers:len(chunks) * (i + 1) // workers]
+              for i in range(workers)]
+    children = {}  # pid -> the read end of its pipe, in fork order
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _work(fn, args, share, write)
+            os.close(write)
+            children[pid] = open(read, "rb")
+        parts = [fn(*args, lo, hi) for lo, hi in shares[0]]
+        for pid, pipe in list(children.items()):
+            with pipe:
+                message = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            parts += _received(pid, status, message)
+    finally:
+        if children:
+            import signal  # only on the way out of an exception
+
+            for pid, pipe in children.items():
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def _work(fn, args: tuple, share: list, fd: int) -> None:
+    """A forked worker of :func:`_map`: compute the chunks of ``share``, and
+    pickle into the pipe ``fd`` either the list of their results or the
+    exception raised with its traceback text.  It always ends with
+    ``os._exit``, so it never returns into the caller's stack, runs
+    ``atexit`` handlers or flushes inherited stdio buffers; its exit code
+    is 0 only once the whole message is written."""
+    code = 1
+    try:
+        try:
+            message = (True, [fn(*args, lo, hi) for lo, hi in share])
+        except BaseException as exc:
+            import traceback
+
+            text = "".join(traceback.format_exception(exc))
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+            message = (False, (exc, text))
+        with open(fd, "wb") as pipe:
+            pickle.dump(message, pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _received(pid: int, status: int, message: bytes) -> list:
+    """The chunk results that worker ``pid`` sent before it ended with wait
+    ``status``.  Raise the exception it sent instead, with its own type, or
+    a ``RuntimeError`` with its text if it could not be pickled, chained
+    from its traceback; a worker that sent nothing raises a
+    ``RuntimeError`` naming its exit code or signal."""
+    code = os.waitstatus_to_exitcode(status)
+    if code or not message:
+        import signal
+
+        how = f"exit code {code}" if code >= 0 else f"signal {signal.Signals(-code).name}"
+        raise RuntimeError(f"worker process {pid} ended with {how} and sent no results")
+    done, payload = pickle.loads(message)
+    if done:
+        return payload
+    exc, text = payload
+    raise exc from RuntimeError(f"in worker process {pid}:\n{text}")
 
 
 def _bootstrap_chunk(spec, vec, x, kinds, master_seed, observed, lo, hi) -> tuple:

@@ -1,5 +1,9 @@
-import concurrent.futures
 import math
+import os
+import signal
+import sys
+import threading
+import time
 import warnings
 from dataclasses import replace
 
@@ -183,43 +187,41 @@ class TestBootstrapTest:
             bootstrap_test(STATIC, null_series(7), config)
 
 
-class RecordingPool:
-    """Stands in for the process pool: records the worker count it is asked
-    for and runs the chunks in this process, so it starts no process."""
+def counting_fork(monkeypatch) -> list:
+    """Wraps ``os.fork`` as ``boot`` calls it: it still forks, and the list
+    it returns gets the pid of each worker forked in this process."""
+    fork, forked = os.fork, []
 
-    asked: list = []
+    def counted():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
 
-    def __init__(self, max_workers):
-        self.asked.append(max_workers)
+    monkeypatch.setattr(boot.os, "fork", counted)
+    return forked
 
-    def __enter__(self):
-        return self
 
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return list(map(fn, *iterables))
+linux_only = pytest.mark.skipif(sys.platform != "linux", reason="workers fork only on Linux")
 
 
 class TestWorkerCount:
+    @linux_only
     def test_no_more_workers_than_chunks(self, monkeypatch):
-        # the pool forks all its workers at the first task, however few
-        # the chunks
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(boot, "ProcessPoolExecutor", RecordingPool, raising=False)
-        monkeypatch.setattr(RecordingPool, "asked", [])
+        # the caller computes one share and forks a worker for each other
+        # share, never more than there are chunks
+        forked = counting_fork(monkeypatch)
         data = null_series(7, T=300)
         config = BootstrapConfig(B=19, master_seed=11, stats=SMALL_STATS)
         serial = bootstrap_test(STATIC, data, config, threads=1)
-        assert RecordingPool.asked == []
+        assert forked == []
         pooled = bootstrap_test(STATIC, data, config, threads=20)
         assert len(boot._chunks(config.B, data.T, 20)) == 19
-        assert RecordingPool.asked == [19]
+        assert len(forked) == 18
         assert pooled.dumps() == serial.dumps()
         run_scenario(scenario_registry()[0], T=60, R=50, master_seed=14, stats=SMALL_STATS,
                      threads=3)
-        assert RecordingPool.asked == [19, 3]
+        assert len(forked) == 20
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_fewer_than_one_worker_rejected(self, threads):
@@ -228,6 +230,103 @@ class TestWorkerCount:
             boot._chunks(50, 100, threads)
         with pytest.raises(ValueError, match="threads must be at least 1"):
             run_scenario(scenario_registry()[0], T=60, R=50, threads=threads)
+
+
+class WorkerFault(Exception):
+    """An exception that pickles, so a worker can send it back."""
+
+
+class UnpicklableFault(Exception):
+    """An exception that holds a lock, so it cannot be pickled."""
+
+    def __init__(self, text):
+        super().__init__(text)
+        self.lock = threading.Lock()
+
+
+def fail_in(where, caller, exc, lo, hi):
+    # a chunk function of boot._map that raises ``exc`` in the caller's
+    # share or in a worker's, told apart by the caller's pid
+    if ("caller" if os.getpid() == caller else "worker") == where:
+        raise exc
+    return (np.arange(lo, hi),)
+
+
+def exit_in_worker(caller, how, lo, hi):
+    # a worker ends without a message: with exit code 3 or by SIGKILL
+    if os.getpid() != caller:
+        if how == "exit":
+            os._exit(3)
+        os.kill(os.getpid(), signal.SIGKILL)
+    return (np.arange(lo, hi),)
+
+
+def interrupt_caller(caller, lo, hi):
+    # the caller is interrupted while its worker is still busy
+    if os.getpid() == caller:
+        raise KeyboardInterrupt
+    time.sleep(60)
+    return (np.arange(lo, hi),)
+
+
+@linux_only
+class TestWorkerFailures:
+    # four chunks of one row each, in 2 shares at threads=2
+    N, T = 4, boot.CHUNK_POINTS
+
+    def map(self, fn, *args, threads=2):
+        return boot._map(fn, args, self.N, self.T, threads)
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_shares_keep_chunk_order(self, threads):
+        (rows,) = self.map(fail_in, "nowhere", os.getpid(), None, threads=threads)
+        assert rows.tolist() == [0, 1, 2, 3]
+        self.assert_no_child_left()
+
+    def test_caller_exception_keeps_its_type(self):
+        with pytest.raises(ValueError, match="in the caller's share"):
+            self.map(fail_in, "caller", os.getpid(), ValueError("in the caller's share"))
+        self.assert_no_child_left()
+
+    def test_worker_exception_keeps_its_type(self):
+        with pytest.raises(WorkerFault, match="in a worker's share") as raised:
+            self.map(fail_in, "worker", os.getpid(), WorkerFault("in a worker's share"))
+        # chained from the traceback text the worker sent
+        assert "in fail_in" in str(raised.value.__cause__)
+        self.assert_no_child_left()
+
+    def test_unpicklable_worker_exception_is_runtime_error(self):
+        with pytest.raises(RuntimeError, match="UnpicklableFault: cannot travel"):
+            self.map(fail_in, "worker", os.getpid(), UnpicklableFault("cannot travel"))
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("how, named", [("exit", "exit code 3"), ("kill", "signal SIGKILL")])
+    def test_worker_without_message_is_runtime_error(self, how, named):
+        with pytest.raises(RuntimeError, match=f"ended with {named} and sent no results"):
+            self.map(exit_in_worker, os.getpid(), how)
+        self.assert_no_child_left()
+
+    def test_interrupted_caller_kills_its_workers(self):
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            self.map(interrupt_caller, os.getpid())
+        assert time.monotonic() - start < 30  # the worker sleeps for 60 s
+        self.assert_no_child_left()
+
+    def test_serial_run_never_forks(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("a serial run forked")
+
+        monkeypatch.setattr(boot.os, "fork", no_fork)
+        (rows,) = self.map(fail_in, "nowhere", os.getpid(), None, threads=1)
+        assert rows.tolist() == [0, 1, 2, 3]
+        config = BootstrapConfig(B=19, master_seed=11, stats=SMALL_STATS)
+        bootstrap_test(STATIC, null_series(7), config, threads=1)
 
 
 class TestWarmStartedRefits:

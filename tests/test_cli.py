@@ -671,11 +671,19 @@ class TestConfigFile:
 def test_import_loads_no_scipy():
     # scipy is a test oracle only: importing scipy.special alone once cost
     # about 0.25 s of every dcgof start, and the runtime needs numpy only.
-    # Only --threads > 1 needs the process pool and multiprocessing.
+    # --threads > 1 forks its workers with os.fork and pipes alone: neither
+    # multiprocessing nor concurrent.futures is loaded, even by a parallel
+    # run, since their imports alone raised peak RSS by about 1 MB.
     report = ("print('loaded:', *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
               "    or m.startswith(('multiprocessing', 'concurrent.futures'))))")
     starts = {
         "import dcgof": "import sys, dcgof\n" + report,
+        "dcgof mc --threads 2": (
+            "import sys, tempfile\nfrom dcgof.cli import main\n"
+            "with tempfile.TemporaryDirectory() as out:\n"
+            "    argv = ['mc', '--scenarios', '1', '--T', '60', '--R', '50', '--threads', '2']\n"
+            "    assert main([*argv, '--out', out]) == 0\n" + report
+        ),
         "python -m dcgof --help": (
             "import runpy, sys\nsys.argv = ['dcgof', '--help']\ntry:\n"
             "    runpy.run_module('dcgof', run_name='__main__', alter_sys=True)\n"
