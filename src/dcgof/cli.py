@@ -14,23 +14,13 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .boot import (
-    DEFAULT_LEVELS,
-    BootstrapConfig,
-    RejectionTable,
-    UnreliableBootstrapError,
-    bootstrap_test,
-    rejection_tables_to_csv,
-    run_scenario,
-    scenario_registry,
-)
-from .estimate import NonConvergenceError, fit_mle
-from .model import AssumptionViolationError, LinkKind, ModelSpec, Series
-from .stats import DEFAULT_STUDY_KINDS, StatKind, _check_stats
+# for annotations only: the compute modules, and numpy, load once the arguments resolve
+if TYPE_CHECKING:
+    from .model import ModelSpec, Series
+    from .stats import StatKind
 
 __all__ = ["RunConfig", "load_series", "cmd_fit", "cmd_test", "cmd_mc", "main"]
 
@@ -59,7 +49,7 @@ class RunConfig:
     support_size: int = 1
     B: int = 199
     seed: int = 0
-    levels: tuple[float, ...] = DEFAULT_LEVELS
+    levels: tuple[float, ...] | None = None
     stats: tuple[str, ...] | None = None
     scenarios: tuple[int, ...] = ()
     T: tuple[int, ...] = ()
@@ -68,6 +58,8 @@ class RunConfig:
 
     def stat_kinds(self) -> tuple[StatKind, ...]:
         """The statistics ``--stats`` names, or the study's."""
+        from .stats import DEFAULT_STUDY_KINDS, StatKind
+
         if self.stats is None:
             return DEFAULT_STUDY_KINDS
         return tuple(StatKind.from_name(n) for n in self.stats)
@@ -78,6 +70,10 @@ def load_series(path: str, support_size: int = 1) -> Series:
 
     Raises :class:`ParseError` naming the offending row and column.
     """
+    import numpy as np
+
+    from .model import Series
+
     try:
         fh = open(path, newline="")
     except OSError as exc:
@@ -157,6 +153,8 @@ def _check_rows(path: str, rows: list[list[str]], width: int, y_col: int,
 def _load_input(config: RunConfig) -> tuple[Series, ModelSpec]:
     """The input series and its model: the model file's, or one built from
     the flags.  Outcomes are checked against the resolved model's ``J``."""
+    from .model import LinkKind, ModelSpec
+
     if config.model_file:
         try:
             with open(config.model_file) as fh:
@@ -189,11 +187,15 @@ def _write(path: str, text: str) -> None:
 
 
 def cmd_fit(config: RunConfig) -> int:
+    from numpy.linalg import LinAlgError
+
+    from .estimate import fit_mle
+
     series, spec = _load_input(config)
     result = fit_mle(spec, series)
     try:
         stderr = result.stderr(spec).tolist()
-    except np.linalg.LinAlgError:  # singular information: no standard errors
+    except LinAlgError:  # singular information: no standard errors
         stderr = None
     fit = {**result.to_json_dict(), "stderr": stderr}
     payload = {"fit": fit, "model": spec.to_json_dict()}
@@ -217,6 +219,8 @@ def _report_text(report) -> str:
 
 
 def cmd_test(config: RunConfig) -> int:
+    from .boot import BootstrapConfig, bootstrap_test
+
     series, spec = _load_input(config)
     boot_config = BootstrapConfig(B=config.B, master_seed=config.seed, stats=config.stat_kinds())
     report = bootstrap_test(spec, series, boot_config, threads=config.threads)
@@ -229,6 +233,9 @@ def cmd_test(config: RunConfig) -> int:
 
 
 def cmd_mc(config: RunConfig) -> int:
+    from .boot import DEFAULT_LEVELS, rejection_tables_to_csv, run_scenario, scenario_registry
+    from .stats import _check_stats
+
     registry = {s.id: s for s in scenario_registry()}
     for sid in config.scenarios:
         if sid not in registry:
@@ -238,7 +245,7 @@ def cmd_mc(config: RunConfig) -> int:
     kinds = config.stat_kinds()
     for T in config.T:  # every sample size before the first cell runs
         _check_stats(kinds, T)
-    tables: list[RejectionTable] = []
+    tables = []
     for T in config.T:
         for sid in config.scenarios:
             start = time.perf_counter()
@@ -248,7 +255,7 @@ def cmd_mc(config: RunConfig) -> int:
                 R=config.R,
                 master_seed=config.seed,
                 stats=kinds,
-                levels=config.levels,
+                levels=DEFAULT_LEVELS if config.levels is None else config.levels,
                 threads=config.threads,
             )
             tables.append(tab)
@@ -282,6 +289,8 @@ def _int_list(text: str) -> tuple[int, ...]:
 def _scenario_ids(text: str) -> tuple[int, ...]:
     """``all`` (every registered scenario) or a comma list of scenario ids."""
     if text.strip() == "all":
+        from .boot import scenario_registry
+
         return tuple(s.id for s in scenario_registry())
     return _int_list(text)
 
@@ -331,18 +340,20 @@ def _option_parser(command: str) -> argparse.ArgumentParser:
     option("input", help="CSV input with columns y, x1..xk")
     option("out", help="output directory")
     option("model-file", help="model JSON file instead of flags")
-    option("link", choices=["probit", "logit"])
+    option("link", choices=["probit", "logit"], help="link function of the model")
     option("ylags", type=int, help="number of outcome lags q")
-    option("interactions", action="store_true")
+    option("interactions", action="store_true",
+           help="add the terms y_{t-1} * x_t (needs --ylags 1 or more)")
     option("J", type=int, dest="support_size", help="support size (outcomes in 0..J)")
     option("B", type=int, help="bootstrap replications")
-    option("seed", type=int)
+    option("seed", type=int, help="master seed of every random substream")
     option("levels", help="comma list, e.g. 0.1,0.05,0.01")
     option("stats", help="comma list of statistic names")
     option("scenarios", help="comma list of scenario ids, or all")
     option("T", help="comma list of sample sizes")
     option("R", type=int, help="Monte Carlo replications")
-    option("threads", type=int)
+    option("threads", type=int,
+           help=f"worker processes (default {RunConfig.threads}); outputs do not depend on it")
     return p
 
 
@@ -413,7 +424,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ParseError(f"{where('threads')} must be at least 1, got {config.threads}")
     if config.seed < 0:
         raise ParseError(f"{where('seed')} must be nonnegative, got {config.seed}")
-    for level in config.levels:
+    for level in config.levels or ():
         if not 0.0 < level < 1.0:
             raise ParseError(f"level {level} outside (0, 1)")
     if config.command in ("fit", "test") and not config.input:
@@ -450,15 +461,19 @@ def _keep_heap() -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # parsed outside the `try` below: `--help` leaves by SystemExit, and its
+    # exception tuples name classes that load only once the arguments resolve
     try:
         config = _resolve_config(_build_parser().parse_args(argv))
-        _keep_heap()
-        if config.command == "fit":
-            return cmd_fit(config)
-        if config.command == "test":
-            return cmd_test(config)
-        return cmd_mc(config)
-    except (ParseError, ValueError) as exc:
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    from . import AssumptionViolationError, NonConvergenceError, UnreliableBootstrapError
+
+    _keep_heap()
+    try:
+        return {"fit": cmd_fit, "test": cmd_test, "mc": cmd_mc}[config.command](config)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (NonConvergenceError, AssumptionViolationError) as exc:
@@ -467,7 +482,10 @@ def main(argv: list[str] | None = None) -> int:
     except UnreliableBootstrapError as exc:
         print(f"bootstrap error: {exc}", file=sys.stderr)
         return EXIT_BOOTSTRAP
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:  # a bug: its traceback, then a one-line summary
+        import traceback
+
+        traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -13,6 +13,7 @@ from dcgof import boot, cli, estimate
 from dcgof.cli import (
     EXIT_BOOTSTRAP,
     EXIT_FIT,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARSE,
     ParseError,
@@ -188,6 +189,18 @@ class TestCmdTest:
         code = main(["test", "--input", str(path), "--B", "19", "--seed", "3",
                      "--stats", "CvM0", "--out", str(tmp_path / "o")])
         assert code == EXIT_BOOTSTRAP
+
+    def test_internal_error_prints_its_traceback(self, tmp_path, capsys, monkeypatch):
+        # a bug once printed only "internal error: <message>", with no traceback
+        def broken(config):
+            raise RuntimeError("a bug")
+
+        monkeypatch.setattr(cli, "cmd_test", broken)
+        assert main(["test", "--input", "x.csv", "--out", str(tmp_path)]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert 'raise RuntimeError("a bug")' in err
+        assert err.endswith("RuntimeError: a bug\ninternal error: a bug\n")
 
 
 class TestCmdFit:
@@ -412,7 +425,7 @@ class TestCmdMc:
         def no_fit(*args, **kwargs):
             raise AssertionError("a fit ran")
 
-        monkeypatch.setattr(cli, "fit_mle", no_fit)
+        monkeypatch.setattr(estimate, "fit_mle", no_fit)
         monkeypatch.setattr(boot, "fit_mle", no_fit)
         monkeypatch.setattr(boot, "_fit", no_fit)
         data_path = tmp_path / "data.csv"
@@ -491,6 +504,11 @@ class TestCommandOptions:
             assert main([command, *argv, "--out", str(tmp_path / "o")]) == EXIT_PARSE
             assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "test", "mc"])
+    def test_every_option_has_help(self, command):
+        actions = cli._option_parser(command)._actions
+        assert [a.option_strings for a in actions if not a.help] == []
 
 
 def _has_mallopt() -> bool:
@@ -668,7 +686,7 @@ class TestConfigFile:
         assert code == EXIT_PARSE
 
 
-def test_import_loads_no_scipy():
+def test_what_each_start_loads():
     # scipy is a test oracle only: importing scipy.special alone once cost
     # about 0.25 s of every dcgof start, and the runtime needs numpy only.
     # --threads > 1 forks its workers with os.fork and pipes alone: neither
@@ -692,7 +710,31 @@ def test_import_loads_no_scipy():
     }
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": src}
-    for start, code in starts.items():
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True, timeout=60)
-        assert out.stdout.splitlines()[-1] == "loaded:", (start, out.stdout.splitlines()[-1])
+
+    def start(code: str, *args: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                              text=True, timeout=60)
+
+    for name, code in starts.items():
+        out = start(code)
+        assert out.returncode == 0, (name, out.stderr)
+        assert out.stdout.splitlines()[-1] == "loaded:", (name, out.stdout.splitlines()[-1])
+
+    # numpy loads once a command has parsed: with it blocked, `import dcgof`,
+    # `--help` and usage errors still answer (each once loaded all seven
+    # compute modules, about half of a `--help` start)
+    no_numpy = "import sys\nsys.modules['numpy'] = None  # `import numpy` raises\n"
+    out = start(no_numpy + "import dcgof\nprint(*sorted(m for m in sys.modules if 'dcgof' in m))")
+    assert (out.returncode, out.stdout) == (0, "dcgof\n"), out.stderr
+    cli_start = no_numpy + (
+        "import runpy\nrunpy.run_module('dcgof', run_name='__main__', alter_sys=True)")
+    for args, code, err in [
+        (["--help"], 0, ""),
+        (["test", "--help"], 0, ""),
+        (["mc", "--bogus"], 1, "error: unrecognized arguments: --bogus\n"),
+        (["test", "--input", "x.csv", "--threads", "0"], 1,
+         "error: --threads must be at least 1, got 0\n"),
+    ]:
+        out = start(cli_start, *args)
+        assert (out.returncode, out.stderr) == (code, err), args
+        assert out.stdout.startswith("usage: dcgof") == (code == 0), args
